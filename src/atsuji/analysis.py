@@ -17,7 +17,8 @@ from typing import Iterable
 import numpy as np
 
 from .functions import WitnessPair
-from .space import FiniteSpace, PointId, neighborhood
+# neighborhood is unused here; perfbench/trace_child.py wraps it by this name
+from .space import FiniteSpace, PointId, neighborhood  # noqa: F401
 
 __all__ = [
     "DerivedSetView",
@@ -102,19 +103,51 @@ def detect_limit_points(space: FiniteSpace, r: float) -> DerivedSetView:
     return DerivedSetView(kind="detected", members=members, resolution=float(r))
 
 
+def _prefix_sweep(space: FiniteSpace, order: np.ndarray) -> list[IsolationReport]:
+    """Isolation of every prefix of ``order`` (canonical indices): entry m is
+    :func:`min_pairwise_distance` of ``order[:m]``, same upper-triangle entries
+    and tie-break.  Each step scans one row, O(len(order)^2) in total.
+    """
+    dist = space.dist
+    best = (math.inf, -1, -1)  # (eta, i, j); every finite distance beats it
+    report = IsolationReport(eta=math.inf, witness=None)
+    reports = [report]
+    for k, p in enumerate(order.tolist()):
+        if k:
+            prev = order[:k]
+            vals = np.where(prev < p, dist[prev, p], dist[p, prev])
+            v = float(vals.min())
+            if v <= best[0]:
+                # among tied partners the least index closes the least pair
+                q = int(prev[vals == v].min())
+                cand = (v, min(p, q), max(p, q))
+                if cand < best:
+                    best = cand
+                    report = IsolationReport(eta=v, witness=(space.ids[cand[1]], space.ids[cand[2]]))
+        reports.append(report)
+    return reports
+
+
+class _IsolationProfile:
+    """Isolation of the complement of B(D, eps) at every eps > 0.  That
+    complement is {x : dist(x, D) >= eps} (every point when D is empty), a
+    prefix of the points ordered by (distance to D descending, index).
+    """
+
+    def __init__(self, space: FiniteSpace, members: Iterable[PointId]):
+        idx = space.indices(members)
+        self._reach = space.dist[:, idx].min(axis=1) if idx.size else np.full(space.n, math.inf)
+        order = np.lexsort((np.arange(space.n), -self._reach))
+        self._reports = _prefix_sweep(space, order)
+
+    def at(self, eps: float) -> IsolationReport:
+        return self._reports[int(np.count_nonzero(self._reach >= eps))]
+
+
 def min_pairwise_distance(space: FiniteSpace, S: Iterable[PointId]) -> IsolationReport:
     """Minimum distance over unordered pairs of S, with the lexicographically
     least achieving pair; inf/no witness when |S| <= 1."""
-    idx = space.indices(S)
-    if idx.size <= 1:
-        return IsolationReport(eta=math.inf, witness=None)
-    sub = space.dist[np.ix_(idx, idx)]
-    iu = np.triu_indices(idx.size, k=1)
-    eta = float(sub[iu].min())
-    # lexicographically least pair among equals, in canonical index order
-    hits = np.argwhere(np.triu(sub <= eta, k=1))
-    i, j = hits[0]
-    return IsolationReport(eta=eta, witness=(space.ids[idx[i]], space.ids[idx[j]]))
+    return _prefix_sweep(space, space.indices(S))[-1]
 
 
 def greedy_epsilon_net(
@@ -149,6 +182,10 @@ def atsuji_check(
     total-boundedness evidence.  FAIL carries the globally minimizing pair
     (first grid entry achieving it) as a witness; INCONCLUSIVE means every
     grid complement had at most one point, so there was no pair to measure.
+
+    The complement at eps is {x : dist(x, derived) >= eps}: a prefix of the
+    points ordered by distance to the derived set, descending.  One sweep over
+    that order measures every prefix, so the whole grid costs one O(n^2) pass.
     """
     grid = [float(e) for e in eps_grid]
     if not grid:
@@ -157,20 +194,11 @@ def atsuji_check(
         raise ValueError(f"eps_grid entries must be positive, got {grid}")
     if not threshold > 0:
         raise ValueError(f"threshold must be positive, got {threshold!r}")
-    for p in derived.members:
-        space.index(p)
 
-    all_ids = set(space.ids)
-    net_sizes: dict[float, int] = {}
-    isolation: dict[float, IsolationReport] = {}
-    worst_eps: float | None = None
-    for eps in grid:
-        net_sizes[eps] = len(greedy_epsilon_net(space, derived.members, eps))
-        complement = all_ids - neighborhood(space, derived.members, eps) if derived.members else all_ids
-        report = min_pairwise_distance(space, complement)
-        isolation[eps] = report
-        if worst_eps is None or report.eta < isolation[worst_eps].eta:
-            worst_eps = eps
+    profile = _IsolationProfile(space, derived.members)
+    net_sizes = {eps: len(greedy_epsilon_net(space, derived.members, eps)) for eps in grid}
+    isolation = {eps: profile.at(eps) for eps in grid}
+    worst_eps = min(grid, key=lambda eps: isolation[eps].eta)
 
     notes = [FINITE_EVIDENCE_NOTE]
     if derived.kind == "detected":

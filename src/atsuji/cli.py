@@ -431,8 +431,6 @@ def _cmd_witness(space, derived, args, spec_echo) -> tuple[dict, int]:
 
 
 def _cmd_separator(space, derived, args, spec_echo) -> tuple[dict, int]:
-    if not args.a or not args.b:
-        raise SpecError("--a/--b", "separator requires --a and --b")
     f = separator(
         space,
         _parse_id_list(args.a, space, "--a"),

@@ -33,8 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import DerivedSetView, min_pairwise_distance
-from .space import FiniteSpace, PointId, neighborhood
+# neighborhood, min_pairwise_distance: unused; perfbench/trace_child.py wraps them by name
+from .analysis import DerivedSetView, _IsolationProfile, min_pairwise_distance  # noqa: F401
+from .space import FiniteSpace, PointId, neighborhood  # noqa: F401
 
 __all__ = [
     "RemetrizedSpace",
@@ -71,6 +72,10 @@ class RemetrizedSpace:
     def space(self) -> FiniteSpace:
         """The remetrized space as a plain FiniteSpace (same ids and tol)."""
         return FiniteSpace(ids=self.base.ids, dist=self.newdist, tol=self.base.tol)
+
+    @cached_property
+    def _isolation_profile(self) -> _IsolationProfile:
+        return _IsolationProfile(self.space, self.derived.members)
 
 
 @dataclass(frozen=True)
@@ -210,18 +215,21 @@ def verify_isolation_bound(r: RemetrizedSpace, eta: float) -> IsolationBoundRepo
     of the derived set (new-metric balls), every pair is at least
     2^dyadic_level(eta) apart, up to the space tolerance.  Vacuous pass when
     the complement has at most one point.
+
+    In fallback mode the checked floor is min(2^n, 1): max(delta, 1) keeps
+    every distinct pair at least 1 apart and promises nothing more.
+
+    The complement at eta is {x : dist(x, D) >= eta}, a prefix of the points
+    ordered by distance to D, descending.  One sweep over that order, cached on
+    ``r``, measures every prefix, so each further eta is a lookup.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta!r}")
     n = dyadic_level(eta)
     bound = math.ldexp(1.0, n)
-    space_d = r.space
-    if r.derived.members:
-        ball = neighborhood(space_d, r.derived.members, eta)
-        complement = [p for p in space_d.ids if p not in ball]
-    else:
-        complement = list(space_d.ids)
-    report = min_pairwise_distance(space_d, complement)
+    if r.empty_derived_fallback_used:
+        bound = min(bound, 1.0)
+    report = r._isolation_profile.at(eta)
     if report.eta >= bound - r.base.tol:
         return IsolationBoundReport(passed=True, n=n, observed_eta=report.eta)
     return IsolationBoundReport(

@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "PointId",
@@ -180,7 +179,17 @@ def build_space(specs: Iterable[PointSpec], tol: float = DEFAULT_TOL) -> FiniteS
         for slot, value in sup:
             coords[row, slot_col[slot]] = value
 
-    dist = cdist(coords, coords)
+    # squares summed slot by slot, in slot order for every pair: a pair that
+    # is zero in a slot would only add +0.0, so each slot touches the rows
+    # nonzero there, plus their columns in the rows that are zero there
+    n = len(specs)
+    sq = np.zeros((n, n))
+    for col in coords.T:
+        nz = np.flatnonzero(col)
+        diff = np.subtract.outer(col[nz], col)
+        sq[nz] += np.square(diff, out=diff)
+        sq[np.ix_(np.flatnonzero(col == 0.0), nz)] += np.square(col[nz])
+    dist = np.sqrt(sq, out=sq)
     np.fill_diagonal(dist, 0.0)
 
     close = np.argwhere(np.triu(dist <= tol, k=1))

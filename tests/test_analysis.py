@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from atsuji import (
     DerivedSetView,
+    FiniteSpace,
     atsuji_check,
     convergent_sequence,
     detect_limit_points,
@@ -195,6 +196,41 @@ def test_atsuji_fail_witness_is_consistent():
     for eps in failing:
         outside = set(space.ids) - neighborhood(space, oracle.members, eps) if oracle.members else set(space.ids)
         assert {w.x, w.y} <= outside
+
+
+@st.composite
+def small_matrices(draw):
+    """Integer-valued matrices, so ties are common; half of them asymmetric,
+    with arbitrary diagonals."""
+    n = draw(st.integers(1, 7))
+    entries = st.integers(0, 4).map(float)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] if i != j else 0.0 for j in range(n)] for i in range(n)]
+    return FiniteSpace(ids=tuple(f"m{k}" for k in range(n)), dist=rows)
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_atsuji_isolation_matches_complement_reference(data):
+    space = data.draw(small_matrices())
+    members = data.draw(
+        st.one_of(
+            st.just(frozenset()),
+            st.just(frozenset(space.ids)),
+            st.frozensets(st.sampled_from(space.ids)),
+        )
+    )
+    grid = data.draw(
+        st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5]), min_size=1, max_size=6)
+    )
+    verdict = atsuji_check(space, DerivedSetView("oracle", members), grid, 1.0)
+    for eps in grid:
+        complement = set(space.ids) - neighborhood(space, members, eps)
+        assert verdict.isolation[eps] == min_pairwise_distance(space, complement)
+        assert (verdict.isolation[eps].eta, verdict.isolation[eps].witness) == brute_min_pair(
+            space, complement
+        )
 
 
 def test_atsuji_inconclusive_when_every_complement_is_tiny():

@@ -312,6 +312,12 @@ def test_separator_unknown_id(tmp_path, capsys):
     assert "--a" in capsys.readouterr().err
 
 
+def test_separator_empty_id_list_names_flag(tmp_path, capsys):
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    assert main(["separator", spec, "--a", "", "--b", "n1"]) == 2
+    assert "--a" in capsys.readouterr().err
+
+
 def test_net_command_frozen(tmp_path):
     spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=20))
     code, report = run_to_file(tmp_path, ["net", spec, "--eps", "0.3"])

@@ -213,6 +213,21 @@ def test_isolation_bound_fails_for_unremetrized_d2():
     assert not brute_isolation_ok(identity, 0.1)
 
 
+def test_isolation_bound_fallback_claims_unit_floor():
+    # max(delta, 1) keeps distinct points exactly 1 apart here, so scales with
+    # 2^n > 1 are held to the floor 1 that the construction guarantees
+    space, view = positive_integers(10, "d1")
+    r = remetrize(space, view)
+    assert r.empty_derived_fallback_used
+    assert verify_metric_axioms(r.space).passed
+    assert verify_same_topology(r).passed
+    for eta in (0.5, 1.0, 3.0, 4.0, 8.0):
+        report = verify_isolation_bound(r, eta)
+        assert report.passed
+        assert report.observed_eta == 1.0
+        assert report.witness is None
+
+
 def test_isolation_bound_rejects_bad_eta():
     space, view = convergent_sequence(10)
     r = remetrize(space, view)

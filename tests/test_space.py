@@ -1,8 +1,10 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from atsuji import (
@@ -73,6 +75,45 @@ def test_build_space_single_point():
 def test_build_space_one_dimensional():
     space = build_space([PointSpec("p11", {1: 1.0}), PointSpec("p12", {1: 0.5})])
     assert space.distance("p11", "p12") == 0.5
+
+
+coordinates = st.builds(
+    lambda mantissa, exponent: mantissa * 10.0**exponent,
+    st.floats(-10, 10, allow_nan=False),
+    st.integers(-6, 6),
+)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(1, 12), coordinates, max_size=12),
+        min_size=2,
+        max_size=12,
+    )
+)
+def test_build_space_matches_cdist_bitwise(points):
+    cdist = pytest.importorskip("scipy.spatial.distance").cdist
+    specs = [PointSpec(f"q{k}", coords) for k, coords in enumerate(points)]
+    try:
+        space = build_space(specs)
+    except IndiscerniblePointsError:
+        assume(False)
+    slots = sorted({slot for spec in specs for slot, _ in spec.support()})
+    coords = np.array([[spec.coords.get(slot, 0.0) for slot in slots] or [0.0] for spec in specs])
+    want = cdist(coords, coords)
+    np.fill_diagonal(want, 0.0)
+    assert space.dist.tobytes() == want.tobytes()
+
+
+def test_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, atsuji; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_build_space_duplicate_id():
