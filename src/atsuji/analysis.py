@@ -135,8 +135,7 @@ class _IsolationProfile:
     """
 
     def __init__(self, space: FiniteSpace, members: Iterable[PointId]):
-        idx = space.indices(members)
-        self._reach = space.dist[:, idx].min(axis=1) if idx.size else np.full(space.n, math.inf)
+        self._reach = space.reach(members)
         order = np.lexsort((np.arange(space.n), -self._reach))
         self._reports = _prefix_sweep(space, order)
 

@@ -70,6 +70,39 @@ def _require(data: dict, field: str, context: str) -> Any:
     return data[field]
 
 
+def _param(params: dict, field: str, kind: type, default: Any = None) -> Any:
+    """A builtin parameter of exactly JSON type ``kind`` (so true is not an
+    int), never coerced."""
+    if field not in params and default is not None:
+        return default
+    value = _require(params, field, "space.params")
+    if type(value) is not kind:
+        raise SpecError(f"space.params.{field}", f"must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def _finite(value: Any, field: str, positive: bool = False) -> float:
+    """A spec or command-line number.  Infinities (a spec's 1e400 included)
+    and NaN are rejected: the report echoes its inputs and JSON has neither."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise SpecError(field, "must be a number") from None
+    if not math.isfinite(number):
+        raise SpecError(field, f"must be finite, got {value!r}")
+    if positive and not number > 0:
+        raise SpecError(field, f"must be positive, got {number!r}")
+    return number
+
+
+def _known_ids(space: FiniteSpace, ids: list[str], field: str) -> list[str]:
+    known = set(space.ids)
+    missing = sorted(i for i in ids if i not in known)
+    if missing:
+        raise SpecError(field, f"not points of the space: {missing}")
+    return ids
+
+
 def _build_builtin(spec: dict) -> tuple[FiniteSpace, DerivedSetView]:
     name = _require(spec, "name", "space")
     params = spec.get("params", {})
@@ -84,16 +117,15 @@ def _build_builtin(spec: dict) -> tuple[FiniteSpace, DerivedSetView]:
     try:
         if name == "sequence_grid_E":
             return sequence_grid(
-                int(_require(params, "i_max", "space.params")),
-                int(_require(params, "j_max", "space.params")),
-                bool(_require(params, "include_origin", "space.params")),
+                _param(params, "i_max", int),
+                _param(params, "j_max", int),
+                _param(params, "include_origin", bool),
             )
         if name == "positive_integers":
             return positive_integers(
-                int(_require(params, "n_max", "space.params")),
-                str(params.get("metric", "d1")),
+                _param(params, "n_max", int), _param(params, "metric", str, "d1")
             )
-        return convergent_sequence(int(_require(params, "n_max", "space.params")))
+        return convergent_sequence(_param(params, "n_max", int))
     except (ValueError, TypeError) as exc:
         raise SpecError("space.params", str(exc)) from exc
 
@@ -173,15 +205,8 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
         raise SpecError("space.kind", f"unknown kind {kind!r}; "
                         "expected 'builtin', 'points_l2', or 'matrix'")
 
-    tol = data.get("tol")
-    if tol is not None:
-        try:
-            tol = float(tol)
-        except (TypeError, ValueError):
-            raise SpecError("tol", "must be a number") from None
-        if not tol > 0:
-            raise SpecError("tol", f"must be positive, got {tol!r}")
-        space = replace(space, tol=tol)
+    if data.get("tol") is not None:
+        space = replace(space, tol=_finite(data["tol"], "tol", positive=True))
 
     derived_spec = data.get("derived_set")
     if derived_spec is None:
@@ -194,18 +219,11 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
             ids = _require(derived_spec, "ids", "derived_set")
             if not isinstance(ids, list):
                 raise SpecError("derived_set.ids", "must be a list of point ids")
-            missing = sorted(str(i) for i in ids if str(i) not in set(space.ids))
-            if missing:
-                raise SpecError("derived_set.ids", f"not points of the space: {missing}")
-            derived = DerivedSetView("oracle", frozenset(str(i) for i in ids))
+            ids = _known_ids(space, [str(i) for i in ids], "derived_set.ids")
+            derived = DerivedSetView("oracle", frozenset(ids))
         elif dkind == "detect":
             radius = _require(derived_spec, "radius", "derived_set")
-            try:
-                radius = float(radius)
-            except (TypeError, ValueError):
-                raise SpecError("derived_set.radius", "must be a number") from None
-            if not radius > 0:
-                raise SpecError("derived_set.radius", f"must be positive, got {radius!r}")
+            radius = _finite(radius, "derived_set.radius", positive=True)
             derived = detect_limit_points(space, radius)
         elif dkind == "empty":
             derived = DerivedSetView("oracle", frozenset())
@@ -295,11 +313,7 @@ def _parse_id_list(raw: str, space: FiniteSpace, flag: str) -> list[str]:
     ids = [s for s in (part.strip() for part in raw.split(",")) if s]
     if not ids:
         raise SpecError(flag, "expected a comma-separated list of point ids")
-    known = set(space.ids)
-    missing = sorted(i for i in ids if i not in known)
-    if missing:
-        raise SpecError(flag, f"not points of the space: {missing}")
-    return ids
+    return _known_ids(space, ids, flag)
 
 
 def _make_function(space: FiniteSpace, args) -> SampledFunction:
@@ -344,9 +358,11 @@ def _cmd_check_metric(space, derived, args, spec_echo) -> tuple[dict, int]:
 
 
 def _cmd_atsuji(space, derived, args, spec_echo) -> tuple[dict, int]:
-    grid = [float(s) for s in args.eps_grid.split(",")] if args.eps_grid else list(DEFAULT_EPS_GRID)
-    verdict = atsuji_check(space, derived, grid, args.threshold)
-    flags = {"eps_grid": grid, "threshold": args.threshold, "tol": space.tol}
+    entries = args.eps_grid.split(",") if args.eps_grid else DEFAULT_EPS_GRID
+    grid = [_finite(s, "--eps-grid") for s in entries]
+    threshold = _finite(args.threshold, "--threshold")
+    verdict = atsuji_check(space, derived, grid, threshold)
+    flags = {"eps_grid": grid, "threshold": threshold, "tol": space.tol}
     witnesses = [w for w in [_witness_obj(verdict.fail_witness)] if w is not None]
     code = 1 if verdict.status == "FAIL" else 0
     return _report("atsuji", args.spec, spec_echo, flags,
@@ -417,9 +433,10 @@ def _cmd_remetrize(space, derived, args, spec_echo) -> tuple[dict, int]:
 
 
 def _cmd_witness(space, derived, args, spec_echo) -> tuple[dict, int]:
+    eps0, delta = _finite(args.eps0, "--eps0"), _finite(args.delta, "--delta")
     f = _make_function(space, args)
-    pair = uc_witness_search(space, f, args.eps0, args.delta)
-    flags = {"fn": args.fn, "eps0": args.eps0, "delta": args.delta, "tol": space.tol}
+    pair = uc_witness_search(space, f, eps0, delta)
+    flags = {"fn": args.fn, "eps0": eps0, "delta": delta, "tol": space.tol}
     if args.fn == "separator":
         flags["a"] = args.a
         flags["b"] = args.b
@@ -442,11 +459,10 @@ def _cmd_separator(space, derived, args, spec_echo) -> tuple[dict, int]:
 
 
 def _cmd_net(space, derived, args, spec_echo) -> tuple[dict, int]:
-    if args.eps is None or not args.eps > 0:
-        raise SpecError("--eps", f"must be positive, got {args.eps!r}")
-    net = greedy_epsilon_net(space, space.ids, args.eps)
-    result = {"eps": args.eps, "size": len(net), "net": net}
-    return _report("net", args.spec, spec_echo, {"eps": args.eps, "tol": space.tol},
+    eps = _finite(args.eps, "--eps", positive=True)
+    net = greedy_epsilon_net(space, space.ids, eps)
+    result = {"eps": eps, "size": len(net), "net": net}
+    return _report("net", args.spec, spec_echo, {"eps": eps, "tol": space.tol},
                    result, [], []), 0
 
 
@@ -471,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("spec", help="path to a JSON space spec file")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--tol", type=float, help="override the comparison tolerance")
+        p.add_argument("--tol", help="override the comparison tolerance")
 
     p = sub.add_parser("check-metric", help="verify the metric axioms exhaustively")
     common(p)
@@ -480,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--eps-grid", help="comma-separated positive scales "
                    "(default: 2^0 down to 2^-10)")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+    p.add_argument("--threshold", default=DEFAULT_THRESHOLD,
                    help="isolation below this fails the check (default %(default)s)")
 
     p = sub.add_parser("remetrize", help="build the equivalent uniformly "
@@ -493,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "failure witness of a named function")
     common(p)
     p.add_argument("--fn", required=True, choices=["parity", "identity", "const", "separator"])
-    p.add_argument("--eps0", type=float, required=True, help="minimum value gap")
-    p.add_argument("--delta", type=float, required=True, help="maximum distance")
+    p.add_argument("--eps0", required=True, help="minimum value gap")
+    p.add_argument("--delta", required=True, help="maximum distance")
     p.add_argument("--a", help="comma-separated ids (separator only)")
     p.add_argument("--b", help="comma-separated ids (separator only)")
 
@@ -505,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("net", help="greedy eps-net of the whole space")
     common(p)
-    p.add_argument("--eps", type=float, required=True, help="net radius")
+    p.add_argument("--eps", required=True, help="net radius")
 
     return parser
 
@@ -516,18 +532,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         space, derived, spec_echo, kind = load_spec(args.spec)
         if args.tol is not None:
-            if not args.tol > 0:
-                raise SpecError("--tol", f"must be positive, got {args.tol!r}")
-            space = replace(space, tol=args.tol)
+            space = replace(space, tol=_finite(args.tol, "--tol", positive=True))
         _validate_matrix_arm(args.command, kind, space)
         report, code = _COMMANDS[args.command](space, derived, args, spec_echo)
-    except SpecError as exc:
+        _emit(report, args.out)
+    except (SpecError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(report, args.out)
     return code
 
 

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .space import FiniteSpace, PointId, set_distance
+from .space import FiniteSpace, PointId
 
 __all__ = [
     "SampledFunction",
@@ -69,21 +69,19 @@ def separator(
     requires A and B nonempty and disjoint (which on a finite space with a
     valid metric keeps the denominator positive).
     """
-    a_set = {space.ids[k] for k in space.indices(A)}
-    b_set = {space.ids[k] for k in space.indices(B)}
-    if not a_set or not b_set:
+    a, b = space.mask(A), space.mask(B)
+    if not a.any() or not b.any():
         raise ValueError("A and B must both be nonempty")
-    overlap = a_set & b_set
-    if overlap:
-        raise ValueError(f"A and B must be disjoint; shared points: {sorted(overlap)}")
-    values: dict[PointId, float] = {}
-    for p in space.ids:
-        da = set_distance(space, p, a_set)
-        db = set_distance(space, p, b_set)
-        if not da + db > 0:
-            raise ValueError(f"d(x,A) + d(x,B) vanishes at {p!r}; matrix is degenerate")
-        values[p] = da / (da + db)
-    return SampledFunction(values=values, label=f"separator(|A|={len(a_set)},|B|={len(b_set)})")
+    if (a & b).any():
+        shared = sorted(space.ids[k] for k in np.flatnonzero(a & b))
+        raise ValueError(f"A and B must be disjoint; shared points: {shared}")
+    da, db = space.dist[:, a].min(axis=1), space.dist[:, b].min(axis=1)
+    vanishing = np.flatnonzero(~(da + db > 0))
+    if vanishing.size:
+        p = space.ids[vanishing[0]]
+        raise ValueError(f"d(x,A) + d(x,B) vanishes at {p!r}; matrix is degenerate")
+    values = dict(zip(space.ids, (da / (da + db)).tolist()))
+    return SampledFunction(values=values, label=f"separator(|A|={a.sum()},|B|={b.sum()})")
 
 
 def modulus_of_continuity(space: FiniteSpace, f: SampledFunction, eta: float) -> float:

@@ -117,10 +117,9 @@ def remetrize(base: FiniteSpace, derived: DerivedSetView) -> RemetrizedSpace:
     a true derived set, which is closed, but a sloppy oracle over an invalid
     matrix could do it and the dyadic level would be undefined).
     """
-    member_idx = base.indices(derived.members)
-    n = base.n
+    member_mask = base.mask(derived.members)
 
-    if member_idx.size == 0:
+    if not member_mask.any():
         newdist = np.maximum(base.dist, 1.0)
         np.fill_diagonal(newdist, 0.0)
         newdist.setflags(write=False)
@@ -132,9 +131,7 @@ def remetrize(base: FiniteSpace, derived: DerivedSetView) -> RemetrizedSpace:
             empty_derived_fallback_used=True,
         )
 
-    dist_to_derived = base.dist[:, member_idx].min(axis=1)
-    member_mask = np.zeros(n, dtype=bool)
-    member_mask[member_idx] = True
+    dist_to_derived = base.reach(derived.members)
     bad = np.flatnonzero(~member_mask & (dist_to_derived <= 0.0))
     if bad.size:
         raise ValueError(
@@ -142,7 +139,7 @@ def remetrize(base: FiniteSpace, derived: DerivedSetView) -> RemetrizedSpace:
             "distance 0 from it; the dyadic level is undefined"
         )
 
-    levels = np.zeros(n, dtype=np.int32)
+    levels = np.zeros(base.n, dtype=np.int32)
     for k in np.flatnonzero(~member_mask):
         levels[k] = dyadic_level(dist_to_derived[k])
 
@@ -173,9 +170,7 @@ def verify_same_topology(r: RemetrizedSpace) -> TopologyReport:
     """
     base = r.base
     d_old, d_new, tol = base.dist, r.newdist, base.tol
-    member_idx = base.indices(r.derived.members)
-    member_mask = np.zeros(base.n, dtype=bool)
-    member_mask[member_idx] = True
+    member_mask = base.mask(r.derived.members)
 
     below = np.argwhere(np.triu(d_new < d_old - tol, k=1))
     if below.size:

@@ -127,9 +127,21 @@ class FiniteSpace:
         except KeyError:
             raise KeyError(f"point {point!r} is not in the space") from None
 
+    def mask(self, points: Iterable[PointId]) -> np.ndarray:
+        """Membership of ``points`` as a boolean vector over canonical indices;
+        the one place where a set of point ids becomes indices."""
+        member = np.zeros(self.n, dtype=bool)
+        member[[self.index(p) for p in points]] = True
+        return member
+
     def indices(self, points: Iterable[PointId]) -> np.ndarray:
         """Sorted, deduplicated canonical indices of ``points``."""
-        return np.array(sorted({self.index(p) for p in points}), dtype=int)
+        return np.flatnonzero(self.mask(points))
+
+    def reach(self, points: Iterable[PointId]) -> np.ndarray:
+        """Distance from every point to the set ``points`` (``dist[y, a]``
+        minimized over a); ``math.inf`` everywhere when the set is empty."""
+        return self.dist[:, self.mask(points)].min(axis=1, initial=math.inf)
 
     def distance(self, x: PointId, y: PointId) -> float:
         return float(self.dist[self.index(x), self.index(y)])
@@ -211,7 +223,6 @@ def verify_metric_axioms(space: FiniteSpace) -> AxiomReport:
     """
     d = space.dist
     tol = space.tol
-    n = space.n
     violations: list[Violation] = []
 
     for i, j in np.argwhere(d < -tol):
@@ -230,16 +241,12 @@ def verify_metric_axioms(space: FiniteSpace) -> AxiomReport:
     # happy path: one reused buffer and a max-reduce per j; the detailed
     # per-triple listing runs only for the j that actually violate
     excess = np.empty_like(d)
-    bad_js = []
-    for j in range(n):
-        np.add(d[:, j][:, None], d[j, :][None, :], out=excess)
-        np.subtract(d, excess, out=excess)
-        if excess.max() > tol:
-            bad_js.append(j)
     triangle: list[Violation] = []
-    for j in bad_js:
+    for j in range(space.n):
         np.add(d[:, j][:, None], d[j, :][None, :], out=excess)
         np.subtract(d, excess, out=excess)
+        if excess.max() <= tol:
+            continue
         for i, k in np.argwhere(excess > tol):
             triangle.append(Violation("triangle", (int(i), j, int(k)), float(excess[i, k])))
     triangle.sort(key=lambda v: v.where)
@@ -269,22 +276,14 @@ def triple_max_triangle(
 
 def set_distance(space: FiniteSpace, x: PointId, A: Iterable[PointId]) -> float:
     """min over a in A of dist(x, a); ``math.inf`` when A is empty."""
-    ix = space.index(x)
-    idx = space.indices(A)
-    if idx.size == 0:
-        return math.inf
-    return float(space.dist[ix, idx].min())
+    return float(space.dist[space.index(x), space.mask(A)].min(initial=math.inf))
 
 
 def neighborhood(space: FiniteSpace, A: Iterable[PointId], eps: float) -> set[PointId]:
     """Open-ball union B(A, eps) = { y : dist(y, a) < eps for some a in A }."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    idx = space.indices(A)
-    if idx.size == 0:
-        return set()
-    mask = (space.dist[:, idx] < eps).any(axis=1)
-    return {space.ids[k] for k in np.flatnonzero(mask)}
+    return {space.ids[k] for k in np.flatnonzero(space.reach(A) < eps)}
 
 
 def uniform_interior_radius(
@@ -296,15 +295,12 @@ def uniform_interior_radius(
     of U, and ``math.inf`` when U is the whole space.  Requires K nonempty
     and K a subset of U.
     """
-    k_idx = space.indices(K)
-    u_idx = space.indices(U)
-    if k_idx.size == 0:
+    k_mask, u_mask = space.mask(K), space.mask(U)
+    if not k_mask.any():
         raise ValueError("K must be nonempty")
-    u_set = set(u_idx.tolist())
-    if not set(k_idx.tolist()) <= u_set:
-        outside = sorted(space.ids[k] for k in k_idx if k not in u_set)
-        raise ValueError(f"K must be a subset of U; outside points: {outside}")
-    comp_idx = np.array([k for k in range(space.n) if k not in u_set], dtype=int)
-    if comp_idx.size == 0:
-        return math.inf
-    return float(space.dist[np.ix_(k_idx, comp_idx)].min())
+    outside = np.flatnonzero(k_mask & ~u_mask)
+    if outside.size:
+        raise ValueError(
+            f"K must be a subset of U; outside points: {sorted(space.ids[k] for k in outside)}"
+        )
+    return float(space.dist[np.ix_(k_mask, ~u_mask)].min(initial=math.inf))

@@ -355,3 +355,66 @@ def test_module_entrypoint_subprocess(tmp_path):
     report = json.loads(proc.stdout)
     assert report["result"]["passed"] is True
     assert proc.stderr == ""
+
+
+# --- non-finite and wrongly typed inputs exit 2 --------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["atsuji", "{spec}", "--threshold", "inf"], "--threshold"),
+        (["atsuji", "{spec}", "--eps-grid", "1,inf"], "--eps-grid"),
+        (["net", "{spec}", "--eps", "inf"], "--eps"),
+        (["witness", "{spec}", "--fn", "const", "--eps0", "inf", "--delta", "1"], "--eps0"),
+        (["witness", "{spec}", "--fn", "const", "--eps0", "1", "--delta", "inf"], "--delta"),
+        (["check-metric", "{spec}", "--tol", "inf"], "--tol"),
+    ],
+    ids=["threshold", "eps-grid", "eps", "eps0", "delta", "tol"],
+)
+def test_non_finite_flag_is_input_error(tmp_path, capsys, argv, flag):
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    out = tmp_path / "report.json"
+    argv = [spec if a == "{spec}" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"{flag}: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        ('"tol": 1e400', "tol"),
+        ('"derived_set": {"kind": "detect", "radius": 1e400}', "derived_set.radius"),
+        ('"comment": 1e400', "Out of range float"),
+    ],
+    ids=["tol", "radius", "echoed-field"],
+)
+def test_non_finite_spec_number_is_input_error(tmp_path, capsys, extra, field):
+    path = tmp_path / "spec.json"
+    path.write_text(
+        '{"space": {"kind": "builtin", "name": "convergent_sequence", '
+        f'"params": {{"n_max": 10}}}}, {extra}}}',
+        encoding="utf-8",
+    )
+    out = tmp_path / "report.json"
+    assert main(["atsuji", str(path), "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        (builtin("sequence_grid_E", i_max=3, j_max=3, include_origin="false"),
+         "space.params.include_origin"),
+        (builtin("positive_integers", n_max=10.9), "space.params.n_max"),
+        (builtin("convergent_sequence", n_max=True), "space.params.n_max"),
+        (builtin("positive_integers", n_max=10, metric=2), "space.params.metric"),
+    ],
+    ids=["include_origin-string", "n_max-float", "n_max-bool", "metric-number"],
+)
+def test_builtin_params_are_not_coerced(tmp_path, capsys, payload, field):
+    spec = write_spec(tmp_path, payload)
+    assert main(["check-metric", spec]) == 2
+    assert f"{field}: must be" in capsys.readouterr().err
