@@ -186,6 +186,8 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SpecError("spec", f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SpecError("spec", "invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise SpecError("spec", "top level must be an object")
 
@@ -280,10 +282,8 @@ def _verdict_obj(verdict: AtsujiVerdict) -> dict:
 
 
 def _matrix_obj(space: FiniteSpace, matrix) -> dict:
-    return {
-        x: {y: float(matrix[i, j]) for j, y in enumerate(space.ids)}
-        for i, x in enumerate(space.ids)
-    }
+    # row by row: a whole-matrix tolist() would hold n^2 list slots at once
+    return {x: dict(zip(space.ids, row.tolist())) for x, row in zip(space.ids, matrix)}
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -406,7 +406,7 @@ def _cmd_remetrize(space, derived, args, spec_echo) -> tuple[dict, int]:
             "space": {
                 "kind": "matrix",
                 "ids": list(space.ids),
-                "matrix": [[float(v) for v in row] for row in result_space.newdist],
+                "matrix": result_space.newdist.tolist(),
             },
             "derived_set": (
                 {"kind": "oracle", "ids": members} if members else {"kind": "empty"}

@@ -16,9 +16,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -214,12 +216,75 @@ def build_space(specs: Iterable[PointSpec], tol: float = DEFAULT_TOL) -> FiniteS
     return FiniteSpace(ids=tuple(ids), dist=dist, tol=tol)
 
 
+# Tile shape of the triangle scan, chosen by measurement at 650 to 2001 points
+# on a 2-core Xeon with 2 MB of L2 per core: a block of _ROW_BLOCK rows meets
+# _MID_BLOCK middle points at a time, so a worker's tile holds
+# _ROW_BLOCK * _MID_BLOCK * n doubles (1 MB at n = 1001).
+_ROW_BLOCK = 8
+_MID_BLOCK = 16
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _triangle_block(d: np.ndarray, tol: float, free: list, start: int) -> list[Violation]:
+    """Triangle violations ``(i, j, k)`` whose ``i`` lies in the row block
+    starting at ``start``, in lexicographic order, computed in a
+    (tile, shortest, part) buffer set taken from ``free`` and put back."""
+    n = len(d)
+    rows = d[start : start + _ROW_BLOCK]
+    held = free.pop()
+    try:
+        tile, shortest, part = (b[: len(rows)] for b in held)
+        shortest.fill(math.inf)  # min over j of d[i, j] + d[j, k]
+        for j0 in range(0, n, _MID_BLOCK):
+            mids = d[j0 : j0 + _MID_BLOCK]
+            sums = np.add(rows[:, j0 : j0 + len(mids), None], mids, out=tile[:, : len(mids)])
+            np.minimum.reduce(sums, axis=1, out=part)
+            np.minimum(shortest, part, out=shortest)
+        worst = np.subtract(rows, shortest, out=shortest).max(axis=1)
+
+        # a violating row lists its (j, k) excesses, chunk of middle points
+        # by chunk, through the same tile memory
+        flat = tile.reshape(-1, n)
+        found: list[Violation] = []
+        for i in start + np.flatnonzero(worst > tol):
+            for j0 in range(0, n, len(flat)):
+                mids = d[j0 : j0 + len(flat)]
+                excess = np.add(d[i, j0 : j0 + len(mids), None], mids, out=flat[: len(mids)])
+                np.subtract(d[i], excess, out=excess)
+                for j, k in np.argwhere(excess > tol):
+                    found.append(
+                        Violation("triangle", (int(i), j0 + int(j), int(k)), float(excess[j, k]))
+                    )
+        return found
+    finally:
+        free.append(held)
+
+
 def verify_metric_axioms(space: FiniteSpace) -> AxiomReport:
     """Exhaustively check all pairs and all ordered triples of the matrix.
 
     Every breach beyond ``space.tol`` is reported; the scan never samples.
     Violations are listed by kind (nonneg, symmetry, identity, triangle) and
     lexicographically by index within each kind.
+
+    The triangle inequality is decided row by row with min-plus tiles: for a
+    block of rows ``i`` the scan accumulates ``min_j (d[i, j] + d[j, k])``
+    over blocks of middle points ``j``, and row ``i`` violates iff
+    ``max_k (d[i, k] - min_j (...)) > tol``.  This decides exactly what a
+    per-triple test ``d[i, k] - (d[i, j] + d[j, k]) > tol`` decides: each sum
+    is the same rounded float, and a rounded difference ``a - s`` never
+    increases as ``s`` grows, so subtracting the least sum gives the largest
+    excess.  Only violating rows list their triples, from the same per-triple
+    differences, so magnitudes are those of the per-triple test.  Row blocks
+    run on a thread pool sized to the usable CPUs (numpy releases the GIL in
+    the tile arithmetic), created for the call, and are gathered in block
+    order.
     """
     d = space.dist
     tol = space.tol
@@ -238,17 +303,33 @@ def verify_metric_axioms(space: FiniteSpace) -> AxiomReport:
     for i, j in np.argwhere(np.triu(d <= tol, k=1)):
         violations.append(Violation("identity", (int(i), int(j)), float(tol - d[i, j])))
 
-    # happy path: one reused buffer and a max-reduce per j; the detailed
-    # per-triple listing runs only for the j that actually violate
-    excess = np.empty_like(d)
-    triangle: list[Violation] = []
-    for j in range(space.n):
-        np.add(d[:, j][:, None], d[j, :][None, :], out=excess)
-        np.subtract(d, excess, out=excess)
-        if excess.max() <= tol:
-            continue
-        for i, k in np.argwhere(excess > tol):
-            triangle.append(Violation("triangle", (int(i), j, int(k)), float(excess[i, k])))
+    starts = range(0, space.n, _ROW_BLOCK)
+    workers = min(_usable_cpus(), len(starts))
+    # One buffer set per worker, allocated by the caller: after the scan the
+    # caller's heap reuses that memory, which a worker thread's allocator arena
+    # would keep.  A worker holds one set at a time, so pop never finds the
+    # list empty; list pop and append are atomic.
+    free = [
+        (
+            np.empty((_ROW_BLOCK, min(_MID_BLOCK, space.n), space.n)),
+            np.empty((_ROW_BLOCK, space.n)),
+            np.empty((_ROW_BLOCK, space.n)),
+        )
+        for _ in range(workers)
+    ]
+    scan = partial(_triangle_block, d, tol, free)
+    if workers == 1:
+        blocks = map(scan, starts)
+    else:
+        # imported here, not with the module: it loads logging, ~10 ms
+        from concurrent.futures import ThreadPoolExecutor
+
+        # every block runs in a copy of the caller's context, so numpy's
+        # errstate (a context variable) holds in the workers as it does inline
+        caller = contextvars.copy_context()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(lambda start: caller.copy().run(scan, start), starts))
+    triangle = [v for block in blocks for v in block]
     triangle.sort(key=lambda v: v.where)
     violations.extend(triangle)
 

@@ -418,3 +418,12 @@ def test_builtin_params_are_not_coerced(tmp_path, capsys, payload, field):
     spec = write_spec(tmp_path, payload)
     assert main(["check-metric", spec]) == 2
     assert f"{field}: must be" in capsys.readouterr().err
+
+
+def test_deeply_nested_spec_is_input_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text('{"space": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["check-metric", str(path), "--out", str(out)]) == 2
+    assert "spec: invalid JSON: nested too deeply" in capsys.readouterr().err
+    assert not out.exists()

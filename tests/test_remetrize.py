@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from atsuji import (
+    DEFAULT_EPS_GRID,
     DerivedSetView,
     FiniteSpace,
+    IndiscerniblePointsError,
+    PointSpec,
     RemetrizedSpace,
     atsuji_check,
+    build_space,
     convergent_sequence,
     dyadic_level,
     positive_integers,
@@ -239,3 +243,71 @@ def test_remetrized_convergent_passes_atsuji():
     space, view = convergent_sequence(300)
     r = remetrize(space, view)
     assert atsuji_check(r.space, view).status == "PASS"
+
+
+# --- the guarantees on arbitrary metrics with arbitrary derived sets ---------
+
+
+def assert_remetrization_guarantees(space, members):
+    r = remetrize(space, DerivedSetView("oracle", frozenset(members)))
+    assert verify_metric_axioms(r.space).passed
+    assert verify_same_topology(r).passed
+    for eta in DEFAULT_EPS_GRID:
+        assert verify_isolation_bound(r, eta).passed, eta
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    dim=st.integers(1, 3),
+    exponent=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_remetrized_l2_cloud_keeps_every_guarantee(n, dim, exponent, seed, data):
+    coords = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, dim)) * 10.0**exponent
+    specs = [PointSpec(f"q{k}", {s + 1: float(c) for s, c in enumerate(row)})
+             for k, row in enumerate(coords)]
+    try:
+        space = build_space(specs)
+    except IndiscerniblePointsError:
+        assume(False)
+    members = data.draw(st.sets(st.sampled_from(space.ids), min_size=1))
+    assert_remetrization_guarantees(space, members)
+
+
+def shortest_path_metric(weights):
+    """Min-plus closure of an edge-weight matrix (inf for no edge), iterated
+    until it no longer changes, so d[i, k] <= d[i, j] + d[j, k] holds for the
+    rounded sums themselves."""
+    d = weights
+    while True:
+        closed = np.minimum(d, (d[:, :, None] + d[None, :, :]).min(axis=1))
+        if np.array_equal(closed, d):
+            return d
+        d = closed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    extra_edges=st.integers(0, 60),
+    exponent=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_remetrized_shortest_path_metric_keeps_every_guarantee(n, extra_edges, exponent,
+                                                               seed, data):
+    rng = np.random.default_rng(seed)
+    # a random spanning tree keeps the graph connected; extra edges add cycles
+    edges = [(k, int(rng.integers(0, k))) for k in range(1, n)]
+    edges += [tuple(int(v) for v in rng.integers(0, n, 2)) for _ in range(extra_edges)]
+    weights = np.full((n, n), math.inf)
+    np.fill_diagonal(weights, 0.0)
+    for a, b in edges:
+        if a != b:
+            weights[a, b] = weights[b, a] = rng.uniform(0.01, 1.0) * 10.0**exponent
+    space = FiniteSpace(ids=tuple(f"v{k}" for k in range(n)), dist=shortest_path_metric(weights))
+    assert verify_metric_axioms(space).passed
+    members = data.draw(st.sets(st.sampled_from(space.ids), min_size=1))
+    assert_remetrization_guarantees(space, members)

@@ -21,6 +21,7 @@ from atsuji import (
     uniform_interior_radius,
     verify_metric_axioms,
 )
+from atsuji.space import _MID_BLOCK, _ROW_BLOCK
 
 
 def brute_axiom_violations(dist, tol):
@@ -364,3 +365,123 @@ def test_uniform_interior_radius_cross_check(data):
             assert neighborhood(space, {z}, r) <= U
         # maximal: some z in K has a complement point at exactly distance r
         assert any(space.distance(z, w) == r for z in K for w in complement)
+
+
+# --- the tiled triangle scan against the per-middle-point scan -------------
+
+
+def per_j_axiom_violations(d, tol):
+    """The axiom scan as it was before row tiles, kept as the reference: the
+    triangle inequality is tested one middle point j at a time over an
+    n-by-n excess buffer.  Returns (kind, where, magnitude.hex()) tuples."""
+    found = []
+    for i, j in np.argwhere(d < -tol):
+        found.append(("nonneg", (int(i), int(j)), float(-d[i, j])))
+    gap = np.abs(d - d.T)
+    for i, j in np.argwhere(np.triu(gap > tol, k=1)):
+        found.append(("symmetry", (int(i), int(j)), float(gap[i, j])))
+    diag = np.abs(np.diagonal(d))
+    for (i,) in np.argwhere(diag > tol):
+        found.append(("identity", (int(i), int(i)), float(diag[i])))
+    for i, j in np.argwhere(np.triu(d <= tol, k=1)):
+        found.append(("identity", (int(i), int(j)), float(tol - d[i, j])))
+
+    excess = np.empty_like(d)
+    triangle = []
+    for j in range(len(d)):
+        np.add(d[:, j][:, None], d[j, :][None, :], out=excess)
+        np.subtract(d, excess, out=excess)
+        if excess.max() <= tol:
+            continue
+        for i, k in np.argwhere(excess > tol):
+            triangle.append(("triangle", (int(i), j, int(k)), float(excess[i, k])))
+    triangle.sort(key=lambda v: v[1])
+    return [(kind, where, m.hex()) for kind, where, m in found + triangle]
+
+
+# up to a few row blocks and middle-point blocks, most with a remainder; the
+# line metric also crosses the chunks in which a violating row is listed
+_LIST_CHUNK = _ROW_BLOCK * _MID_BLOCK
+few_blocks = st.integers(1, 3 * _MID_BLOCK + 3)
+past_chunks = st.sampled_from([_LIST_CHUNK - 1, _LIST_CHUNK, _LIST_CHUNK + 1, 2 * _LIST_CHUNK + 3])
+
+
+@st.composite
+def scan_cases(draw):
+    kind = draw(st.sampled_from(["line", "symmetric", "asymmetric", "huge"]))
+    n = draw(few_blocks | past_chunks if kind == "line" else few_blocks)
+    tol = draw(st.sampled_from([1e-12, 0.25]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "line":
+        # distinct integers on a line: a triangle through a point between i
+        # and k is tight, so a planted entry's excess is exactly what it adds
+        x = rng.permutation(4 * n)[:n].astype(float)
+        d = np.abs(x[:, None] - x[None, :])
+    elif kind == "symmetric":
+        d = rng.uniform(0.0, 1.0, (n, n))
+        d = d + d.T
+        np.fill_diagonal(d, 0.0)
+    elif kind == "asymmetric":
+        d = rng.uniform(0.0, 1.0, (n, n))
+        np.fill_diagonal(d, 0.0)
+    else:  # sums overflow to +-inf
+        d = rng.choice([0.0, 1.0, -1.0, 1e308, -1e308, 1.7e308], (n, n))
+    for _ in range(draw(st.integers(0, 4))):
+        i, k = (int(v) for v in rng.integers(0, n, 2))
+        how = draw(st.sampled_from(["at tol", "1 ulp above", "far above"]))
+        raised = {
+            "at tol": d[i, k] + tol,
+            "1 ulp above": np.nextafter(d[i, k] + tol, math.inf),
+            "far above": d[i, k] + 1.0,
+        }[how]
+        d[i, k] = raised
+        if draw(st.booleans()):
+            d[k, i] = raised
+    return d, tol
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=120, deadline=None)
+@given(scan_cases())
+def test_tiled_scan_lists_exactly_the_per_j_violations(case):
+    d, tol = case
+    space = FiniteSpace(ids=tuple(f"p{k}" for k in range(len(d))), dist=d, tol=tol)
+    report = verify_metric_axioms(space)
+    got = [(v.kind, v.where, float(v.magnitude).hex()) for v in report.violations]
+    assert got == per_j_axiom_violations(space.dist, tol)
+    assert report.passed == (not got)
+
+
+def test_planted_triangle_at_tol_passes_and_one_ulp_above_fails():
+    x = np.arange(3 * _ROW_BLOCK + 1, dtype=float)
+    d = np.abs(x[:, None] - x[None, :])
+    ids = tuple(f"p{m}" for m in range(len(x)))
+    i, k = 1, len(x) - 2
+
+    d[i, k] = d[k, i] = d[i, k] + 0.25
+    assert verify_metric_axioms(FiniteSpace(ids=ids, dist=d, tol=0.25)).passed
+
+    d[i, k] = d[k, i] = np.nextafter(d[i, k], math.inf)
+    report = verify_metric_axioms(FiniteSpace(ids=ids, dist=d, tol=0.25))
+    assert [v.where for v in report.violations] == [
+        *((i, j, k) for j in range(i + 1, k)),
+        *((k, j, i) for j in range(i + 1, k)),
+    ]
+    assert all(v.kind == "triangle" and v.magnitude > 0.25 for v in report.violations)
+
+
+def test_every_middle_point_can_be_a_rows_only_witness():
+    # on a line, raising d[j - 1, j + 1] (not its mirror) gives row j - 1 a
+    # lone witness j, at a different offset of the tiles for every row
+    n = 3 * _MID_BLOCK + 3
+    x = np.arange(n, dtype=float)
+    d = np.abs(x[:, None] - x[None, :])
+    for j in range(1, n - 1):
+        d[j - 1, j + 1] = 2.5
+    space = FiniteSpace(ids=tuple(f"p{m}" for m in range(n)), dist=d)
+    report = verify_metric_axioms(space)
+    assert [v.where for v in report.violations if v.kind == "triangle"] == [
+        (j - 1, j, j + 1) for j in range(1, n - 1)
+    ]
+    got = [(v.kind, v.where, float(v.magnitude).hex()) for v in report.violations]
+    assert got == per_j_axiom_violations(space.dist, space.tol)
