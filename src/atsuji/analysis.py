@@ -97,9 +97,9 @@ def detect_limit_points(space: FiniteSpace, r: float) -> DerivedSetView:
     """
     if not r > 0:
         raise ValueError(f"resolution must be positive, got {r!r}")
-    off_diag = ~np.eye(space.n, dtype=bool)
-    mask = ((space.dist < r) & off_diag).any(axis=1)
-    members = frozenset(space.ids[k] for k in np.flatnonzero(mask))
+    close = space.dist < r
+    np.fill_diagonal(close, False)
+    members = frozenset(space.ids[k] for k in np.flatnonzero(close.any(axis=1)))
     return DerivedSetView(kind="detected", members=members, resolution=float(r))
 
 

@@ -7,6 +7,8 @@ Spec files are JSON with a ``space`` arm (``builtin``, ``points_l2``, or
 optional ``tol``.  Reports serialize with a fixed field order and full
 round-trip float precision, so identical invocations are byte-identical.
 Exit codes: 0 success/PASS, 1 FAIL verdict (or witness found), 2 input error.
+Spec values are never coerced: numbers are JSON ints or floats (not bools),
+point ids are JSON strings, and coordinate slots are decimal digits.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from . import __version__
 from .analysis import (
@@ -82,10 +86,13 @@ def _param(params: dict, field: str, kind: type, default: Any = None) -> Any:
 
 
 def _finite(value: Any, field: str, positive: bool = False) -> float:
-    """A spec or command-line number.  Infinities (a spec's 1e400 included)
-    and NaN are rejected: the report echoes its inputs and JSON has neither."""
+    """A spec or command-line number.  Infinities (a spec's 1e400, or an
+    integer too large for a double) and NaN are rejected: the report echoes
+    its inputs and JSON has neither."""
     try:
         number = float(value)
+    except OverflowError:
+        number = math.inf
     except (TypeError, ValueError):
         raise SpecError(field, "must be a number") from None
     if not math.isfinite(number):
@@ -93,6 +100,24 @@ def _finite(value: Any, field: str, positive: bool = False) -> float:
     if positive and not number > 0:
         raise SpecError(field, f"must be positive, got {number!r}")
     return number
+
+
+def _positive(value: Any, field: str) -> float:
+    """A positive finite spec number of exactly JSON type int or float (so
+    true and "1" are not numbers), never coerced."""
+    if type(value) not in (int, float):
+        raise SpecError(field, f"must be a JSON number, got {value!r}")
+    return _finite(value, field, positive=True)
+
+
+def _id_list(ids: Any, field: str) -> list[str]:
+    """A list of point ids, each exactly a JSON string (1 is not the id "1")."""
+    if not isinstance(ids, list):
+        raise SpecError(field, "must be a list of point ids")
+    for k, point in enumerate(ids):
+        if type(point) is not str:
+            raise SpecError(f"{field}[{k}]", f"must be a JSON string, got {point!r}")
+    return ids
 
 
 def _known_ids(space: FiniteSpace, ids: list[str], field: str) -> list[str]:
@@ -138,19 +163,17 @@ def _build_points(spec: dict) -> FiniteSpace:
     for k, entry in enumerate(points):
         if not isinstance(entry, dict) or "id" not in entry:
             raise SpecError(f"space.points[{k}]", "must be an object with an 'id'")
+        if type(entry["id"]) is not str:
+            raise SpecError(f"space.points[{k}].id", f"must be a JSON string, got {entry['id']!r}")
         coords_raw = entry.get("coords", {})
         if not isinstance(coords_raw, dict):
             raise SpecError(f"space.points[{k}].coords", "must be an object")
-        coords = {}
+        coords, field = {}, f"space.points[{k}].coords"
         for slot, value in coords_raw.items():
-            try:
-                coords[int(slot)] = float(value)
-            except (TypeError, ValueError):
-                raise SpecError(
-                    f"space.points[{k}].coords",
-                    f"slot {slot!r} must map an integer >= 1 to a number",
-                ) from None
-        specs.append(PointSpec(str(entry["id"]), coords))
+            if not (slot.isascii() and slot.isdigit()) or type(value) not in (int, float):
+                raise SpecError(field, f"slot {slot!r} must map an integer >= 1 to a number")
+            coords[int(slot)] = _finite(value, field)
+        specs.append(PointSpec(entry["id"], coords))
     try:
         return build_space(specs)
     except ValueError as exc:
@@ -162,16 +185,21 @@ def _build_matrix(spec: dict) -> FiniteSpace:
     matrix = _require(spec, "matrix", "space")
     if not isinstance(ids, list) or not ids:
         raise SpecError("space.ids", "must be a nonempty list of point ids")
+    _id_list(ids, "space.ids")
     if not isinstance(matrix, list) or len(matrix) != len(ids):
         raise SpecError("space.matrix", f"must be a {len(ids)}x{len(ids)} array")
-    try:
-        rows = [[float(v) for v in row] for row in matrix]
-    except (TypeError, ValueError):
-        raise SpecError("space.matrix", "entries must be numbers") from None
-    if any(len(row) != len(ids) for row in rows):
+    if any(type(row) is not list for row in matrix) or not (
+        {type(v) for row in matrix for v in row} <= {int, float}
+    ):
+        raise SpecError("space.matrix", "entries must be JSON numbers")
+    if any(len(row) != len(ids) for row in matrix):
         raise SpecError("space.matrix", f"every row must have {len(ids)} entries")
     try:
-        return FiniteSpace(ids=tuple(str(i) for i in ids), dist=rows)
+        dist = np.array(matrix, dtype=float)
+    except OverflowError:
+        raise SpecError("space.matrix", "entries must be finite") from None
+    try:
+        return FiniteSpace(ids=tuple(ids), dist=dist)
     except ValueError as exc:
         raise SpecError("space", str(exc)) from exc
 
@@ -208,7 +236,7 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
                         "expected 'builtin', 'points_l2', or 'matrix'")
 
     if data.get("tol") is not None:
-        space = replace(space, tol=_finite(data["tol"], "tol", positive=True))
+        space = replace(space, tol=_positive(data["tol"], "tol"))
 
     derived_spec = data.get("derived_set")
     if derived_spec is None:
@@ -218,14 +246,12 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
             raise SpecError("derived_set", "must be an object")
         dkind = _require(derived_spec, "kind", "derived_set")
         if dkind == "oracle":
-            ids = _require(derived_spec, "ids", "derived_set")
-            if not isinstance(ids, list):
-                raise SpecError("derived_set.ids", "must be a list of point ids")
-            ids = _known_ids(space, [str(i) for i in ids], "derived_set.ids")
+            ids = _id_list(_require(derived_spec, "ids", "derived_set"), "derived_set.ids")
+            ids = _known_ids(space, ids, "derived_set.ids")
             derived = DerivedSetView("oracle", frozenset(ids))
         elif dkind == "detect":
             radius = _require(derived_spec, "radius", "derived_set")
-            radius = _finite(radius, "derived_set.radius", positive=True)
+            radius = _positive(radius, "derived_set.radius")
             derived = detect_limit_points(space, radius)
         elif dkind == "empty":
             derived = DerivedSetView("oracle", frozenset())
@@ -265,7 +291,7 @@ def _axiom_obj(space: FiniteSpace, report: AxiomReport) -> dict:
                 "kind": v.kind,
                 "indices": list(v.where),
                 "ids": [space.ids[k] for k in v.where],
-                "magnitude": v.magnitude,
+                "magnitude": _num(v.magnitude),
             }
             for v in report.violations
         ],
@@ -378,7 +404,7 @@ def _cmd_remetrize(space, derived, args, spec_echo) -> tuple[dict, int]:
 
     result = {
         "empty_derived_fallback_used": result_space.empty_derived_fallback_used,
-        "levels": {p: result_space.levels[p] for p in space.ids if p in result_space.levels},
+        "levels": result_space.levels,
         "newdist": _matrix_obj(space, result_space.newdist),
         "axioms": _axiom_obj(new_space, axioms),
         "same_topology": {
@@ -413,9 +439,7 @@ def _cmd_remetrize(space, derived, args, spec_echo) -> tuple[dict, int]:
             ),
             "tol": space.tol,
         }
-        Path(args.out_matrix).write_text(
-            json.dumps(matrix_spec, indent=2, allow_nan=False) + "\n", encoding="utf-8"
-        )
+        _emit(matrix_spec, args.out_matrix)
 
     ok = axioms.passed and topology.passed and all(r.passed for r in bounds.values())
     witnesses = [
@@ -529,16 +553,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        space, derived, spec_echo, kind = load_spec(args.spec)
-        if args.tol is not None:
-            space = replace(space, tol=_finite(args.tol, "--tol", positive=True))
-        _validate_matrix_arm(args.command, kind, space)
-        report, code = _COMMANDS[args.command](space, derived, args, spec_echo)
-        _emit(report, args.out)
-    except (SpecError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # a finite matrix can still overflow in sums and differences: that is an
+    # infinite magnitude in the report, not a numpy warning on stderr
+    with np.errstate(over="ignore"):
+        try:
+            space, derived, spec_echo, kind = load_spec(args.spec)
+            if args.tol is not None:
+                space = replace(space, tol=_finite(args.tol, "--tol", positive=True))
+            _validate_matrix_arm(args.command, kind, space)
+            report, code = _COMMANDS[args.command](space, derived, args, spec_echo)
+            _emit(report, args.out)
+        except (SpecError, KeyError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .space import FiniteSpace, PointId
+from .space import FiniteSpace, PointId, _least_pair
 
 __all__ = [
     "SampledFunction",
@@ -112,11 +112,10 @@ def uc_witness_search(
         raise ValueError(f"delta must be positive, got {delta!r}")
     v = f.array(space)
     gaps = np.abs(v[:, None] - v[None, :])
-    mask = np.triu((space.dist < delta) & (gaps >= eps0), k=1)
-    hits = np.argwhere(mask)
-    if hits.size == 0:
+    pair = _least_pair((space.dist < delta) & (gaps >= eps0))
+    if pair is None:
         return None
-    i, j = hits[0]
+    i, j = pair
     return WitnessPair(
         x=space.ids[i],
         y=space.ids[j],

@@ -19,23 +19,23 @@ pairwise new-distances at least 2^(dyadic_level(eps)), while balls around
 derived points are unchanged and isolated points stay isolated, so the
 topology survives.
 
-The construction needs delta(x, D) finite; when D is empty the fallback
-max(delta, 1) is used instead (the pointwise max of delta with the unit
-discrete metric), which preserves the then-discrete topology and is flagged
-on the result.
+The construction needs delta(x, D) finite.  When D is empty every point sits
+at level 0 instead, which gives max(delta, 1) off the diagonal (the pointwise
+max of delta with the unit discrete metric); it preserves the then-discrete
+topology and is flagged on the result.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 # neighborhood, min_pairwise_distance: unused; perfbench/trace_child.py wraps them by name
 from .analysis import DerivedSetView, _IsolationProfile, min_pairwise_distance  # noqa: F401
-from .space import FiniteSpace, PointId, neighborhood  # noqa: F401
+from .space import FiniteSpace, PointId, _least_pair, neighborhood  # noqa: F401
 
 __all__ = [
     "RemetrizedSpace",
@@ -51,27 +51,23 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class RemetrizedSpace:
     """A base space plus the rebuilt distance matrix and per-point dyadic
-    levels (absent for derived-set members, and empty in fallback mode)."""
+    levels (absent for derived-set members, and empty in fallback mode).
+
+    ``space`` is the remetrized space as a plain FiniteSpace (same ids and
+    tol), built at construction; ``newdist`` is its read-only matrix.
+    """
 
     base: FiniteSpace
     derived: DerivedSetView
     newdist: np.ndarray
     levels: dict[PointId, int]
     empty_derived_fallback_used: bool = False
+    space: FiniteSpace = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = np.array(self.newdist, dtype=float)
-        if d.shape != self.base.dist.shape:
-            raise ValueError(
-                f"newdist shape {d.shape} does not match the base matrix {self.base.dist.shape}"
-            )
-        d.setflags(write=False)
-        object.__setattr__(self, "newdist", d)
-
-    @cached_property
-    def space(self) -> FiniteSpace:
-        """The remetrized space as a plain FiniteSpace (same ids and tol)."""
-        return FiniteSpace(ids=self.base.ids, dist=self.newdist, tol=self.base.tol)
+        space = FiniteSpace(ids=self.base.ids, dist=self.newdist, tol=self.base.tol)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "newdist", space.dist)
 
     @cached_property
     def _isolation_profile(self) -> _IsolationProfile:
@@ -118,20 +114,7 @@ def remetrize(base: FiniteSpace, derived: DerivedSetView) -> RemetrizedSpace:
     matrix could do it and the dyadic level would be undefined).
     """
     member_mask = base.mask(derived.members)
-
-    if not member_mask.any():
-        newdist = np.maximum(base.dist, 1.0)
-        np.fill_diagonal(newdist, 0.0)
-        newdist.setflags(write=False)
-        return RemetrizedSpace(
-            base=base,
-            derived=derived,
-            newdist=newdist,
-            levels={},
-            empty_derived_fallback_used=True,
-        )
-
-    dist_to_derived = base.reach(derived.members)
+    dist_to_derived = base.reach(derived.members)  # inf everywhere when D is empty
     bad = np.flatnonzero(~member_mask & (dist_to_derived <= 0.0))
     if bad.size:
         raise ValueError(
@@ -139,24 +122,26 @@ def remetrize(base: FiniteSpace, derived: DerivedSetView) -> RemetrizedSpace:
             "distance 0 from it; the dyadic level is undefined"
         )
 
-    levels = np.zeros(base.n, dtype=np.int32)
-    for k in np.flatnonzero(~member_mask):
-        levels[k] = dyadic_level(dist_to_derived[k])
+    # a point outside D has the floor 2^level, and a pair the larger floor of
+    # its endpoints; when D is empty every point sits at level 0, floor 1
+    leveled = np.flatnonzero(np.isfinite(dist_to_derived) & ~member_mask)
+    levels = {base.ids[k]: dyadic_level(dist_to_derived[k]) for k in leveled}
+    floor = np.ones(base.n)
+    floor[leveled] = [math.ldexp(1.0, m) for m in levels.values()]
 
-    pair_level = np.maximum(levels[:, None], levels[None, :])
-    newdist = np.maximum(base.dist, np.ldexp(1.0, pair_level))
+    newdist = np.maximum.outer(floor, floor)
+    np.maximum(newdist, base.dist, out=newdist)
     # pairs touching the derived set keep the base distance, x = y stays 0
     newdist[member_mask, :] = base.dist[member_mask, :]
     newdist[:, member_mask] = base.dist[:, member_mask]
     np.fill_diagonal(newdist, 0.0)
-    newdist.setflags(write=False)
 
     return RemetrizedSpace(
         base=base,
         derived=derived,
         newdist=newdist,
-        levels={base.ids[k]: int(levels[k]) for k in np.flatnonzero(~member_mask)},
-        empty_derived_fallback_used=False,
+        levels=levels,
+        empty_derived_fallback_used=not member_mask.any(),
     )
 
 
@@ -172,33 +157,30 @@ def verify_same_topology(r: RemetrizedSpace) -> TopologyReport:
     d_old, d_new, tol = base.dist, r.newdist, base.tol
     member_mask = base.mask(r.derived.members)
 
-    below = np.argwhere(np.triu(d_new < d_old - tol, k=1))
-    if below.size:
-        i, j = below[0]
+    below = _least_pair(d_new < d_old - tol)
+    if below is not None:
         return TopologyReport(
-            passed=False, witness=(base.ids[i], base.ids[j]), failed_check="domination"
+            passed=False, witness=tuple(base.ids[k] for k in below), failed_check="domination"
         )
 
     touching = member_mask[:, None] | member_mask[None, :]
-    changed = np.argwhere(np.triu(touching & (np.abs(d_new - d_old) > tol), k=1))
-    if changed.size:
-        i, j = changed[0]
+    changed = _least_pair(touching & (np.abs(d_new - d_old) > tol))
+    if changed is not None:
         return TopologyReport(
             passed=False,
-            witness=(base.ids[i], base.ids[j]),
+            witness=tuple(base.ids[k] for k in changed),
             failed_check="derived_equality",
         )
 
-    off_diag = ~np.eye(base.n, dtype=bool)
     for k in np.flatnonzero(~member_mask):
         for mat in (d_old, d_new):
-            row = mat[k][off_diag[k]]
-            if row.size and not row.min() > 0:
-                other = int(np.flatnonzero(off_diag[k])[int(row.argmin())])
-                pair = tuple(sorted((int(k), other)))
+            row = mat[k].copy()
+            row[k] = math.inf
+            other = int(row.argmin())
+            if not row[other] > 0:
                 return TopologyReport(
                     passed=False,
-                    witness=(base.ids[pair[0]], base.ids[pair[1]]),
+                    witness=tuple(base.ids[p] for p in sorted((k, other))),
                     failed_check="isolation",
                 )
 

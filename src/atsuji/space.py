@@ -169,6 +169,14 @@ class MaxTriple(NamedTuple):
     satisfies: bool
 
 
+def _least_pair(mask: np.ndarray) -> tuple[int, int] | None:
+    """The lexicographically least ``(i, j)`` with ``i < j`` and ``mask[i, j]``,
+    or None: the tie-break of every witness pair."""
+    upper = np.triu(mask, k=1)
+    first = int(upper.argmax())  # the first True in row-major order
+    return divmod(first, upper.shape[1]) if upper.flat[first] else None
+
+
 def build_space(specs: Iterable[PointSpec], tol: float = DEFAULT_TOL) -> FiniteSpace:
     """Build a space from sparse point specs under the l2 distance.
 
@@ -206,9 +214,9 @@ def build_space(specs: Iterable[PointSpec], tol: float = DEFAULT_TOL) -> FiniteS
     dist = np.sqrt(sq, out=sq)
     np.fill_diagonal(dist, 0.0)
 
-    close = np.argwhere(np.triu(dist <= tol, k=1))
-    if close.size:
-        i, j = close[0]
+    close = _least_pair(dist <= tol)
+    if close is not None:
+        i, j = close
         raise IndiscerniblePointsError(
             f"points {ids[i]!r} and {ids[j]!r} are indiscernible "
             f"(distance {dist[i, j]!r} <= tol {tol!r})"

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -418,6 +419,78 @@ def test_builtin_params_are_not_coerced(tmp_path, capsys, payload, field):
     spec = write_spec(tmp_path, payload)
     assert main(["check-metric", spec]) == 2
     assert f"{field}: must be" in capsys.readouterr().err
+
+
+def matrix_spec(ids, matrix):
+    return {"space": {"kind": "matrix", "ids": ids, "matrix": matrix}}
+
+
+def points_spec(points):
+    return {"space": {"kind": "points_l2", "points": points}}
+
+
+BIG = 10**400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        (matrix_spec(["a", "b"], [[0, "1"], ["1", 0]]), "space.matrix: entries must be"),
+        (matrix_spec(["a", "b"], [[0, True], [True, 0]]), "space.matrix: entries must be"),
+        (matrix_spec(["a", "b"], ["01", "10"]), "space.matrix: entries must be"),
+        (matrix_spec(["a", "b"], [[0, BIG], [BIG, 0]]), "space.matrix: entries must be finite"),
+        (matrix_spec([1, 2], [[0, 1], [1, 0]]), "space.ids[0]: must be a JSON string"),
+        (matrix_spec([{"x": 1}, "b"], [[0, 1], [1, 0]]), "space.ids[0]: must be a JSON string"),
+        (points_spec([{"id": "a", "coords": {"1": "0.5"}}, {"id": "b"}]),
+         "space.points[0].coords: slot '1' must"),
+        (points_spec([{"id": "a", "coords": {" 1": 0.5}}, {"id": "b"}]),
+         "space.points[0].coords: slot ' 1' must"),
+        (points_spec([{"id": "a", "coords": {"1": BIG}}, {"id": "b"}]),
+         "space.points[0].coords: must be finite"),
+        (points_spec([{"id": 1, "coords": {"1": 0.5}}, {"id": "b"}]),
+         "space.points[0].id: must be a JSON string"),
+        ({**builtin("convergent_sequence", n_max=5), "tol": "1e-9"}, "tol: must be a JSON number"),
+        ({**builtin("convergent_sequence", n_max=5), "tol": BIG}, "tol: must be finite"),
+        ({**builtin("convergent_sequence", n_max=5),
+          "derived_set": {"kind": "detect", "radius": True}},
+         "derived_set.radius: must be a JSON number"),
+        ({**builtin("convergent_sequence", n_max=5),
+          "derived_set": {"kind": "oracle", "ids": [0]}},
+         "derived_set.ids[0]: must be a JSON string"),
+    ],
+    ids=["matrix-string", "matrix-bool", "matrix-string-rows", "matrix-huge-int", "ids-ints",
+         "ids-object", "coord-string", "slot-space", "coord-huge-int", "point-id-int",
+         "tol-string", "tol-huge-int", "radius-bool", "oracle-id-int"],
+)
+def test_spec_values_are_not_coerced(tmp_path, capsys, payload, field):
+    spec = write_spec(tmp_path, payload)
+    out = tmp_path / "report.json"
+    assert main(["check-metric", spec, "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0, -1.7e308, 1], [-1.7e308, 0, -1.7e308], [1, -1.7e308, 0]],
+        [[0, 1.7e308], [-1.7e308, 0]],
+    ],
+    ids=["triangle-sum", "symmetry-gap"],
+)
+def test_overflowing_magnitudes_are_null_and_silent(tmp_path, capsys, matrix):
+    # finite entries whose sums or differences overflow: not a metric (exit
+    # 1), and the infinite magnitude is null in the report, not a warning
+    spec = write_spec(tmp_path, matrix_spec([f"p{k}" for k in range(len(matrix))], matrix))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report = run_to_file(tmp_path, ["check-metric", spec])
+    assert code == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err == ""
+    magnitudes = [v["magnitude"] for v in report["result"]["violations"]]
+    assert None in magnitudes
+    assert all(m is None or math.isfinite(m) for m in magnitudes)
 
 
 def test_deeply_nested_spec_is_input_error(tmp_path, capsys):

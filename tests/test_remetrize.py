@@ -311,3 +311,87 @@ def test_remetrized_shortest_path_metric_keeps_every_guarantee(n, extra_edges, e
     assert verify_metric_axioms(space).passed
     members = data.draw(st.sets(st.sampled_from(space.ids), min_size=1))
     assert_remetrization_guarantees(space, members)
+
+
+# --- one construction: the empty-D fallback is every point at level 0 ---------
+
+
+def remetrize_by_branches(space, members):
+    """The construction written as two branches: max(delta, 1) off the
+    diagonal when D is empty, otherwise a per-pair dyadic level matrix."""
+    member_mask = space.mask(members)
+    if not member_mask.any():
+        expected = np.maximum(space.dist, 1.0)
+        np.fill_diagonal(expected, 0.0)
+        return expected
+    dist_to_derived = space.reach(members)
+    levels = np.zeros(space.n, dtype=np.int32)
+    for k in np.flatnonzero(~member_mask):
+        levels[k] = dyadic_level(dist_to_derived[k])
+    pair_level = np.maximum(levels[:, None], levels[None, :])
+    expected = np.maximum(space.dist, np.ldexp(1.0, pair_level))
+    expected[member_mask, :] = space.dist[member_mask, :]
+    expected[:, member_mask] = space.dist[:, member_mask]
+    np.fill_diagonal(expected, 0.0)
+    return expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    metric=st.sampled_from(["l2", "l2_grid", "shortest_path"]),
+    exponent=st.integers(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_one_construction_matches_the_two_branch_construction(n, metric, exponent, seed,
+                                                              data):
+    rng = np.random.default_rng(seed)
+    if metric == "shortest_path":
+        weights = np.full((n, n), math.inf)
+        np.fill_diagonal(weights, 0.0)
+        for k in range(1, n):
+            j = int(rng.integers(0, k))
+            weights[k, j] = weights[j, k] = rng.uniform(0.01, 1.0) * 2.0**exponent
+        space = FiniteSpace(ids=tuple(f"v{k}" for k in range(n)),
+                            dist=shortest_path_metric(weights))
+    else:
+        # grid coordinates put distances (and distances to D) on exact powers of two
+        coords = (rng.integers(-4, 5, (n, 2)) if metric == "l2_grid"
+                  else rng.uniform(-1.0, 1.0, (n, 2))) * 2.0**exponent
+        try:
+            space = build_space(PointSpec(f"q{k}", {1: float(x), 2: float(y)})
+                                for k, (x, y) in enumerate(coords))
+        except IndiscerniblePointsError:
+            assume(False)
+    members = data.draw(st.sets(st.sampled_from(space.ids), max_size=3))
+    r = remetrize(space, DerivedSetView("oracle", frozenset(members)))
+    expected = remetrize_by_branches(space, members)
+    assert [v.hex() for v in r.newdist.ravel().tolist()] == [
+        v.hex() for v in expected.ravel().tolist()
+    ]
+    assert r.empty_derived_fallback_used == (not members)
+    assert list(r.levels) == [p for p in space.ids if members and p not in members]
+
+
+def test_isolation_check_names_a_pair_at_base_distance_zero():
+    # b and c sit outside D = {a} at base distance 0: the base metric does not
+    # keep them isolated even though the remetrized one puts them 1/2 apart
+    space = FiniteSpace(ids=("a", "b", "c"), dist=[[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+    r = remetrize(space, DerivedSetView("oracle", frozenset({"a"})))
+    assert r.space.distance("b", "c") == 0.5
+    report = verify_same_topology(r)
+    assert not report.passed
+    assert report.failed_check == "isolation"
+    assert report.witness == ("b", "c")
+
+
+@pytest.mark.parametrize(
+    "newdist",
+    [np.zeros((2, 2)), np.array([[0.0, 1.0, 1.0], [1.0, 0.0, math.inf], [1.0, math.inf, 0.0]])],
+    ids=["wrong-shape", "non-finite"],
+)
+def test_remetrized_space_rejects_a_matrix_that_is_not_a_finite_space(newdist):
+    space, view = convergent_sequence(2)
+    with pytest.raises(ValueError):
+        RemetrizedSpace(base=space, derived=view, newdist=newdist, levels={})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from atsuji import (
     DuplicatePointError,
@@ -21,7 +22,7 @@ from atsuji import (
     uniform_interior_radius,
     verify_metric_axioms,
 )
-from atsuji.space import _MID_BLOCK, _ROW_BLOCK
+from atsuji.space import _MID_BLOCK, _ROW_BLOCK, _least_pair
 
 
 def brute_axiom_violations(dist, tol):
@@ -485,3 +486,16 @@ def test_every_middle_point_can_be_a_rows_only_witness():
     ]
     got = [(v.kind, v.where, float(v.magnitude).hex()) for v in report.violations]
     assert got == per_j_axiom_violations(space.dist, space.tol)
+
+
+# --- the least-pair tie-break ------------------------------------------------
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 12).flatmap(lambda n: arrays(np.bool_, (n, n))))
+def test_least_pair_is_the_first_upper_triangle_hit(mask):
+    hits = np.argwhere(np.triu(mask, k=1))
+    want = tuple(int(k) for k in hits[0]) if hits.size else None
+    got = _least_pair(mask)
+    assert got == want
+    assert got is None or all(type(k) is int for k in got)
