@@ -172,6 +172,8 @@ def _build_points(spec: dict) -> FiniteSpace:
         for slot, value in coords_raw.items():
             if not (slot.isascii() and slot.isdigit()) or type(value) not in (int, float):
                 raise SpecError(field, f"slot {slot!r} must map an integer >= 1 to a number")
+            if int(slot) in coords:  # "1" and "01" name one slot
+                raise SpecError(field, f"slot {slot!r} repeats slot {int(slot)}")
             coords[int(slot)] = _finite(value, field)
         specs.append(PointSpec(entry["id"], coords))
     try:
@@ -212,7 +214,7 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
         raise SpecError("spec_path", str(exc)) from exc
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise SpecError("spec", f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise SpecError("spec", "invalid JSON: nested too deeply") from None
@@ -312,12 +314,104 @@ def _matrix_obj(space: FiniteSpace, matrix) -> dict:
     return {x: dict(zip(space.ids, row.tolist())) for x, row in zip(space.ids, matrix)}
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+# A report is the text of json.dumps(report, indent=2, allow_nan=False) plus a
+# newline.  With an indent, json formats every value in pure Python and joins
+# millions of chunks, so only the containers are walked here: a container of
+# scalars (a matrix row, a violation's ids) is one call of the C encoder, whose
+# item separator ",\x00" then becomes a comma, newline and indent.  A raw \x00
+# can only be that separator, since ensure_ascii escapes control characters.
+_FLAT = json.JSONEncoder(separators=(",\x00", ": "), allow_nan=False)
+_SCALARS = (str, int, float, type(None))  # bool is an int
+
+
+def _scalar(value: Any) -> str:
+    if isinstance(value, float) and not math.isfinite(value):
+        # json's pure-Python message, which names the value
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return _FLAT.encode(value)
+
+
+def _key(key: Any) -> str:
+    if not isinstance(key, str):
+        if not isinstance(key, _SCALARS):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _scalar(key)
+    return _FLAT.encode(key)
+
+
+def _all(kinds: type | tuple, values) -> bool:
+    return all(issubclass(t, kinds) for t in set(map(type, values)))
+
+
+def _members(container: list | tuple | dict, indent: str):
+    """(prefix, member) pairs of a container, the prefix holding the comma,
+    newline, indent and any key; lazily, so an error comes from the first bad
+    key or value in document order."""
+    before = indent
+    if isinstance(container, dict):
+        for key, member in container.items():
+            yield before + _key(key) + ": ", member
+            before = "," + indent
     else:
-        sys.stdout.write(text)
+        for member in container:
+            yield before, member
+            before = "," + indent
+
+
+def _report_text(report: Any) -> list[str]:
+    """The pieces of ``json.dumps(report, indent=2, allow_nan=False) + "\\n"``.
+
+    The walk keeps its own stack of open containers, so no nesting depth
+    reaches the recursion limit."""
+    pieces: list[str] = []
+    stack = [(iter([("", report)]), "\n", None)]  # (members, closing text, id)
+    open_ids = set()
+    while stack:
+        members, closing, _ = stack[-1]
+        for prefix, value in members:
+            is_dict = isinstance(value, dict)
+            if not (is_dict or isinstance(value, (list, tuple))):
+                pieces.append(prefix + _scalar(value))
+                continue
+            brackets = "{}" if is_dict else "[]"
+            if not value:
+                pieces.append(prefix + brackets)
+                continue
+            indent = "\n" + "  " * len(stack)
+            if _all(_SCALARS, value.values() if is_dict else value) and (
+                not is_dict or _all(str, value)
+            ):
+                try:
+                    text = _FLAT.encode(value)
+                except ValueError:
+                    pass  # walked below, to raise the pure-Python encoder's error
+                else:
+                    pieces += (prefix + text[0] + indent,
+                               text[1:-1].replace("\x00", indent),
+                               indent[:-2] + text[-1])
+                    continue
+            if id(value) in open_ids:
+                raise ValueError("Circular reference detected")
+            open_ids.add(id(value))
+            pieces.append(prefix + brackets[0])
+            stack.append((_members(value, indent), indent[:-2] + brackets[1], id(value)))
+            break
+        else:
+            open_ids.discard(stack.pop()[2])
+            pieces.append(closing)
+    return pieces
+
+
+def _emit(report: dict, out: str | None) -> None:
+    """Write a report; it is encoded in full first, so an unencodable report
+    (a non-finite float) raises before ``out`` is opened."""
+    pieces = _report_text(report)
+    if out:
+        with open(out, "w", encoding="utf-8") as sink:
+            sink.writelines(pieces)
+    else:
+        sys.stdout.writelines(pieces)
 
 
 def _report(command: str, spec_path: str, spec_echo: dict, flags: dict,

@@ -219,7 +219,7 @@ def build_space(specs: Iterable[PointSpec], tol: float = DEFAULT_TOL) -> FiniteS
         i, j = close
         raise IndiscerniblePointsError(
             f"points {ids[i]!r} and {ids[j]!r} are indiscernible "
-            f"(distance {dist[i, j]!r} <= tol {tol!r})"
+            f"(distance {float(dist[i, j])!r} <= tol {tol!r})"
         )
     return FiniteSpace(ids=tuple(ids), dist=dist, tol=tol)
 

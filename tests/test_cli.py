@@ -500,3 +500,26 @@ def test_deeply_nested_spec_is_input_error(tmp_path, capsys):
     assert main(["check-metric", str(path), "--out", str(out)]) == 2
     assert "spec: invalid JSON: nested too deeply" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overlong_integer_in_spec_is_invalid_json(tmp_path, capsys):
+    # json.loads raises a plain ValueError for an integer beyond Python's
+    # digit limit; the diagnostic still names the spec
+    path = tmp_path / "spec.json"
+    path.write_text('{"space": {"kind": "matrix", "ids": ["a", "b"], '
+                    f'"matrix": [[0, {"9" * 5000}], [1, 0]]}}}}', encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["check-metric", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: spec: invalid JSON: ")
+    assert not out.exists()
+
+
+def test_points_l2_repeated_slot_is_input_error(tmp_path, capsys):
+    # "1" and "01" both name slot 1: neither silently wins
+    spec = write_spec(tmp_path, points_spec([
+        {"id": "a", "coords": {"1": 0.5, "01": 0.7}},
+        {"id": "b", "coords": {"1": 0.7}},
+    ]))
+    assert main(["check-metric", spec]) == 2
+    assert ("space.points[0].coords: slot '01' repeats slot 1"
+            in capsys.readouterr().err)

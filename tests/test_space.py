@@ -499,3 +499,9 @@ def test_least_pair_is_the_first_upper_triangle_hit(mask):
     got = _least_pair(mask)
     assert got == want
     assert got is None or all(type(k) is int for k in got)
+
+
+def test_build_space_indiscernible_message_prints_a_plain_float():
+    with pytest.raises(IndiscerniblePointsError) as raised:
+        build_space([PointSpec("a", {1: 0.5}), PointSpec("b", {1: 0.5})])
+    assert str(raised.value) == "points 'a' and 'b' are indiscernible (distance 0.0 <= tol 1e-12)"
