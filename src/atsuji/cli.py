@@ -6,7 +6,8 @@ Spec files are JSON with a ``space`` arm (``builtin``, ``points_l2``, or
 ``empty``; defaults to the builtin's bundled oracle, else empty), and an
 optional ``tol``.  Reports serialize with a fixed field order and full
 round-trip float precision, so identical invocations are byte-identical.
-Exit codes: 0 success/PASS, 1 FAIL verdict (or witness found), 2 input error.
+Exit codes: 0 success/PASS, 1 FAIL verdict (or witness found), 2 input error
+(a malformed spec, a bad flag value, or an output path that cannot be opened).
 Spec values are never coerced: numbers are JSON ints or floats (not bools),
 point ids are JSON strings, and coordinate slots are decimal digits.
 """
@@ -61,28 +62,35 @@ _BUILTIN_PARAMS = {
 
 
 class SpecError(Exception):
-    """A malformed spec file; ``field`` names the offending entry."""
+    """A malformed spec file or flag; ``field`` names the offending entry."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
 
 
-def _require(data: dict, field: str, context: str) -> Any:
-    if field not in data:
-        raise SpecError(f"{context}.{field}", "missing required field")
-    return data[field]
+_MISSING = object()
+_JSON_NAMES = {(int, float): "number", (int,): "int", (bool,): "bool", (str,): "string",
+               (list,): "array", (dict,): "object"}
 
 
-def _param(params: dict, field: str, kind: type, default: Any = None) -> Any:
-    """A builtin parameter of exactly JSON type ``kind`` (so true is not an
-    int), never coerced."""
-    if field not in params and default is not None:
-        return default
-    value = _require(params, field, "space.params")
-    if type(value) is not kind:
-        raise SpecError(f"space.params.{field}", f"must be a JSON {kind.__name__}, got {value!r}")
+def _typed(value: Any, field: str, *kinds: type) -> Any:
+    """``value`` when its type is exactly one of ``kinds`` (so true is not an
+    int and 1 is not the id "1"), never coerced."""
+    if type(value) not in kinds:
+        raise SpecError(field, f"must be a JSON {_JSON_NAMES[kinds]}, got {value!r}")
     return value
+
+
+def _get(data: dict, key: str, context: str, *kinds: type, default: Any = _MISSING) -> Any:
+    """``data[key]``, of one of ``kinds`` when any are given; a missing key is
+    an error unless a default is given."""
+    field = f"{context}.{key}"
+    if key not in data:
+        if default is _MISSING:
+            raise SpecError(field, "missing required field")
+        return default
+    return _typed(data[key], field, *kinds) if kinds else data[key]
 
 
 def _finite(value: Any, field: str, positive: bool = False) -> float:
@@ -102,22 +110,9 @@ def _finite(value: Any, field: str, positive: bool = False) -> float:
     return number
 
 
-def _positive(value: Any, field: str) -> float:
-    """A positive finite spec number of exactly JSON type int or float (so
-    true and "1" are not numbers), never coerced."""
-    if type(value) not in (int, float):
-        raise SpecError(field, f"must be a JSON number, got {value!r}")
-    return _finite(value, field, positive=True)
-
-
-def _id_list(ids: Any, field: str) -> list[str]:
-    """A list of point ids, each exactly a JSON string (1 is not the id "1")."""
-    if not isinstance(ids, list):
-        raise SpecError(field, "must be a list of point ids")
-    for k, point in enumerate(ids):
-        if type(point) is not str:
-            raise SpecError(f"{field}[{k}]", f"must be a JSON string, got {point!r}")
-    return ids
+def _id_list(ids: list, field: str) -> list[str]:
+    """A list of point ids, each exactly a JSON string."""
+    return [_typed(point, f"{field}[{k}]", str) for k, point in enumerate(ids)]
 
 
 def _known_ids(space: FiniteSpace, ids: list[str], field: str) -> list[str]:
@@ -129,45 +124,40 @@ def _known_ids(space: FiniteSpace, ids: list[str], field: str) -> list[str]:
 
 
 def _build_builtin(spec: dict) -> tuple[FiniteSpace, DerivedSetView]:
-    name = _require(spec, "name", "space")
-    params = spec.get("params", {})
+    name = _get(spec, "name", "space", str)
     if name not in _BUILTIN_PARAMS:
         raise SpecError("space.name", f"unknown builtin {name!r}; "
                         f"expected one of {sorted(_BUILTIN_PARAMS)}")
-    if not isinstance(params, dict):
-        raise SpecError("space.params", "must be an object")
+    params = _get(spec, "params", "space", dict, default={})
     unknown = sorted(set(params) - set(_BUILTIN_PARAMS[name]))
     if unknown:
         raise SpecError("space.params", f"unknown parameters {unknown} for {name!r}")
     try:
         if name == "sequence_grid_E":
             return sequence_grid(
-                _param(params, "i_max", int),
-                _param(params, "j_max", int),
-                _param(params, "include_origin", bool),
+                _get(params, "i_max", "space.params", int),
+                _get(params, "j_max", "space.params", int),
+                _get(params, "include_origin", "space.params", bool),
             )
         if name == "positive_integers":
             return positive_integers(
-                _param(params, "n_max", int), _param(params, "metric", str, "d1")
+                _get(params, "n_max", "space.params", int),
+                _get(params, "metric", "space.params", str, default="d1"),
             )
-        return convergent_sequence(_param(params, "n_max", int))
+        return convergent_sequence(_get(params, "n_max", "space.params", int))
     except (ValueError, TypeError) as exc:
         raise SpecError("space.params", str(exc)) from exc
 
 
 def _build_points(spec: dict) -> FiniteSpace:
-    points = _require(spec, "points", "space")
-    if not isinstance(points, list) or not points:
+    points = _get(spec, "points", "space", list)
+    if not points:
         raise SpecError("space.points", "must be a nonempty list")
     specs = []
     for k, entry in enumerate(points):
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise SpecError(f"space.points[{k}]", "must be an object with an 'id'")
-        if type(entry["id"]) is not str:
-            raise SpecError(f"space.points[{k}].id", f"must be a JSON string, got {entry['id']!r}")
-        coords_raw = entry.get("coords", {})
-        if not isinstance(coords_raw, dict):
-            raise SpecError(f"space.points[{k}].coords", "must be an object")
+        entry = _typed(entry, f"space.points[{k}]", dict)
+        point_id = _get(entry, "id", f"space.points[{k}]", str)
+        coords_raw = _get(entry, "coords", f"space.points[{k}]", dict, default={})
         coords, field = {}, f"space.points[{k}].coords"
         for slot, value in coords_raw.items():
             if not (slot.isascii() and slot.isdigit()) or type(value) not in (int, float):
@@ -175,7 +165,7 @@ def _build_points(spec: dict) -> FiniteSpace:
             if int(slot) in coords:  # "1" and "01" name one slot
                 raise SpecError(field, f"slot {slot!r} repeats slot {int(slot)}")
             coords[int(slot)] = _finite(value, field)
-        specs.append(PointSpec(entry["id"], coords))
+        specs.append(PointSpec(point_id, coords))
     try:
         return build_space(specs)
     except ValueError as exc:
@@ -183,12 +173,11 @@ def _build_points(spec: dict) -> FiniteSpace:
 
 
 def _build_matrix(spec: dict) -> FiniteSpace:
-    ids = _require(spec, "ids", "space")
-    matrix = _require(spec, "matrix", "space")
-    if not isinstance(ids, list) or not ids:
+    ids = _id_list(_get(spec, "ids", "space", list), "space.ids")
+    matrix = _get(spec, "matrix", "space", list)
+    if not ids:
         raise SpecError("space.ids", "must be a nonempty list of point ids")
-    _id_list(ids, "space.ids")
-    if not isinstance(matrix, list) or len(matrix) != len(ids):
+    if len(matrix) != len(ids):
         raise SpecError("space.matrix", f"must be a {len(ids)}x{len(ids)} array")
     if any(type(row) is not list for row in matrix) or not (
         {type(v) for row in matrix for v in row} <= {int, float}
@@ -218,13 +207,10 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
         raise SpecError("spec", f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise SpecError("spec", "invalid JSON: nested too deeply") from None
-    if not isinstance(data, dict):
-        raise SpecError("spec", "top level must be an object")
+    _typed(data, "spec", dict)
 
-    space_spec = _require(data, "space", "spec")
-    if not isinstance(space_spec, dict):
-        raise SpecError("space", "must be an object")
-    kind = _require(space_spec, "kind", "space")
+    space_spec = _get(data, "space", "spec", dict)
+    kind = _get(space_spec, "kind", "space")
 
     oracle: DerivedSetView | None = None
     if kind == "builtin":
@@ -238,22 +224,22 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
                         "expected 'builtin', 'points_l2', or 'matrix'")
 
     if data.get("tol") is not None:
-        space = replace(space, tol=_positive(data["tol"], "tol"))
+        tol = _finite(_typed(data["tol"], "tol", int, float), "tol", positive=True)
+        space = replace(space, tol=tol)
 
     derived_spec = data.get("derived_set")
     if derived_spec is None:
         derived = oracle if oracle is not None else DerivedSetView("oracle", frozenset())
     else:
-        if not isinstance(derived_spec, dict):
-            raise SpecError("derived_set", "must be an object")
-        dkind = _require(derived_spec, "kind", "derived_set")
+        _typed(derived_spec, "derived_set", dict)
+        dkind = _get(derived_spec, "kind", "derived_set")
         if dkind == "oracle":
-            ids = _id_list(_require(derived_spec, "ids", "derived_set"), "derived_set.ids")
+            ids = _id_list(_get(derived_spec, "ids", "derived_set", list), "derived_set.ids")
             ids = _known_ids(space, ids, "derived_set.ids")
             derived = DerivedSetView("oracle", frozenset(ids))
         elif dkind == "detect":
-            radius = _require(derived_spec, "radius", "derived_set")
-            radius = _positive(radius, "derived_set.radius")
+            radius = _get(derived_spec, "radius", "derived_set", int, float)
+            radius = _finite(radius, "derived_set.radius", positive=True)
             derived = detect_limit_points(space, radius)
         elif dkind == "empty":
             derived = DerivedSetView("oracle", frozenset())
@@ -479,8 +465,8 @@ def _cmd_check_metric(space, derived, args, spec_echo) -> tuple[dict, int]:
 
 def _cmd_atsuji(space, derived, args, spec_echo) -> tuple[dict, int]:
     entries = args.eps_grid.split(",") if args.eps_grid else DEFAULT_EPS_GRID
-    grid = [_finite(s, "--eps-grid") for s in entries]
-    threshold = _finite(args.threshold, "--threshold")
+    grid = [_finite(s, "--eps-grid", positive=True) for s in entries]
+    threshold = _finite(args.threshold, "--threshold", positive=True)
     verdict = atsuji_check(space, derived, grid, threshold)
     flags = {"eps_grid": grid, "threshold": threshold, "tol": space.tol}
     witnesses = [w for w in [_witness_obj(verdict.fail_witness)] if w is not None]
@@ -489,7 +475,7 @@ def _cmd_atsuji(space, derived, args, spec_echo) -> tuple[dict, int]:
                    _verdict_obj(verdict), witnesses, list(verdict.notes)), code
 
 
-def _cmd_remetrize(space, derived, args, spec_echo) -> tuple[dict, int]:
+def _cmd_remetrize(space, derived, args, spec_echo) -> tuple:
     result_space = remetrize(space, derived)
     new_space = result_space.space
     axioms = verify_metric_axioms(new_space)
@@ -520,6 +506,7 @@ def _cmd_remetrize(space, derived, args, spec_echo) -> tuple[dict, int]:
     if result_space.empty_derived_fallback_used:
         notes.append("derived set empty: used the max(dist, 1) fallback metric")
 
+    outputs = []
     if args.out_matrix:
         members = sorted(derived.members, key=space.index)
         matrix_spec = {
@@ -533,7 +520,7 @@ def _cmd_remetrize(space, derived, args, spec_echo) -> tuple[dict, int]:
             ),
             "tol": space.tol,
         }
-        _emit(matrix_spec, args.out_matrix)
+        outputs.append((matrix_spec, args.out_matrix, "--out-matrix"))
 
     ok = axioms.passed and topology.passed and all(r.passed for r in bounds.values())
     witnesses = [
@@ -545,13 +532,13 @@ def _cmd_remetrize(space, derived, args, spec_echo) -> tuple[dict, int]:
         if pair is not None
     ]
     flags = {"out_matrix": args.out_matrix, "tol": space.tol}
-    return _report("remetrize", args.spec, spec_echo, flags, result, witnesses, notes), (
-        0 if ok else 1
-    )
+    report = _report("remetrize", args.spec, spec_echo, flags, result, witnesses, notes)
+    return report, 0 if ok else 1, *outputs
 
 
 def _cmd_witness(space, derived, args, spec_echo) -> tuple[dict, int]:
-    eps0, delta = _finite(args.eps0, "--eps0"), _finite(args.delta, "--delta")
+    eps0 = _finite(args.eps0, "--eps0", positive=True)
+    delta = _finite(args.delta, "--delta", positive=True)
     f = _make_function(space, args)
     pair = uc_witness_search(space, f, eps0, delta)
     flags = {"fn": args.fn, "eps0": eps0, "delta": delta, "tol": space.tol}
@@ -655,8 +642,16 @@ def main(argv: list[str] | None = None) -> int:
             if args.tol is not None:
                 space = replace(space, tol=_finite(args.tol, "--tol", positive=True))
             _validate_matrix_arm(args.command, kind, space)
-            report, code = _COMMANDS[args.command](space, derived, args, spec_echo)
-            _emit(report, args.out)
+            # a command returns its report, exit code and any further
+            # (document, path, flag) outputs, written only after the report
+            report, code, *outputs = _COMMANDS[args.command](space, derived, args, spec_echo)
+            for document, path, flag in [(report, args.out, "--out"), *outputs]:
+                try:
+                    _emit(document, path)
+                except OSError as exc:
+                    if not path:  # stdout, not a flag's path
+                        raise
+                    raise SpecError(flag, str(exc)) from None
         except (SpecError, KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

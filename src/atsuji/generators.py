@@ -13,7 +13,7 @@ oracle derived set of the full infinite space the truncation samples, not the
 from __future__ import annotations
 
 from .analysis import DerivedSetView
-from .space import DEFAULT_TOL, FiniteSpace, PointSpec, build_space
+from .space import FiniteSpace, PointSpec, build_space
 
 __all__ = ["sequence_grid", "positive_integers", "convergent_sequence"]
 
@@ -23,7 +23,7 @@ def grid_point_id(i: int, j: int) -> str:
 
 
 def sequence_grid(
-    i_max: int, j_max: int, include_origin: bool, tol: float = DEFAULT_TOL
+    i_max: int, j_max: int, include_origin: bool
 ) -> tuple[FiniteSpace, DerivedSetView]:
     """Points p_ij = (1/j in slot i, zeros elsewhere), optionally with the
     origin, under the l2 distance.
@@ -40,14 +40,12 @@ def sequence_grid(
     for i in range(1, i_max + 1):
         for j in range(1, j_max + 1):
             specs.append(PointSpec(grid_point_id(i, j), {i: 1.0 / j}))
-    space = build_space(specs, tol=tol)
+    space = build_space(specs)
     members = frozenset({"zero"}) if include_origin else frozenset()
     return space, DerivedSetView(kind="oracle", members=members)
 
 
-def positive_integers(
-    n_max: int, metric: str = "d1", tol: float = DEFAULT_TOL
-) -> tuple[FiniteSpace, DerivedSetView]:
+def positive_integers(n_max: int, metric: str = "d1") -> tuple[FiniteSpace, DerivedSetView]:
     """The integers 1..n_max under d1(a,b) = |a-b| or d2(a,b) = |1/a - 1/b|.
 
     Every point is isolated under both metrics, so the oracle is empty.
@@ -60,13 +58,11 @@ def positive_integers(
         specs = [PointSpec(f"n{k}", {1: 1.0 / k}) for k in range(1, n_max + 1)]
     else:
         raise ValueError(f"metric must be 'd1' or 'd2', got {metric!r}")
-    space = build_space(specs, tol=tol)
+    space = build_space(specs)
     return space, DerivedSetView(kind="oracle", members=frozenset())
 
 
-def convergent_sequence(
-    n_max: int, tol: float = DEFAULT_TOL
-) -> tuple[FiniteSpace, DerivedSetView]:
+def convergent_sequence(n_max: int) -> tuple[FiniteSpace, DerivedSetView]:
     """{0} together with 1/n for n = 1..n_max under |x - y|; oracle {zero}.
 
     Canonical order is 0, 1, 1/2, 1/3, ...
@@ -75,5 +71,5 @@ def convergent_sequence(
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     specs = [PointSpec("zero", {})]
     specs += [PointSpec(f"n{k}", {1: 1.0 / k}) for k in range(1, n_max + 1)]
-    space = build_space(specs, tol=tol)
+    space = build_space(specs)
     return space, DerivedSetView(kind="oracle", members=frozenset({"zero"}))

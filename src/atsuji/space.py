@@ -177,12 +177,12 @@ def _least_pair(mask: np.ndarray) -> tuple[int, int] | None:
     return divmod(first, upper.shape[1]) if upper.flat[first] else None
 
 
-def build_space(specs: Iterable[PointSpec], tol: float = DEFAULT_TOL) -> FiniteSpace:
+def build_space(specs: Iterable[PointSpec]) -> FiniteSpace:
     """Build a space from sparse point specs under the l2 distance.
 
     Raises :class:`DuplicatePointError` on repeated ids and
-    :class:`IndiscerniblePointsError` when two specs land within ``tol`` of
-    each other (identical coordinates included), which would break the
+    :class:`IndiscerniblePointsError` when two specs land within ``DEFAULT_TOL``
+    of each other (identical coordinates included), which would break the
     identity-of-indiscernibles axiom.
     """
     specs = list(specs)
@@ -214,14 +214,14 @@ def build_space(specs: Iterable[PointSpec], tol: float = DEFAULT_TOL) -> FiniteS
     dist = np.sqrt(sq, out=sq)
     np.fill_diagonal(dist, 0.0)
 
-    close = _least_pair(dist <= tol)
+    close = _least_pair(dist <= DEFAULT_TOL)
     if close is not None:
         i, j = close
         raise IndiscerniblePointsError(
             f"points {ids[i]!r} and {ids[j]!r} are indiscernible "
-            f"(distance {float(dist[i, j])!r} <= tol {tol!r})"
+            f"(distance {float(dist[i, j])!r} <= tol {DEFAULT_TOL!r})"
         )
-    return FiniteSpace(ids=tuple(ids), dist=dist, tol=tol)
+    return FiniteSpace(ids=tuple(ids), dist=dist)
 
 
 # Tile shape of the triangle scan, chosen by measurement at 650 to 2001 points

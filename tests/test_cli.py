@@ -523,3 +523,99 @@ def test_points_l2_repeated_slot_is_input_error(tmp_path, capsys):
     assert main(["check-metric", spec]) == 2
     assert ("space.points[0].coords: slot '01' repeats slot 1"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["atsuji", "{spec}", "--threshold", "0"], "--threshold"),
+        (["atsuji", "{spec}", "--eps-grid", "1,-0.5"], "--eps-grid"),
+        (["witness", "{spec}", "--fn", "const", "--eps0", "0", "--delta", "1"], "--eps0"),
+        (["witness", "{spec}", "--fn", "const", "--eps0", "1", "--delta", "-1"], "--delta"),
+    ],
+    ids=["threshold", "eps-grid", "eps0", "delta"],
+)
+def test_non_positive_flag_names_the_flag(tmp_path, capsys, argv, flag):
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    argv = [spec if a == "{spec}" else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: must be positive, got ")
+    assert err.count("\n") == 1
+
+
+# --- output paths -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("flag", ["--out", "--out-matrix"])
+def test_unwritable_output_path_is_input_error(tmp_path, capsys, flag, where):
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    bad = tmp_path / "missing" / "file.json" if where == "missing-directory" else tmp_path
+    out = tmp_path / "report.json"
+    argv = ["remetrize", spec, flag, str(bad)]
+    if flag == "--out-matrix":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ")
+    assert err.count("\n") == 1
+    if flag == "--out-matrix":  # written after the report, which stays
+        assert json.loads(out.read_text(encoding="utf-8"))["command"] == "remetrize"
+
+
+def test_unencodable_report_leaves_no_out_matrix_file(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text('{"space": {"kind": "builtin", "name": "convergent_sequence", '
+                    '"params": {"n_max": 10}}, "comment": 1e400}', encoding="utf-8")
+    out, matrix = tmp_path / "report.json", tmp_path / "matrix.json"
+    argv = ["remetrize", str(path), "--out", str(out), "--out-matrix", str(matrix)]
+    assert main(argv) == 2
+    assert "Out of range float" in capsys.readouterr().err
+    assert not out.exists()
+    assert not matrix.exists()
+
+
+# --- witness functions other than parity and const ---------------------------
+
+
+def test_witness_identity_found(tmp_path):
+    # identity gives canonical indices, so any two points are a gap >= 1 apart;
+    # the least pair closer than 0.1 is (1/3, 1/4)
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    code, report = run_to_file(
+        tmp_path, ["witness", spec, "--fn", "identity", "--eps0", "0.5", "--delta", "0.1"]
+    )
+    assert code == 1
+    assert report["inputs"]["flags"] == {"fn": "identity", "eps0": 0.5, "delta": 0.1,
+                                         "tol": 1e-12}
+    result = report["result"]
+    assert (result["function"], result["found"]) == ("identity", True)
+    assert (result["witness"]["x"], result["witness"]["y"]) == ("n3", "n4")
+    assert result["witness"]["distance"] == pytest.approx(1 / 12)
+    assert result["witness"]["gap"] == 1.0
+    assert report["witnesses"] == [result["witness"]]
+
+
+@pytest.mark.parametrize(
+    "eps0, delta, code, pair",
+    [("0.05", "0.2", 1, ["zero", "n6"]), ("0.5", "0.1", 0, None)],
+    ids=["found", "not-found"],
+)
+def test_witness_separator_echoes_its_sets(tmp_path, eps0, delta, code, pair):
+    # with A = {zero} and B = {n1} the separator is x -> x on {0} and 1/n,
+    # so a pair's gap is its distance
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    got, report = run_to_file(tmp_path, ["witness", spec, "--fn", "separator", "--a", "zero",
+                                         "--b", "n1", "--eps0", eps0, "--delta", delta])
+    assert got == code
+    assert report["inputs"]["flags"] == {"fn": "separator", "eps0": float(eps0),
+                                         "delta": float(delta), "tol": 1e-12,
+                                         "a": "zero", "b": "n1"}
+    result = report["result"]
+    assert result["function"] == "separator(|A|=1,|B|=1)"
+    assert result["found"] is (pair is not None)
+    witness = result["witness"]
+    assert (witness and [witness["x"], witness["y"]]) == pair
+    if pair:
+        assert witness["gap"] == pytest.approx(witness["distance"])
