@@ -3,91 +3,13 @@ and remetrization to an equivalent-topology uniformly continuous metric."""
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    DEFAULT_EPS_GRID,
-    DEFAULT_THRESHOLD,
-    AtsujiVerdict,
-    DerivedSetView,
-    IsolationReport,
-    atsuji_check,
-    detect_limit_points,
-    greedy_epsilon_net,
-    min_pairwise_distance,
-)
-from .functions import (
-    SampledFunction,
-    WitnessPair,
-    modulus_of_continuity,
-    parity_function,
-    separator,
-    uc_witness_search,
-)
-from .generators import convergent_sequence, positive_integers, sequence_grid
-from .remetrize import (
-    IsolationBoundReport,
-    RemetrizedSpace,
-    TopologyReport,
-    dyadic_level,
-    remetrize,
-    verify_isolation_bound,
-    verify_same_topology,
-)
-from .space import (
-    AxiomReport,
-    DuplicatePointError,
-    FiniteSpace,
-    IndiscerniblePointsError,
-    MaxTriple,
-    PointId,
-    PointSpec,
-    Violation,
-    build_space,
-    neighborhood,
-    set_distance,
-    triple_max_triangle,
-    uniform_interior_radius,
-    verify_metric_axioms,
-)
+from . import analysis, functions, generators, remetrize, space
 
-__all__ = [
-    "__version__",
-    "PointId",
-    "PointSpec",
-    "FiniteSpace",
-    "Violation",
-    "AxiomReport",
-    "MaxTriple",
-    "DuplicatePointError",
-    "IndiscerniblePointsError",
-    "build_space",
-    "verify_metric_axioms",
-    "triple_max_triangle",
-    "set_distance",
-    "neighborhood",
-    "uniform_interior_radius",
-    "DerivedSetView",
-    "IsolationReport",
-    "AtsujiVerdict",
-    "DEFAULT_EPS_GRID",
-    "DEFAULT_THRESHOLD",
-    "detect_limit_points",
-    "min_pairwise_distance",
-    "greedy_epsilon_net",
-    "atsuji_check",
-    "SampledFunction",
-    "WitnessPair",
-    "separator",
-    "modulus_of_continuity",
-    "uc_witness_search",
-    "parity_function",
-    "RemetrizedSpace",
-    "TopologyReport",
-    "IsolationBoundReport",
-    "dyadic_level",
-    "remetrize",
-    "verify_same_topology",
-    "verify_isolation_bound",
-    "sequence_grid",
-    "positive_integers",
-    "convergent_sequence",
-]
+# Each module's __all__ is the public API, re-exported here.  The modules are
+# listed before the loop, so the function ``remetrize`` takes over the name of
+# its module only once that module's names have been read.
+__all__ = ["__version__"]
+for _module in (space, analysis, functions, remetrize, generators):
+    __all__ += _module.__all__
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+del _module

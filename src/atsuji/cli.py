@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -93,10 +94,14 @@ def _get(data: dict, key: str, context: str, *kinds: type, default: Any = _MISSI
     return _typed(data[key], field, *kinds) if kinds else data[key]
 
 
+# the number grammar of JSON; float() also reads "1_0", " 1", ".5" and "+1"
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
 def _finite(value: Any, field: str, positive: bool = False) -> float:
     """A spec or command-line number.  Infinities (a spec's 1e400, or an
     integer too large for a double) and NaN are rejected: the report echoes
-    its inputs and JSON has neither."""
+    its inputs and JSON has neither.  A flag's text must be a JSON number."""
     try:
         number = float(value)
     except OverflowError:
@@ -105,6 +110,8 @@ def _finite(value: Any, field: str, positive: bool = False) -> float:
         raise SpecError(field, "must be a number") from None
     if not math.isfinite(number):
         raise SpecError(field, f"must be finite, got {value!r}")
+    if isinstance(value, str) and not _JSON_NUMBER.fullmatch(value):
+        raise SpecError(field, f"must be a JSON number, got {value!r}")
     if positive and not number > 0:
         raise SpecError(field, f"must be positive, got {number!r}")
     return number
@@ -581,8 +588,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are SpecErrors, so a malformed command
+    line exits 2 with one ``error:`` line; subcommand parsers share the class."""
+
+    def error(self, message: str):
+        field, _, detail = message.removeprefix("argument ").partition(": ")
+        raise SpecError(field, detail)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="atsuji",
         description="Decide, with witnesses, whether a finite metric space "
         "satisfies the uniform-continuity characterization, and remetrize it.",
@@ -632,12 +648,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # a finite matrix can still overflow in sums and differences: that is an
     # infinite magnitude in the report, not a numpy warning on stderr
     with np.errstate(over="ignore"):
         try:
+            args = build_parser().parse_args(argv)
             space, derived, spec_echo, kind = load_spec(args.spec)
             if args.tol is not None:
                 space = replace(space, tol=_finite(args.tol, "--tol", positive=True))

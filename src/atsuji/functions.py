@@ -111,8 +111,9 @@ def uc_witness_search(
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
     v = f.array(space)
-    gaps = np.abs(v[:, None] - v[None, :])
-    pair = _least_pair((space.dist < delta) & (gaps >= eps0))
+    pair = _least_pair(
+        space.n, lambda rows: (space.dist[rows] < delta) & (np.abs(v[rows, None] - v) >= eps0)
+    )
     if pair is None:
         return None
     i, j = pair
@@ -120,7 +121,7 @@ def uc_witness_search(
         x=space.ids[i],
         y=space.ids[j],
         distance=float(space.dist[i, j]),
-        gap=float(gaps[i, j]),
+        gap=float(abs(v[i] - v[j])),
     )
 
 

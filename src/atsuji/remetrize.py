@@ -150,40 +150,34 @@ def verify_same_topology(r: RemetrizedSpace) -> TopologyReport:
 
     (a) the new distance dominates the base distance, (b) pairs touching the
     derived set are unchanged, and (c) every non-derived point stays isolated
-    (its smallest positive distance is positive under both metrics).  Fails
-    with the lexicographically least offending pair.
+    (it is at positive distance from every other point under both metrics).
+    The first failing check reports its lexicographically least offending
+    pair.
     """
     base = r.base
     d_old, d_new, tol = base.dist, r.newdist, base.tol
-    member_mask = base.mask(r.derived.members)
+    member = base.mask(r.derived.members)
 
-    below = _least_pair(d_new < d_old - tol)
-    if below is not None:
-        return TopologyReport(
-            passed=False, witness=tuple(base.ids[k] for k in below), failed_check="domination"
+    def collapsed(rows):
+        # {i, j} offends when either point lies outside D at distance <= 0
+        # from the other: the predicate of the rows, or of the columns transposed
+        return (~member[rows, None] & ((d_old[rows] <= 0) | (d_new[rows] <= 0))) | (
+            ~member & ((d_old[:, rows] <= 0) | (d_new[:, rows] <= 0)).T
         )
 
-    touching = member_mask[:, None] | member_mask[None, :]
-    changed = _least_pair(touching & (np.abs(d_new - d_old) > tol))
-    if changed is not None:
-        return TopologyReport(
-            passed=False,
-            witness=tuple(base.ids[k] for k in changed),
-            failed_check="derived_equality",
-        )
-
-    for k in np.flatnonzero(~member_mask):
-        for mat in (d_old, d_new):
-            row = mat[k].copy()
-            row[k] = math.inf
-            other = int(row.argmin())
-            if not row[other] > 0:
-                return TopologyReport(
-                    passed=False,
-                    witness=tuple(base.ids[p] for p in sorted((k, other))),
-                    failed_check="isolation",
-                )
-
+    checks = {
+        "domination": lambda rows: d_new[rows] < d_old[rows] - tol,
+        "derived_equality": lambda rows: (
+            (member[rows, None] | member) & (np.abs(d_new[rows] - d_old[rows]) > tol)
+        ),
+        "isolation": collapsed,
+    }
+    for name, offends in checks.items():
+        pair = _least_pair(base.n, offends)
+        if pair is not None:
+            return TopologyReport(
+                passed=False, witness=tuple(base.ids[k] for k in pair), failed_check=name
+            )
     return TopologyReport(passed=True)
 
 

@@ -95,6 +95,20 @@ def test_malformed_spec_names_field(tmp_path, capsys):
     assert main(["check-metric", str(tmp_path / "missing.json")]) == 2
     assert "spec_path" in capsys.readouterr().err
 
+    for space, message in [
+        ({"kind": "builtin", "name": "cantor"}, "space.name: unknown builtin 'cantor'; "),
+        ({"kind": "builtin", "name": "convergent_sequence", "params": {"k": 1}},
+         "space.params: unknown parameters ['k'] for 'convergent_sequence'\n"),
+        ({"kind": "builtin", "name": "convergent_sequence", "params": {"n_max": 1}},
+         "space.params: n_max must be >= 2, got 1\n"),
+        ({"kind": "points_l2", "points": []}, "space.points: must be a nonempty list\n"),
+        ({"kind": "matrix", "ids": [], "matrix": []},
+         "space.ids: must be a nonempty list of point ids\n"),
+    ]:
+        spec = write_spec(tmp_path, {"space": space})
+        assert main(["check-metric", spec]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
 
 def test_points_l2_arm(tmp_path):
     spec = write_spec(
@@ -543,6 +557,58 @@ def test_non_positive_flag_names_the_flag(tmp_path, capsys, argv, flag):
     assert err.startswith(f"error: {flag}: must be positive, got ")
     assert err.count("\n") == 1
 
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["net", "{spec}", "--eps", "-inf"], "--eps: expected one argument\n"),
+        (["net", "{spec}"], "the following arguments are required: --eps\n"),
+        (["cloud", "{spec}"], "command: invalid choice: 'cloud' "),
+        (["net", "{spec}", "--eps", "1", "--bogus"], "unrecognized arguments: --bogus\n"),
+    ],
+    ids=["missing-value", "missing-flag", "unknown-command", "unknown-argument"],
+)
+def test_malformed_command_line_is_one_error_line(tmp_path, capsys, argv, message):
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    assert main([spec if a == "{spec}" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["net", "--help"])
+    assert raised.value.code == 0
+    assert "--eps" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["net", "{spec}", "--eps", "1_0"], "--eps", "1_0"),
+        (["net", "{spec}", "--eps", " 1"], "--eps", " 1"),
+        (["net", "{spec}", "--eps", ".5"], "--eps", ".5"),
+        (["net", "{spec}", "--eps", "1."], "--eps", "1."),
+        (["net", "{spec}", "--eps", "+1"], "--eps", "+1"),
+        (["atsuji", "{spec}", "--eps-grid", "1, 0.5"], "--eps-grid", " 0.5"),
+        (["check-metric", "{spec}", "--tol", "1e-1_0"], "--tol", "1e-1_0"),
+    ],
+    ids=["underscore", "space", "no-integer-part", "no-fraction-digits", "plus", "grid-space",
+         "tol"],
+)
+def test_flag_numbers_must_be_json_numbers(tmp_path, capsys, argv, flag, value):
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    assert main([spec if a == "{spec}" else a for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: must be a JSON number, got {value!r}\n"
+
+
+def test_json_number_flags_are_read(tmp_path):
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    for eps in ["2E+1", "1e-3", "0.5", "3"]:
+        code, report = run_to_file(tmp_path, ["net", spec, "--eps", eps])
+        assert (code, report["result"]["eps"]) == (0, float(eps))
 
 # --- output paths -----------------------------------------------------------
 

@@ -166,7 +166,8 @@ def test_every_command_keeps_the_exit_code_contract(workdir, base, data):
 
 
 FLAG_VALUES = st.sampled_from(
-    ["1", "0.5", "1e-3", "0", "-1", "inf", "nan", "1e400", "abc", ""]) | st.text(max_size=6)
+    ["1", "0.5", "1e-3", "0", "-1", "inf", "-inf", "nan", "1e400", "abc", "", "--x"]
+) | st.text(max_size=6)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -174,15 +175,16 @@ FLAG_VALUES = st.sampled_from(
     ("atsuji", "--eps-grid"), ("atsuji", "--threshold"), ("net", "--eps"),
     ("witness", "--eps0"), ("witness", "--delta"), ("separator", "--a"), ("separator", "--b"),
     ("check-metric", "--tol"),
-]))
-def test_every_flag_value_keeps_the_exit_code_contract(workdir, value, flag):
+]), joined=st.booleans())
+def test_every_flag_value_keeps_the_exit_code_contract(workdir, value, flag, joined):
     command, name = flag
     fixed = {"witness": ["--fn", "const", "--eps0=0.5", "--delta=0.5"], "net": ["--eps=0.5"],
              "separator": ["--a=zero", "--b=n1"]}.get(command, [])
-    # --flag=value: a value that starts with "-" stays a value; the last
-    # occurrence of a flag wins
+    # --flag=value keeps a value that starts with "-" a value; as a separate
+    # argument argparse reads it as an option.  The last occurrence of a flag wins
     spec_text = json.dumps(builtin("convergent_sequence", n_max=6))
-    assert_contract(workdir, spec_text, [command, *fixed, f"{name}={value}"])
+    given_as = [f"{name}={value}"] if joined else [name, value]
+    assert_contract(workdir, spec_text, [command, *fixed, *given_as])
 
 
 @pytest.mark.parametrize("name", [["convergent_sequence"], {"n_max": 5}], ids=["list", "object"])

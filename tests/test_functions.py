@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atsuji import (
+    FiniteSpace,
     SampledFunction,
     convergent_sequence,
     modulus_of_continuity,
@@ -14,6 +16,7 @@ from atsuji import (
     sequence_grid,
     uc_witness_search,
 )
+from atsuji.space import _PAIR_BLOCK
 
 
 def brute_modulus(space, f, eta):
@@ -154,6 +157,36 @@ def test_witness_rejects_bad_params():
     with pytest.raises(ValueError):
         uc_witness_search(space, f, 0.5, 0.0)
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(_PAIR_BLOCK + 2, 3 * _PAIR_BLOCK),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_witness_is_the_least_pair_when_the_first_hit_is_in_a_later_block(n, data, seed):
+    # points before `first` lie on a line 10 apart, far from a cluster of the
+    # rest, so no pair of theirs is delta-close and the least hit is in a row
+    # at or after `first`, in the second or a later block of rows
+    first = data.draw(st.integers(_PAIR_BLOCK, n - 2))
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([10.0 * np.arange(first), 10.0 * first + 10 + 3 * rng.random(n - first)])
+    values = rng.integers(0, 2, n).astype(float)
+    space = FiniteSpace(ids=tuple(f"q{k}" for k in range(n)), dist=np.abs(x[:, None] - x))
+    f = SampledFunction(dict(zip(space.ids, values.tolist())), label="random")
+
+    gaps = np.abs(values[:, None] - values)
+    hits = np.argwhere(np.triu((space.dist < 1.0) & (gaps >= 0.5), k=1))
+    w = uc_witness_search(space, f, 0.5, 1.0)
+    if not hits.size:
+        assert w is None
+        return
+    i, j = hits[0]
+    assert i >= first
+    assert (w.x, w.y, w.distance, w.gap) == (
+        space.ids[i], space.ids[j], float(space.dist[i, j]), float(gaps[i, j])
+    )
 
 @settings(max_examples=60)
 @given(

@@ -23,6 +23,7 @@ from atsuji import (
     verify_metric_axioms,
     verify_same_topology,
 )
+from atsuji.space import _PAIR_BLOCK
 
 
 def brute_isolation_ok(r, eta):
@@ -385,6 +386,69 @@ def test_isolation_check_names_a_pair_at_base_distance_zero():
     assert report.failed_check == "isolation"
     assert report.witness == ("b", "c")
 
+
+
+def test_isolation_check_names_the_least_offending_pair():
+    # b fails isolation twice (c at 0, d at -1): the witness is the least pair
+    # (b, c), not b's nearest point d
+    space = FiniteSpace(ids=("a", "b", "c", "d"),
+                        dist=[[0, 1, 1, 1], [1, 0, 0, -1], [1, 0, 0, 1], [1, -1, 1, 0]])
+    report = verify_same_topology(remetrize(space, DerivedSetView("oracle", frozenset({"a"}))))
+    assert (report.passed, report.failed_check, report.witness) == (False, "isolation", ("b", "c"))
+
+
+def reference_topology(base: FiniteSpace, member: np.ndarray, d_new: np.ndarray):
+    """(failed_check, witness) of the three checks on full n x n masks, with
+    the isolation check a pair loop; (None, None) on a pass."""
+    d_old, tol, n = base.dist, base.tol, base.n
+
+    def least(mask):
+        hits = np.argwhere(np.triu(mask, k=1))
+        return tuple(base.ids[k] for k in hits[0]) if hits.size else None
+
+    below = least(d_new < d_old - tol)
+    if below:
+        return "domination", below
+    changed = least((member[:, None] | member[None, :]) & (np.abs(d_new - d_old) > tol))
+    if changed:
+        return "derived_equality", changed
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k, other in ((i, j), (j, i)):
+                if not member[k] and (d_old[k, other] <= 0 or d_new[k, other] <= 0):
+                    return "isolation", (base.ids[i], base.ids[j])
+    return None, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 5, 8, _PAIR_BLOCK + 12]),
+    nonpositive=st.sampled_from([0.0, 1e-3, 1e-2, 0.2]),
+    tampered=st.integers(0, 3),
+    quiet=st.sampled_from([0, _PAIR_BLOCK]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_same_topology_matches_the_full_mask_reference(n, nonpositive, tampered, quiet, seed):
+    # an asymmetric matrix with zeros and negatives, a random D, and a new
+    # matrix that keeps the guarantees except at a few tampered entries; no
+    # fault touches the first `quiet` points, so a witness can lie in a later
+    # block of rows
+    quiet = quiet if n > quiet + 1 else 0
+    rng = np.random.default_rng(seed)
+    d_old = rng.choice([0.5, 1.0, 2.0], size=(n, n))
+    low = rng.random((n, n)) < nonpositive
+    low[:quiet] = low[:, :quiet] = False
+    d_old[low] = rng.choice([0.0, -1.0], size=low.sum())
+    member = rng.random(n) < 0.3
+    d_new = np.where(member[:, None] | member, d_old, np.maximum(d_old, rng.choice([0.0, 1.0])))
+    for _ in range(tampered):
+        d_new[rng.integers(quiet, n), rng.integers(quiet, n)] = rng.choice([-1.0, 0.0, 0.25, 3.0])
+    base = FiniteSpace(ids=tuple(f"q{k}" for k in range(n)), dist=d_old)
+    derived = DerivedSetView("oracle", frozenset(np.array(base.ids)[member].tolist()))
+    r = RemetrizedSpace(base=base, derived=derived, newdist=d_new, levels={})
+    report = verify_same_topology(r)
+    assert (report.failed_check, report.witness) == reference_topology(base, member, d_new)
+    assert report.passed == (report.failed_check is None)
 
 @pytest.mark.parametrize(
     "newdist",

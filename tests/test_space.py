@@ -22,7 +22,7 @@ from atsuji import (
     uniform_interior_radius,
     verify_metric_axioms,
 )
-from atsuji.space import _MID_BLOCK, _ROW_BLOCK, _least_pair
+from atsuji.space import _MID_BLOCK, _PAIR_BLOCK, _ROW_BLOCK, _least_pair
 
 
 def brute_axiom_violations(dist, tol):
@@ -496,9 +496,46 @@ def test_every_middle_point_can_be_a_rows_only_witness():
 def test_least_pair_is_the_first_upper_triangle_hit(mask):
     hits = np.argwhere(np.triu(mask, k=1))
     want = tuple(int(k) for k in hits[0]) if hits.size else None
-    got = _least_pair(mask)
+    got = _least_pair(len(mask), lambda rows: mask[rows])
     assert got == want
     assert got is None or all(type(k) is int for k in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([1, _PAIR_BLOCK - 1, _PAIR_BLOCK, _PAIR_BLOCK + 1, 3 * _PAIR_BLOCK + 5]),
+    data=st.data(),
+)
+def test_least_pair_tests_row_blocks_in_order_up_to_the_first_hit(n, data):
+    # 0-3 hits planted anywhere, on and below the diagonal included
+    cell = st.integers(0, n - 1)
+    planted = data.draw(st.lists(st.tuples(cell, cell) | cell.map(lambda k: (k, k)), max_size=3))
+    mask = np.zeros((n, n), dtype=bool)
+    for i, j in planted:
+        mask[i, j] = True
+    hits = np.argwhere(np.triu(mask, k=1))
+    want = tuple(int(k) for k in hits[0]) if hits.size else None
+
+    tested = []
+
+    def test(rows):
+        tested.append(rows)
+        return mask[rows]
+
+    assert _least_pair(n, test) == want
+    # blocks in row order, none past the block of the first hit
+    last = (want[0] if want else n - 1) // _PAIR_BLOCK
+    assert [rows.start for rows in tested] == list(range(0, (last + 1) * _PAIR_BLOCK, _PAIR_BLOCK))
+
+
+def test_build_space_reports_duplicates_before_indiscernible_points():
+    with pytest.raises(DuplicatePointError, match=r"duplicate point ids: \['a'\]"):
+        build_space([PointSpec("a", {1: 1.0}), PointSpec("a", {1: 1.0})])
+
+
+def test_build_space_rejects_an_empty_list():
+    with pytest.raises(ValueError, match="at least one point"):
+        build_space([])
 
 
 def test_build_space_indiscernible_message_prints_a_plain_float():
