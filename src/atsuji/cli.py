@@ -19,7 +19,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -197,7 +196,7 @@ def _build_matrix(spec: dict) -> FiniteSpace:
     except OverflowError:
         raise SpecError("space.matrix", "entries must be finite") from None
     try:
-        return FiniteSpace(ids=tuple(ids), dist=dist)
+        return FiniteSpace._adopt(ids, dist)
     except ValueError as exc:
         raise SpecError("space", str(exc)) from exc
 
@@ -232,7 +231,7 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
 
     if data.get("tol") is not None:
         tol = _finite(_typed(data["tol"], "tol", int, float), "tol", positive=True)
-        space = replace(space, tol=tol)
+        space = FiniteSpace._adopt(space.ids, space.dist, tol)
 
     derived_spec = data.get("derived_set")
     if derived_spec is None:
@@ -590,7 +589,13 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are SpecErrors, so a malformed command
-    line exits 2 with one ``error:`` line; subcommand parsers share the class."""
+    line exits 2 with one ``error:`` line; subcommand parsers share the class.
+    A flag is only ever its full name: a prefix such as ``--eps`` for
+    ``--eps-grid`` is an unknown argument, so a flag added later cannot change
+    what an existing command line means."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         field, _, detail = message.removeprefix("argument ").partition(": ")
@@ -655,7 +660,8 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
             space, derived, spec_echo, kind = load_spec(args.spec)
             if args.tol is not None:
-                space = replace(space, tol=_finite(args.tol, "--tol", positive=True))
+                tol = _finite(args.tol, "--tol", positive=True)
+                space = FiniteSpace._adopt(space.ids, space.dist, tol)
             _validate_matrix_arm(args.command, kind, space)
             # a command returns its report, exit code and any further
             # (document, path, flag) outputs, written only after the report

@@ -82,15 +82,27 @@ class PointSpec:
         return tuple(sorted(items))
 
 
+def _point_ids(ids: Iterable[PointId]) -> tuple[PointId, ...]:
+    """``ids`` as a tuple, checked to be nonempty and free of repeats."""
+    ids = tuple(ids)
+    if not ids:
+        raise ValueError("a finite space needs at least one point")
+    if len(set(ids)) != len(ids):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        raise DuplicatePointError(f"duplicate point ids: {dupes}")
+    return ids
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteSpace:
     """An immutable finite point set with a precomputed distance matrix.
 
     ``dist`` is an n-by-n matrix aligned with ``ids``; it is copied and made
-    read-only at construction.  Only structural properties are enforced here
-    (shape, unique ids, finite entries); the metric axioms are checked by
-    :func:`verify_metric_axioms` so that invalid matrices can be loaded,
-    diagnosed, and reported.
+    read-only at construction (the package's own fresh matrices are adopted
+    without a copy, so a space holds one n-by-n buffer).  Only structural
+    properties are enforced here (shape, unique ids, finite entries); the
+    metric axioms are checked by :func:`verify_metric_axioms` so that invalid
+    matrices can be loaded, diagnosed, and reported.
     """
 
     ids: tuple[PointId, ...]
@@ -98,22 +110,31 @@ class FiniteSpace:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        ids = tuple(self.ids)
-        if not ids:
-            raise ValueError("a finite space needs at least one point")
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise DuplicatePointError(f"duplicate point ids: {dupes}")
-        d = np.array(self.dist, dtype=float)
+        self._settle(self.ids, np.array(self.dist, dtype=float), self.tol)
+
+    @classmethod
+    def _adopt(
+        cls, ids: Iterable[PointId], dist: np.ndarray, tol: float = DEFAULT_TOL
+    ) -> FiniteSpace:
+        """A space over ``dist`` itself, not a copy: the package's path for a
+        float64 matrix that it has just built, or that is already read-only,
+        so that no code writes it afterwards.  Same checks as the constructor."""
+        space = object.__new__(cls)
+        space._settle(ids, dist, tol)
+        return space
+
+    def _settle(self, ids: Iterable[PointId], d: np.ndarray, tol: float) -> None:
+        ids = _point_ids(ids)
         if d.shape != (len(ids), len(ids)):
             raise ValueError(f"distance matrix shape {d.shape} does not match {len(ids)} points")
-        if not np.isfinite(d).all():
+        # min and max propagate NaN and +-inf, so no n x n mask is needed
+        if not (math.isfinite(d.min()) and math.isfinite(d.max())):
             bad = np.argwhere(~np.isfinite(d))[0]
             raise ValueError(f"distance matrix entry {tuple(int(k) for k in bad)} is not finite")
         d.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "dist", d)
-        object.__setattr__(self, "tol", float(self.tol))
+        object.__setattr__(self, "tol", float(tol))
 
     @cached_property
     def _index(self) -> dict[PointId, int]:
@@ -169,9 +190,11 @@ class MaxTriple(NamedTuple):
     satisfies: bool
 
 
-# Rows per block of the least-pair search, chosen by measurement on a 2-core
-# Xeon: at 3000 points a full indiscernibility scan took 23 ms in blocks of
-# 128 or 256 rows, 30 ms in blocks of 32 or 64, and 29 ms as one n x n mask.
+# Rows per block of the least-pair search and of build_space's slot pass,
+# chosen by measurement on a 2-core Xeon: at 3000 points a full
+# indiscernibility scan took 23 ms in blocks of 128 or 256 rows, 30 ms in
+# blocks of 32 or 64, and 29 ms as one n x n mask; the slot pass took the same
+# time in blocks of 32 to 512 rows.
 _PAIR_BLOCK = 128
 
 
@@ -191,16 +214,25 @@ def _least_pair(n: int, test: Callable[[slice], np.ndarray]) -> tuple[int, int] 
     return None
 
 
+def _run(indices: np.ndarray) -> slice | np.ndarray:
+    """``indices`` (sorted, distinct, nonempty) as a slice when they are one
+    contiguous run, so that indexing with them gives a view, not a copy."""
+    first, last = int(indices[0]), int(indices[-1])
+    return slice(first, last + 1) if last - first == len(indices) - 1 else indices
+
+
 def build_space(specs: Iterable[PointSpec]) -> FiniteSpace:
     """Build a space from sparse point specs under the l2 distance.
 
-    Raises :class:`DuplicatePointError` on repeated ids and
-    :class:`IndiscerniblePointsError` when two specs land within ``DEFAULT_TOL``
-    of each other (identical coordinates included), which would break the
-    identity-of-indiscernibles axiom.
+    Raises :class:`DuplicatePointError` on repeated ids, ValueError when the
+    distance of two points overflows a double, and
+    :class:`IndiscerniblePointsError` when two specs land within
+    ``DEFAULT_TOL`` of each other (identical coordinates included), which
+    would break the identity-of-indiscernibles axiom.
     """
     specs = list(specs)
     supports = [s.support() for s in specs]
+    ids = _point_ids(s.id for s in specs)
     slots = sorted({slot for sup in supports for slot, _ in sup})
     slot_col = {slot: k for k, slot in enumerate(slots)}
     coords = np.zeros((len(specs), max(len(slots), 1)))
@@ -208,20 +240,39 @@ def build_space(specs: Iterable[PointSpec]) -> FiniteSpace:
         for slot, value in sup:
             coords[row, slot_col[slot]] = value
 
-    # squares summed slot by slot, in slot order for every pair: a pair that
-    # is zero in a slot would only add +0.0, so each slot touches the rows
-    # nonzero there, plus their columns in the rows that are zero there
+    # Squares summed slot by slot, in slot order for every pair, into the one
+    # n x n buffer.  A pair that is zero in a slot would only add +0.0, so a
+    # slot adds (c[i] - c[j])^2 to the rows i nonzero there, a block of rows at
+    # a time, and c[j]^2 to their columns j in the rows that are zero there.
+    # The matrix is symmetric after every slot, so the latter is also the
+    # transposed copy of those rows: the copy writes n entries per column, the
+    # add only the zero rows but through a gather and a scatter, so the copy is
+    # taken when zero rows are at least half of all rows.
     n = len(specs)
     sq = np.zeros((n, n))
-    for col in coords.T:
-        nz = np.flatnonzero(col)
-        diff = np.subtract.outer(col[nz], col)
-        sq[nz] += np.square(diff, out=diff)
-        sq[np.ix_(np.flatnonzero(col == 0.0), nz)] += np.square(col[nz])
+    diff = np.empty((min(_PAIR_BLOCK, n), n))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        for col in coords.T:
+            nz = np.flatnonzero(col)
+            blocks = [nz[k : k + _PAIR_BLOCK] for k in range(0, len(nz), _PAIR_BLOCK)]
+            for block in blocks:
+                part = np.subtract(col[block, None], col, out=diff[: len(block)])
+                sq[_run(block)] += np.square(part, out=part)
+            zero = np.flatnonzero(col == 0.0)
+            if 2 * len(zero) >= n:
+                for rows in map(_run, blocks):
+                    sq[:, rows] = sq[rows].T
+            else:
+                squares = np.square(col[nz])
+                for k in range(0, len(zero), _PAIR_BLOCK):
+                    sq[np.ix_(zero[k : k + _PAIR_BLOCK], nz)] += squares
     dist = np.sqrt(sq, out=sq)
     np.fill_diagonal(dist, 0.0)
 
-    space = FiniteSpace(ids=tuple(s.id for s in specs), dist=dist)
+    if not math.isfinite(dist.max()):
+        i, j = _least_pair(n, lambda rows: dist[rows] == math.inf)
+        raise ValueError(f"points {ids[i]!r} and {ids[j]!r}: their l2 distance overflows a double")
+    space = FiniteSpace._adopt(ids, dist)
     close = _least_pair(n, lambda rows: space.dist[rows] <= DEFAULT_TOL)
     if close is not None:
         i, j = close

@@ -685,3 +685,56 @@ def test_witness_separator_echoes_its_sets(tmp_path, eps0, delta, code, pair):
     assert (witness and [witness["x"], witness["y"]]) == pair
     if pair:
         assert witness["gap"] == pytest.approx(witness["distance"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["atsuji", "{spec}", "--eps", "0.5"], "unrecognized arguments: --eps 0.5\n"),
+        (["net", "{spec}", "--ep", "0.5"], "the following arguments are required: --eps\n"),
+        (["net", "{spec}", "--eps", "1", "--ep=0.5"], "unrecognized arguments: --ep=0.5\n"),
+        (["net", "{spec}", "--eps", "1", "--to", "0.1"], "unrecognized arguments: --to 0.1\n"),
+        (["witness", "{spec}", "--fn", "parity", "--eps", "0.5", "--delta", "0.1"],
+         "the following arguments are required: --eps0\n"),
+    ],
+    ids=["eps-for-eps-grid", "ep-for-eps", "ep-joined", "to-for-tol", "eps-for-eps0"],
+)
+def test_abbreviated_flags_are_unknown_arguments(tmp_path, capsys, argv, message):
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    assert main([spec if a == "{spec}" else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}")
+
+
+def test_an_overflowing_l2_distance_names_its_points(tmp_path, capsys):
+    points = [{"id": "a", "coords": {"1": 1e200}}, {"id": "b", "coords": {"1": -1e200}}]
+    spec = write_spec(tmp_path, {"space": {"kind": "points_l2", "points": points}})
+    assert main(["check-metric", spec]) == 2
+    assert capsys.readouterr().err == (
+        "error: space.points: points 'a' and 'b': their l2 distance overflows a double\n"
+    )
+
+
+def test_a_spec_tol_shares_the_built_matrix(tmp_path, monkeypatch):
+    from atsuji import cli
+
+    built, build = [], cli.build_space
+    monkeypatch.setattr(cli, "build_space", lambda specs: built.append(build(specs)) or built[0])
+    points = [{"id": "a", "coords": {"1": 1.0}}, {"id": "b", "coords": {"2": 1.0}}]
+    spec = write_spec(tmp_path, {"space": {"kind": "points_l2", "points": points}, "tol": 0.25})
+    space, *_ = cli.load_spec(spec)
+    assert space.tol == 0.25
+    assert space.dist is built[0].dist
+
+
+def test_a_tol_flag_shares_the_loaded_matrix(tmp_path, monkeypatch, capsys):
+    from atsuji import cli
+
+    loaded, load = [], cli.load_spec
+    monkeypatch.setattr(cli, "load_spec", lambda path: loaded.append(load(path)) or loaded[0])
+    seen, net = [], cli._COMMANDS["net"]
+    monkeypatch.setitem(cli._COMMANDS, "net",
+                        lambda space, *rest: seen.append(space) or net(space, *rest))
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    assert main(["net", spec, "--eps", "0.5", "--tol", "0.125"]) == 0
+    assert seen[0].tol == 0.125
+    assert seen[0].dist is loaded[0][0].dist
