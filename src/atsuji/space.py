@@ -243,11 +243,10 @@ def build_space(specs: Iterable[PointSpec]) -> FiniteSpace:
     # Squares summed slot by slot, in slot order for every pair, into the one
     # n x n buffer.  A pair that is zero in a slot would only add +0.0, so a
     # slot adds (c[i] - c[j])^2 to the rows i nonzero there, a block of rows at
-    # a time, and c[j]^2 to their columns j in the rows that are zero there.
-    # The matrix is symmetric after every slot, so the latter is also the
-    # transposed copy of those rows: the copy writes n entries per column, the
-    # add only the zero rows but through a gather and a scatter, so the copy is
-    # taken when zero rows are at least half of all rows.
+    # a time.  Their columns j in the rows that are zero there need c[i]^2,
+    # which row i now holds at j: the matrix is symmetric after every slot, so
+    # when the slot has zero rows the updated rows are copied into their
+    # columns.
     n = len(specs)
     sq = np.zeros((n, n))
     diff = np.empty((min(_PAIR_BLOCK, n), n))
@@ -258,21 +257,19 @@ def build_space(specs: Iterable[PointSpec]) -> FiniteSpace:
             for block in blocks:
                 part = np.subtract(col[block, None], col, out=diff[: len(block)])
                 sq[_run(block)] += np.square(part, out=part)
-            zero = np.flatnonzero(col == 0.0)
-            if 2 * len(zero) >= n:
+            if len(nz) < n:
                 for rows in map(_run, blocks):
                     sq[:, rows] = sq[rows].T
-            else:
-                squares = np.square(col[nz])
-                for k in range(0, len(zero), _PAIR_BLOCK):
-                    sq[np.ix_(zero[k : k + _PAIR_BLOCK], nz)] += squares
     dist = np.sqrt(sq, out=sq)
     np.fill_diagonal(dist, 0.0)
 
-    if not math.isfinite(dist.max()):
+    try:
+        space = FiniteSpace._adopt(ids, dist)
+    except ValueError:  # the ids are checked, so an entry is not finite: inf
         i, j = _least_pair(n, lambda rows: dist[rows] == math.inf)
-        raise ValueError(f"points {ids[i]!r} and {ids[j]!r}: their l2 distance overflows a double")
-    space = FiniteSpace._adopt(ids, dist)
+        raise ValueError(
+            f"points {ids[i]!r} and {ids[j]!r}: their l2 distance overflows a double"
+        ) from None
     close = _least_pair(n, lambda rows: space.dist[rows] <= DEFAULT_TOL)
     if close is not None:
         i, j = close

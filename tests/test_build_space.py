@@ -62,8 +62,9 @@ def _layout(name: str, n: int, rng: np.random.Generator) -> np.ndarray:
 )
 def test_blocked_slot_pass_is_bitwise_the_unblocked_one(n, layout):
     # slot 1 is nonzero on the layout's rows and slot 2 on the others but row
-    # 0, so both slots take either kind of zero-rows term; slots 3 to 12 give
-    # every point 0 to 3 sparse coordinates
+    # 0, so slot 1 of the dense layout has no zero rows and the other slots
+    # copy slice or scattered blocks of rows into their columns; slots 3 to 12
+    # give every point 0 to 3 sparse coordinates
     rng = np.random.default_rng([n, len(layout)])
     main = _layout(layout, n, rng)
     coords = np.zeros((n, 12))
