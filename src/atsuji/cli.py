@@ -314,13 +314,33 @@ def _matrix_obj(space: FiniteSpace, matrix) -> dict:
 # can only be that separator, since ensure_ascii escapes control characters.
 _FLAT = json.JSONEncoder(separators=(",\x00", ": "), allow_nan=False)
 _SCALARS = (str, int, float, type(None))  # bool is an int
+_SCALAR_TYPES = frozenset((*_SCALARS, bool))
+_STR = frozenset((str,))
+_ascii = json.encoder.encode_basestring_ascii
+
+if json.encoder.c_make_encoder is None:  # no accelerator: json's pure-Python encoder
+    _flat = _FLAT.encode
+else:
+    # built once, where JSONEncoder.encode builds one per call; without
+    # markers, since a scalar or a container of scalars holds no cycle
+    _C_FLAT = json.encoder.c_make_encoder(
+        None, _FLAT.default, _ascii, None, _FLAT.key_separator, _FLAT.item_separator,
+        False, False, False,
+    )
+
+    def _flat(value: Any) -> str:
+        return "".join(_C_FLAT(value, 0))
 
 
 def _scalar(value: Any) -> str:
-    if isinstance(value, float) and not math.isfinite(value):
-        # json's pure-Python message, which names the value
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    return _FLAT.encode(value)
+    if isinstance(value, str):
+        return _ascii(value)
+    if isinstance(value, float):  # formatted as both of json's encoders do
+        if not math.isfinite(value):
+            # json's pure-Python message, which names the value
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    return _flat(value)
 
 
 def _key(key: Any) -> str:
@@ -329,11 +349,14 @@ def _key(key: Any) -> str:
             raise TypeError(f"keys must be str, int, float, bool or None, "
                             f"not {type(key).__name__}")
         key = _scalar(key)
-    return _FLAT.encode(key)
+    return _ascii(key)
 
 
-def _all(kinds: type | tuple, values) -> bool:
-    return all(issubclass(t, kinds) for t in set(map(type, values)))
+def _all(kinds: type | tuple, exact: frozenset, values) -> bool:
+    """Whether every value is an instance of ``kinds``; the set of exact
+    types ``exact`` answers most containers in one set operation."""
+    types = set(map(type, values))
+    return types <= exact or all(issubclass(t, kinds) for t in types)
 
 
 def _members(container: list | tuple | dict, indent: str):
@@ -361,21 +384,21 @@ def _report_text(report: Any) -> list[str]:
     open_ids = set()
     while stack:
         members, closing, _ = stack[-1]
+        indent = "\n" + "  " * len(stack)  # of the members of a member container
         for prefix, value in members:
-            is_dict = isinstance(value, dict)
-            if not (is_dict or isinstance(value, (list, tuple))):
+            if not isinstance(value, (list, tuple, dict)):
                 pieces.append(prefix + _scalar(value))
                 continue
+            is_dict = isinstance(value, dict)
             brackets = "{}" if is_dict else "[]"
             if not value:
                 pieces.append(prefix + brackets)
                 continue
-            indent = "\n" + "  " * len(stack)
-            if _all(_SCALARS, value.values() if is_dict else value) and (
-                not is_dict or _all(str, value)
+            if _all(_SCALARS, _SCALAR_TYPES, value.values() if is_dict else value) and (
+                not is_dict or _all(str, _STR, value)
             ):
                 try:
-                    text = _FLAT.encode(value)
+                    text = _flat(value)
                 except ValueError:
                     pass  # walked below, to raise the pure-Python encoder's error
                 else:

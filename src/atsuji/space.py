@@ -295,39 +295,103 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _triangle_block(d: np.ndarray, tol: float, free: list, start: int) -> list[Violation]:
-    """Triangle violations ``(i, j, k)`` whose ``i`` lies in the row block
-    starting at ``start``, in lexicographic order, computed in a
-    (tile, shortest, part) buffer set taken from ``free`` and put back."""
+def _pair_checks(d: np.ndarray, tol: float) -> tuple[list[Violation], bool]:
+    """The nonneg, symmetry and identity violations, in report order, and
+    whether ``d`` equals ``d.T`` entrywise; one pass over blocks of rows, so
+    no n x n temporary is held.  A row block compares its entries from the
+    diagonal on with their mirrors, which covers every pair once."""
+    nonneg, symmetry, apart = [], [], []
+    symmetric = True
+    buffer = np.empty(min(_PAIR_BLOCK, len(d)) * len(d))
+    for start in range(0, len(d), _PAIR_BLOCK):
+        rows = d[start : start + _PAIR_BLOCK]
+        for i, j in np.argwhere(rows < -tol):
+            nonneg.append(Violation("nonneg", (start + int(i), int(j)), float(-rows[i, j])))
+        upper = rows[:, start:]  # local (i, j) is the pair (start + i, start + j)
+        gap = buffer[: upper.size].reshape(upper.shape)
+        np.subtract(upper, d[start:, start : start + len(rows)].T, out=gap)
+        np.abs(gap, out=gap)
+        symmetric = symmetric and not gap.any()
+        for i, j in np.argwhere(np.triu(gap > tol, k=1)):
+            where = (start + int(i), start + int(j))
+            symmetry.append(Violation("symmetry", where, float(gap[i, j])))
+        for i, j in np.argwhere(np.triu(upper <= tol, k=1)):
+            where = (start + int(i), start + int(j))
+            apart.append(Violation("identity", where, float(tol - upper[i, j])))
+    diag = np.abs(np.diagonal(d))
+    identity = [
+        Violation("identity", (int(i), int(i)), float(diag[i])) for i in np.flatnonzero(diag > tol)
+    ]
+    return nonneg + symmetry + identity + apart, symmetric
+
+
+def _triangle_block(
+    d: np.ndarray, tol: float, free: list, symmetric: bool, start: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decide the row block starting at ``start`` over the columns ``k`` from
+    its first column on: ``start`` on a symmetric matrix, 0 otherwise.
+    Returns the rows ``i`` with a violating ``(i, j, k)`` among those columns,
+    and on a symmetric matrix the columns ``k`` at which some row of the
+    block violates.  Computed in a (tile, shortest, part) buffer set taken
+    from ``free`` and put back."""
     n = len(d)
+    first = start if symmetric else 0
     rows = d[start : start + _ROW_BLOCK]
+    width = n - first
     held = free.pop()
     try:
-        tile, shortest, part = (b[: len(rows)] for b in held)
+        size = len(rows) * width
+        tile = held[0][: size * min(_MID_BLOCK, n)].reshape(len(rows), -1, width)
+        shortest = held[1][:size].reshape(len(rows), width)
+        part = held[2][:size].reshape(len(rows), width)
         shortest.fill(math.inf)  # min over j of d[i, j] + d[j, k]
         for j0 in range(0, n, _MID_BLOCK):
-            mids = d[j0 : j0 + _MID_BLOCK]
+            mids = d[j0 : j0 + _MID_BLOCK, first:]
             sums = np.add(rows[:, j0 : j0 + len(mids), None], mids, out=tile[:, : len(mids)])
             np.minimum.reduce(sums, axis=1, out=part)
             np.minimum(shortest, part, out=shortest)
-        worst = np.subtract(rows, shortest, out=shortest).max(axis=1)
+        excess = np.subtract(rows[:, first:], shortest, out=shortest)
+        flagged = start + np.flatnonzero(excess.max(axis=1) > tol)
+        if not symmetric:
+            return flagged, flagged[:0]
+        return flagged, first + np.flatnonzero(excess.max(axis=0) > tol)
+    finally:
+        free.append(held)
 
-        # a violating row lists its (j, k) excesses, chunk of middle points
-        # by chunk, through the same tile memory
-        flat = tile.reshape(-1, n)
+
+def _triangle_row(d: np.ndarray, tol: float, free: list, i: int) -> list[Violation]:
+    """The triangle violations ``(i, j, k)`` of row ``i`` in lexicographic
+    order, listed chunk of middle points by chunk through the tile memory of
+    a buffer set taken from ``free`` and put back."""
+    n = len(d)
+    held = free.pop()
+    try:
+        chunk = min(_ROW_BLOCK * _MID_BLOCK, n)
+        flat = held[0][: chunk * n].reshape(chunk, n)
         found: list[Violation] = []
-        for i in start + np.flatnonzero(worst > tol):
-            for j0 in range(0, n, len(flat)):
-                mids = d[j0 : j0 + len(flat)]
-                excess = np.add(d[i, j0 : j0 + len(mids), None], mids, out=flat[: len(mids)])
-                np.subtract(d[i], excess, out=excess)
-                for j, k in np.argwhere(excess > tol):
-                    found.append(
-                        Violation("triangle", (int(i), j0 + int(j), int(k)), float(excess[j, k]))
-                    )
+        for j0 in range(0, n, chunk):
+            mids = d[j0 : j0 + chunk]
+            excess = np.add(d[i, j0 : j0 + len(mids), None], mids, out=flat[: len(mids)])
+            np.subtract(d[i], excess, out=excess)
+            for j, k in np.argwhere(excess > tol):
+                found.append(Violation("triangle", (i, j0 + int(j), int(k)), float(excess[j, k])))
         return found
     finally:
         free.append(held)
+
+
+def _triangle_scan(
+    d: np.ndarray, tol: float, symmetric: bool, free: list, run: Callable
+) -> list[Violation]:
+    """Decide every row block, then list the union of the flagged rows, in
+    row order; ``run(task, items)`` maps a task over items in order, inline
+    or on a pool."""
+    flagged = np.zeros(len(d), dtype=bool)
+    decide = partial(_triangle_block, d, tol, free, symmetric)
+    for rows, columns in run(decide, range(0, len(d), _ROW_BLOCK)):
+        flagged[rows] = flagged[columns] = True
+    listed = run(partial(_triangle_row, d, tol, free), np.flatnonzero(flagged).tolist())
+    return [v for row in listed for v in row]
 
 
 def verify_metric_axioms(space: FiniteSpace) -> AxiomReport:
@@ -335,7 +399,9 @@ def verify_metric_axioms(space: FiniteSpace) -> AxiomReport:
 
     Every breach beyond ``space.tol`` is reported; the scan never samples.
     Violations are listed by kind (nonneg, symmetry, identity, triangle) and
-    lexicographically by index within each kind.
+    lexicographically by index within each kind.  The pair checks run in one
+    pass over blocks of rows, which also finds whether the matrix equals its
+    transpose entrywise.
 
     The triangle inequality is decided row by row with min-plus tiles: for a
     block of rows ``i`` the scan accumulates ``min_j (d[i, j] + d[j, k])``
@@ -344,58 +410,57 @@ def verify_metric_axioms(space: FiniteSpace) -> AxiomReport:
     per-triple test ``d[i, k] - (d[i, j] + d[j, k]) > tol`` decides: each sum
     is the same rounded float, and a rounded difference ``a - s`` never
     increases as ``s`` grows, so subtracting the least sum gives the largest
-    excess.  Only violating rows list their triples, from the same per-triple
-    differences, so magnitudes are those of the per-triple test.  Row blocks
+    excess.
+
+    On a matrix with ``d == d.T`` entrywise (mirrored +0.0 and -0.0 count as
+    equal) a block decides only the columns ``k`` from its start on.  There
+    ``d[k, j] + d[j, i]`` equals ``d[i, j] + d[j, k]`` as a number, since
+    addition is commutative and the summands are equal pairwise, and
+    ``d[k, i]`` equals ``d[i, k]``; so the excess of ``(k, j, i)`` equals that
+    of ``(i, j, k)``, ``> tol`` decides both alike, and a sum or difference
+    overflows in both or in neither (numpy's errstate sees every overflow of
+    the full scan).  A row ``k`` violates iff its own block flags it or some
+    earlier row violates at column ``k``, which its block reports as a column
+    flag.  A matrix symmetric only within ``tol`` gets the full scan.
+
+    The flagged rows then list their triples, from the same per-triple
+    differences, so magnitudes are those of the per-triple test.  Both phases
     run on a thread pool sized to the usable CPUs (numpy releases the GIL in
-    the tile arithmetic), created for the call, and are gathered in block
-    order.
+    the tile arithmetic), created for the call, and are gathered in order;
+    with one usable CPU they run inline.
     """
     d = space.dist
+    n = space.n
     tol = space.tol
-    violations: list[Violation] = []
+    violations, symmetric = _pair_checks(d, tol)
 
-    for i, j in np.argwhere(d < -tol):
-        violations.append(Violation("nonneg", (int(i), int(j)), float(-d[i, j])))
-
-    gap = np.abs(d - d.T)
-    for i, j in np.argwhere(np.triu(gap > tol, k=1)):
-        violations.append(Violation("symmetry", (int(i), int(j)), float(gap[i, j])))
-
-    diag = np.abs(np.diagonal(d))
-    for (i,) in np.argwhere(diag > tol):
-        violations.append(Violation("identity", (int(i), int(i)), float(diag[i])))
-    for i, j in np.argwhere(np.triu(d <= tol, k=1)):
-        violations.append(Violation("identity", (int(i), int(j)), float(tol - d[i, j])))
-
-    starts = range(0, space.n, _ROW_BLOCK)
-    workers = min(_usable_cpus(), len(starts))
+    workers = min(_usable_cpus(), math.ceil(n / _ROW_BLOCK))
     # One buffer set per worker, allocated by the caller: after the scan the
     # caller's heap reuses that memory, which a worker thread's allocator arena
     # would keep.  A worker holds one set at a time, so pop never finds the
     # list empty; list pop and append are atomic.
     free = [
         (
-            np.empty((_ROW_BLOCK, min(_MID_BLOCK, space.n), space.n)),
-            np.empty((_ROW_BLOCK, space.n)),
-            np.empty((_ROW_BLOCK, space.n)),
+            np.empty(_ROW_BLOCK * min(_MID_BLOCK, n) * n),
+            np.empty(_ROW_BLOCK * n),
+            np.empty(_ROW_BLOCK * n),
         )
         for _ in range(workers)
     ]
-    scan = partial(_triangle_block, d, tol, free)
     if workers == 1:
-        blocks = map(scan, starts)
+        violations += _triangle_scan(d, tol, symmetric, free, map)
     else:
         # imported here, not with the module: it loads logging, ~10 ms
         from concurrent.futures import ThreadPoolExecutor
 
-        # every block runs in a copy of the caller's context, so numpy's
-        # errstate (a context variable) holds in the workers as it does inline
+        # every task runs in a copy of the caller's context, so numpy's
+        # errstate (a context variable) holds in the workers as inline
         caller = contextvars.copy_context()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(lambda start: caller.copy().run(scan, start), starts))
-    triangle = [v for block in blocks for v in block]
-    triangle.sort(key=lambda v: v.where)
-    violations.extend(triangle)
+            violations += _triangle_scan(
+                d, tol, symmetric, free,
+                lambda task, items: pool.map(lambda item: caller.copy().run(task, item), items),
+            )
 
     return AxiomReport(passed=not violations, violations=violations)
 

@@ -18,6 +18,7 @@ from atsuji import (
     remetrize,
     verify_metric_axioms,
 )
+from atsuji import space as space_module
 from atsuji.space import _ROW_BLOCK
 
 
@@ -85,3 +86,27 @@ def test_scan_workers_honour_the_callers_numpy_errstate():
     with np.errstate(over="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
         assert verify_metric_axioms(space).passed
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_inline_and_pooled_scans_agree(monkeypatch, symmetric):
+    # mirrored plants whose later rows are reached through column flags, and
+    # on the asymmetric matrix one pair off by 1e-3, which forces the full scan
+    n = 5 * _ROW_BLOCK + 3
+    pts = np.random.default_rng(1).uniform(0.0, 1.0, (n, 3))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    d[2, n - 4] = d[n - 4, 2] = d[2, n - 4] + 3.0
+    d[5, n - 1] = d[n - 1, 5] = d[5, n - 1] + 1.0
+    if not symmetric:
+        d[17, 30] += 1e-3
+    space = FiniteSpace(ids=tuple(f"p{k}" for k in range(n)), dist=d)
+
+    def scan(cpus):
+        monkeypatch.setattr(space_module, "_usable_cpus", lambda: cpus)
+        return verify_metric_axioms(space)
+
+    inline = scan(1)
+    assert scan(3) == inline
+    rows = {v.where[0] for v in inline.violations if v.kind == "triangle"}
+    assert {2, 5, n - 4, n - 1} <= rows
+    assert any(v.kind == "symmetry" for v in inline.violations) == (not symmetric)

@@ -1,6 +1,8 @@
 import math
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from atsuji import (
     uniform_interior_radius,
     verify_metric_axioms,
 )
+from atsuji import space as space_module
 from atsuji.space import _MID_BLOCK, _PAIR_BLOCK, _ROW_BLOCK, _least_pair
 
 
@@ -486,6 +489,86 @@ def test_every_middle_point_can_be_a_rows_only_witness():
     ]
     got = [(v.kind, v.where, float(v.magnitude).hex()) for v in report.violations]
     assert got == per_j_axiom_violations(space.dist, space.tol)
+
+
+# --- the half scan of exactly symmetric matrices ------------------------------
+
+
+@st.composite
+def symmetric_scan_cases(draw):
+    """An exactly symmetric matrix over a few row blocks, most with a
+    remainder, with mirrored +0.0/-0.0 entries and mirrored plants at tol,
+    1 ulp above it or far above it; one plant joins a row of the first block
+    to a row at least two blocks later, so that the later row (i > k) sees
+    its violations only through the first block's column flags.  Also
+    returns an off-diagonal pair at which to break the symmetry."""
+    n = draw(st.integers(2 * _ROW_BLOCK + 1, 6 * _ROW_BLOCK + 3))
+    tol = draw(st.sampled_from([1e-12, 0.25]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["l2", "line", "huge"]))
+    if kind == "l2":
+        pts = rng.uniform(0.0, 1.0, (n, 3))
+        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    elif kind == "line":
+        x = rng.permutation(4 * n)[:n].astype(float)
+        d = np.abs(x[:, None] - x[None, :])
+    else:  # sums overflow to +-inf
+        d = rng.choice([0.0, 1.0, -1.0, 1e308, -1e308, 1.7e308], (n, n))
+    d = np.triu(d, k=1)
+    d = d + d.T  # adding the zero lower triangle changes no entry's value
+    pairs = [tuple(int(v) for v in rng.choice(n, 2, replace=False)) for _ in range(5)]
+    for i, k in pairs[: draw(st.integers(0, 2))]:
+        d[i, k], d[k, i] = 0.0, -0.0
+    plants = pairs[2 : 2 + draw(st.integers(0, 3))]
+    if draw(st.booleans()):
+        plants.append((int(rng.integers(2 * _ROW_BLOCK, n)), int(rng.integers(0, _ROW_BLOCK))))
+    for i, k in plants:
+        how = draw(st.sampled_from(["at tol", "1 ulp above", "far above"]))
+        d[i, k] = d[k, i] = {
+            "at tol": d[i, k] + tol,
+            "1 ulp above": np.nextafter(d[i, k] + tol, math.inf),
+            "far above": d[i, k] + 1.0,
+        }[how]
+    return d, tol, pairs[-1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(symmetric_scan_cases(), st.booleans())
+def test_half_and_full_scans_list_exactly_the_per_j_violations(case, one_ulp_asymmetry):
+    d, tol, (a, b) = case
+    if one_ulp_asymmetry:
+        d[a, b] = np.nextafter(d[a, b], math.inf)
+    space = FiniteSpace(ids=tuple(f"p{k}" for k in range(len(d))), dist=d, tol=tol)
+    with mock.patch.object(
+        space_module, "_triangle_block", wraps=space_module._triangle_block
+    ) as block:
+        report = verify_metric_axioms(space)
+    symmetric = {call.args[3] for call in block.call_args_list}
+    assert symmetric == {not one_ulp_asymmetry}  # the half scan, or the full one
+    got = [(v.kind, v.where, float(v.magnitude).hex()) for v in report.violations]
+    assert got == per_j_axiom_violations(space.dist, tol)
+    assert report.passed == (not got)
+
+
+def test_scan_holds_no_n_squared_buffer(monkeypatch):
+    # inline, so one buffer set of the triangle scan is alive; a single n^2
+    # temporary, such as |d - d.T|, would add 8n^2 bytes on its own
+    monkeypatch.setattr(space_module, "_usable_cpus", lambda: 1)
+    n = 1001
+    pts = np.random.default_rng(0).uniform(0.0, 1.0, (n, 3))
+    space = build_space(
+        PointSpec(f"p{k}", {1: float(a), 2: float(b), 3: float(c)})
+        for k, (a, b, c) in enumerate(pts)
+    )
+    tracemalloc.start()
+    try:
+        report = verify_metric_axioms(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 0.25 * 8 * n * n
 
 
 # --- the least-pair tie-break ------------------------------------------------
