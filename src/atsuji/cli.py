@@ -301,9 +301,16 @@ def _verdict_obj(verdict: AtsujiVerdict) -> dict:
     }
 
 
-def _matrix_obj(space: FiniteSpace, matrix) -> dict:
-    # row by row: a whole-matrix tolist() would hold n^2 list slots at once
-    return {x: dict(zip(space.ids, row.tolist())) for x, row in zip(space.ids, matrix)}
+class _Matrix:
+    """A report leaf: an n x n float64 matrix (n >= 1), written as json.dumps
+    writes ``{ids[i]: {ids[j]: values[i, j]}}``, or ``values.tolist()`` when
+    there are no ids, without building either."""
+
+    __slots__ = ("values", "ids")
+
+    def __init__(self, values: np.ndarray, ids: tuple[str, ...] | None = None):
+        self.values = values
+        self.ids = ids
 
 
 # A report is the text of json.dumps(report, indent=2, allow_nan=False) plus a
@@ -374,6 +381,44 @@ def _members(container: list | tuple | dict, indent: str):
             before = "," + indent
 
 
+def _heads(keys: tuple[str, ...] | None, opening: str, indent: str, count: int) -> list[str]:
+    """The text before each of ``count`` members of a container: the opening
+    bracket or a comma, the newline and indent, and the member's key if any."""
+    if keys is None:
+        return [opening + indent] + ["," + indent] * (count - 1)
+    keys = [_ascii(key) + ": " for key in keys]
+    return [opening + indent + keys[0]] + ["," + indent + key for key in keys[1:]]
+
+
+def _matrix_text(matrix: _Matrix, prefix: str, indent: str) -> list[str]:
+    """The pieces of a matrix member whose rows are indented by ``indent``.
+
+    Each distinct entry is formatted once: the entries are deduplicated by
+    bit pattern (so -0.0 and 0.0 stay apart), and a row is one join of the
+    keys and separators, built once, with that row's texts."""
+    values = matrix.values
+    opening, closing = "[]" if matrix.ids is None else "{}"
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    inverse = inverse.reshape(values.shape)  # its shape varies across numpy 2.x releases
+    distinct = distinct.view(np.float64)
+    if not np.isfinite(distinct).all():
+        # json's error, which names the first non-finite entry in row order
+        _scalar(float(values.flat[np.argmin(np.isfinite(values))]))
+    texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+    rows, columns = values.shape
+    parts: list[str] = [""] * (2 * columns + 1)  # heads and texts, interleaved
+    parts[0::2] = _heads(matrix.ids, opening, indent + "  ", columns) + [indent + closing]
+    first = parts[0]
+    pieces = []
+    for head, row in zip(_heads(matrix.ids, prefix + opening, indent, rows), inverse):
+        parts[0] = head + first
+        parts[1::2] = texts[row].tolist()
+        pieces.append("".join(parts))
+    pieces.append(indent[:-2] + closing)
+    return pieces
+
+
 def _report_text(report: Any) -> list[str]:
     """The pieces of ``json.dumps(report, indent=2, allow_nan=False) + "\\n"``.
 
@@ -386,6 +431,9 @@ def _report_text(report: Any) -> list[str]:
         members, closing, _ = stack[-1]
         indent = "\n" + "  " * len(stack)  # of the members of a member container
         for prefix, value in members:
+            if isinstance(value, _Matrix):
+                pieces += _matrix_text(value, prefix, indent)
+                continue
             if not isinstance(value, (list, tuple, dict)):
                 pieces.append(prefix + _scalar(value))
                 continue
@@ -474,7 +522,7 @@ def _validate_matrix_arm(command: str, kind: str, space: FiniteSpace) -> None:
     spaces are valid by construction); check-metric is itself the validator."""
     if kind != "matrix" or command == "check-metric":
         return
-    report = verify_metric_axioms(space)
+    report = verify_metric_axioms(space, limit=1)
     if not report.passed:
         v = report.violations[0]
         raise SpecError(
@@ -514,7 +562,7 @@ def _cmd_remetrize(space, derived, args, spec_echo) -> tuple:
     result = {
         "empty_derived_fallback_used": result_space.empty_derived_fallback_used,
         "levels": result_space.levels,
-        "newdist": _matrix_obj(space, result_space.newdist),
+        "newdist": _Matrix(result_space.newdist, space.ids),
         "axioms": _axiom_obj(new_space, axioms),
         "same_topology": {
             "passed": topology.passed,
@@ -542,7 +590,7 @@ def _cmd_remetrize(space, derived, args, spec_echo) -> tuple:
             "space": {
                 "kind": "matrix",
                 "ids": list(space.ids),
-                "matrix": result_space.newdist.tolist(),
+                "matrix": _Matrix(result_space.newdist),
             },
             "derived_set": (
                 {"kind": "oracle", "ids": members} if members else {"kind": "empty"}

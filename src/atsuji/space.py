@@ -295,34 +295,43 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pair_checks(d: np.ndarray, tol: float) -> tuple[list[Violation], bool]:
+def _room(found: list, limit: int | None) -> int | None:
+    """How many more violations a listing of ``limit`` takes after ``found``."""
+    return None if limit is None else limit - len(found)
+
+
+def _pair_checks(
+    d: np.ndarray, tol: float, limit: int | None
+) -> tuple[list[Violation], bool]:
     """The nonneg, symmetry and identity violations, in report order, and
     whether ``d`` equals ``d.T`` entrywise; one pass over blocks of rows, so
     no n x n temporary is held.  A row block compares its entries from the
-    diagonal on with their mirrors, which covers every pair once."""
+    diagonal on with their mirrors, which covers every pair once.  Each kind
+    lists at most ``limit`` violations, and the result is cut to ``limit``."""
     nonneg, symmetry, apart = [], [], []
     symmetric = True
     buffer = np.empty(min(_PAIR_BLOCK, len(d)) * len(d))
     for start in range(0, len(d), _PAIR_BLOCK):
         rows = d[start : start + _PAIR_BLOCK]
-        for i, j in np.argwhere(rows < -tol):
+        for i, j in np.argwhere(rows < -tol)[: _room(nonneg, limit)]:
             nonneg.append(Violation("nonneg", (start + int(i), int(j)), float(-rows[i, j])))
         upper = rows[:, start:]  # local (i, j) is the pair (start + i, start + j)
         gap = buffer[: upper.size].reshape(upper.shape)
         np.subtract(upper, d[start:, start : start + len(rows)].T, out=gap)
         np.abs(gap, out=gap)
         symmetric = symmetric and not gap.any()
-        for i, j in np.argwhere(np.triu(gap > tol, k=1)):
+        for i, j in np.argwhere(np.triu(gap > tol, k=1))[: _room(symmetry, limit)]:
             where = (start + int(i), start + int(j))
             symmetry.append(Violation("symmetry", where, float(gap[i, j])))
-        for i, j in np.argwhere(np.triu(upper <= tol, k=1)):
+        for i, j in np.argwhere(np.triu(upper <= tol, k=1))[: _room(apart, limit)]:
             where = (start + int(i), start + int(j))
             apart.append(Violation("identity", where, float(tol - upper[i, j])))
     diag = np.abs(np.diagonal(d))
     identity = [
-        Violation("identity", (int(i), int(i)), float(diag[i])) for i in np.flatnonzero(diag > tol)
+        Violation("identity", (int(i), int(i)), float(diag[i]))
+        for i in np.flatnonzero(diag > tol)[:limit]
     ]
-    return nonneg + symmetry + identity + apart, symmetric
+    return (nonneg + symmetry + identity + apart)[:limit], symmetric
 
 
 def _triangle_block(
@@ -359,10 +368,12 @@ def _triangle_block(
         free.append(held)
 
 
-def _triangle_row(d: np.ndarray, tol: float, free: list, i: int) -> list[Violation]:
-    """The triangle violations ``(i, j, k)`` of row ``i`` in lexicographic
-    order, listed chunk of middle points by chunk through the tile memory of
-    a buffer set taken from ``free`` and put back."""
+def _triangle_row(
+    d: np.ndarray, tol: float, free: list, limit: int | None, i: int
+) -> list[Violation]:
+    """The first ``limit`` triangle violations ``(i, j, k)`` of row ``i`` in
+    lexicographic order, listed chunk of middle points by chunk through the
+    tile memory of a buffer set taken from ``free`` and put back."""
     n = len(d)
     held = free.pop()
     try:
@@ -370,10 +381,12 @@ def _triangle_row(d: np.ndarray, tol: float, free: list, i: int) -> list[Violati
         flat = held[0][: chunk * n].reshape(chunk, n)
         found: list[Violation] = []
         for j0 in range(0, n, chunk):
+            if _room(found, limit) == 0:
+                break
             mids = d[j0 : j0 + chunk]
             excess = np.add(d[i, j0 : j0 + len(mids), None], mids, out=flat[: len(mids)])
             np.subtract(d[i], excess, out=excess)
-            for j, k in np.argwhere(excess > tol):
+            for j, k in np.argwhere(excess > tol)[: _room(found, limit)]:
                 found.append(Violation("triangle", (i, j0 + int(j), int(k)), float(excess[j, k])))
         return found
     finally:
@@ -381,25 +394,30 @@ def _triangle_row(d: np.ndarray, tol: float, free: list, i: int) -> list[Violati
 
 
 def _triangle_scan(
-    d: np.ndarray, tol: float, symmetric: bool, free: list, run: Callable
+    d: np.ndarray, tol: float, symmetric: bool, free: list, run: Callable, limit: int | None
 ) -> list[Violation]:
-    """Decide every row block, then list the union of the flagged rows, in
-    row order; ``run(task, items)`` maps a task over items in order, inline
-    or on a pool."""
+    """Decide every row block, then list the first ``limit`` violations of
+    the flagged rows, in row order; ``run(task, items)`` maps a task over
+    items in order, inline or on a pool.  A flagged row has a violation, so
+    the first ``limit`` flagged rows hold the first ``limit`` violations."""
     flagged = np.zeros(len(d), dtype=bool)
     decide = partial(_triangle_block, d, tol, free, symmetric)
     for rows, columns in run(decide, range(0, len(d), _ROW_BLOCK)):
         flagged[rows] = flagged[columns] = True
-    listed = run(partial(_triangle_row, d, tol, free), np.flatnonzero(flagged).tolist())
-    return [v for row in listed for v in row]
+    listing = np.flatnonzero(flagged)[:limit].tolist()
+    listed = run(partial(_triangle_row, d, tol, free, limit), listing)
+    return [v for row in listed for v in row][:limit]
 
 
-def verify_metric_axioms(space: FiniteSpace) -> AxiomReport:
+def verify_metric_axioms(space: FiniteSpace, limit: int | None = None) -> AxiomReport:
     """Exhaustively check all pairs and all ordered triples of the matrix.
 
     Every breach beyond ``space.tol`` is reported; the scan never samples.
     Violations are listed by kind (nonneg, symmetry, identity, triangle) and
-    lexicographically by index within each kind.  The pair checks run in one
+    lexicographically by index within each kind.  A positive ``limit`` lists
+    only the first ``limit`` of them, a canonical prefix of the full list:
+    it cuts the listing, never the deciding, so every pair and triple is
+    still checked and ``passed`` is exact.  The pair checks run in one
     pass over blocks of rows, which also finds whether the matrix equals its
     transpose entrywise.
 
@@ -429,10 +447,13 @@ def verify_metric_axioms(space: FiniteSpace) -> AxiomReport:
     the tile arithmetic), created for the call, and are gathered in order;
     with one usable CPU they run inline.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be a positive integer or None, got {limit!r}")
     d = space.dist
     n = space.n
     tol = space.tol
-    violations, symmetric = _pair_checks(d, tol)
+    violations, symmetric = _pair_checks(d, tol, limit)
+    left = _room(violations, limit)
 
     workers = min(_usable_cpus(), math.ceil(n / _ROW_BLOCK))
     # One buffer set per worker, allocated by the caller: after the scan the
@@ -448,7 +469,7 @@ def verify_metric_axioms(space: FiniteSpace) -> AxiomReport:
         for _ in range(workers)
     ]
     if workers == 1:
-        violations += _triangle_scan(d, tol, symmetric, free, map)
+        violations += _triangle_scan(d, tol, symmetric, free, map, left)
     else:
         # imported here, not with the module: it loads logging, ~10 ms
         from concurrent.futures import ThreadPoolExecutor
@@ -460,6 +481,7 @@ def verify_metric_axioms(space: FiniteSpace) -> AxiomReport:
             violations += _triangle_scan(
                 d, tol, symmetric, free,
                 lambda task, items: pool.map(lambda item: caller.copy().run(task, item), items),
+                left,
             )
 
     return AxiomReport(passed=not violations, violations=violations)

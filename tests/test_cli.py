@@ -2,10 +2,14 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
+from atsuji import FiniteSpace, convergent_sequence, remetrize, verify_metric_axioms
+from atsuji import cli
 from atsuji.cli import main
 
 
@@ -72,6 +76,38 @@ def test_other_commands_reject_invalid_matrix(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "triangle" in err
+
+
+def test_grossly_non_metric_matrix_exits_2_without_listing_every_violation(
+    tmp_path, capsys, monkeypatch
+):
+    # about a sixth of the 120^3 ordered triples violate: listing them all
+    # took some 49 MB, where the message needs only the first.  Traced is the
+    # validation alone, since parsing the spec already peaks near 1 MB.
+    n = 120
+    rng = np.random.default_rng(3)
+    d = np.triu(rng.uniform(0.0, 1.0, (n, n)), k=1)
+    d = d + d.T
+    ids = [f"p{k}" for k in range(n)]
+    spec = write_spec(tmp_path, {"space": {"kind": "matrix", "ids": ids, "matrix": d.tolist()}})
+    validate, peaks = cli._validate_matrix_arm, []
+
+    def traced_validate(*args):
+        tracemalloc.start()
+        try:
+            return validate(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_validate_matrix_arm", traced_validate)
+    assert main(["atsuji", spec]) == 2
+    first = verify_metric_axioms(FiniteSpace(ids=tuple(ids), dist=d)).violations[0]
+    assert capsys.readouterr().err == (
+        f"error: space.matrix: violates the {first.kind} axiom at indices "
+        f"{first.where} (magnitude {first.magnitude!r})\n"
+    )
+    assert len(peaks) == 1 and peaks[0] < 1_000_000
 
 
 def test_malformed_spec_names_field(tmp_path, capsys):
@@ -242,6 +278,10 @@ def test_remetrize_fallback_flag_and_note(tmp_path):
     assert any("fallback" in note for note in report["notes"])
 
 
+def hexes(rows):
+    return [[float(v).hex() for v in row] for row in rows]
+
+
 def test_remetrize_out_matrix_roundtrip(tmp_path):
     spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=50))
     out_matrix = tmp_path / "matrix_spec.json"
@@ -253,8 +293,22 @@ def test_remetrize_out_matrix_roundtrip(tmp_path):
     reloaded = json.loads(out_matrix.read_text(encoding="utf-8"))
     assert reloaded["space"]["kind"] == "matrix"
     assert reloaded["derived_set"] == {"kind": "oracle", "ids": ["zero"]}
-    # emitted matrix entries match the report bit for bit
-    assert reloaded["space"]["matrix"][1][2] == report["result"]["newdist"]["n1"]["n2"]
+    # every entry of the report and of the matrix file is the new metric's,
+    # bit for bit; its floors are powers of two, so entries repeat
+    space, derived = convergent_sequence(50)
+    newdist = remetrize(space, derived).newdist
+    assert len(np.unique(newdist)) < newdist.size // 4
+    ids = list(space.ids)
+    assert reloaded["space"]["ids"] == ids
+    assert hexes(reloaded["space"]["matrix"]) == hexes(newdist.tolist())
+    written = report["result"]["newdist"]
+    assert list(written) == ids and all(list(written[x]) == ids for x in ids)
+    assert hexes([written[x].values() for x in ids]) == hexes(newdist.tolist())
+
+    again = tmp_path / "matrix_spec_again.json"
+    assert main(["remetrize", spec, "--out", str(tmp_path / "again.json"),
+                 "--out-matrix", str(again)]) == 0
+    assert again.read_bytes() == out_matrix.read_bytes()
 
     code2, report2 = run_to_file(
         tmp_path, ["check-metric", str(out_matrix)], name="roundtrip.json"

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atsuji.cli import _emit, main
+from atsuji.cli import _emit, _Matrix, _report_text, main
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
-TRICKY_CHARS = [", ", ",\x00", "\x00", '"', "\\", "\n", "\x7f", "é", " ",
+TRICKY_CHARS = [", ", ",\x00", "\x00", "%", '"', "\\", "\n", "\x7f", "é", " ",
                 "\U0001f600", "\ud800", "\udfff", "a", "[", "}", ": "]
 
 texts = st.one_of(st.text(), st.lists(st.sampled_from(TRICKY_CHARS)).map("".join))
@@ -117,19 +117,101 @@ def test_emit_to_file_matches_stdout(tmp_path):
     assert out.read_text(encoding="utf-8") == emitted(report) == dumped(report)
 
 
+# --- matrix leaves ------------------------------------------------------------
+
+MATRIX_FLOATS = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -2.5, 0.1]
+
+
+def plain(tree):
+    """``tree`` with each _Matrix replaced by the nested dicts or lists that
+    json.dumps would write for it."""
+    if isinstance(tree, _Matrix):
+        rows = tree.values.tolist()
+        if tree.ids is None:
+            return rows
+        return {x: dict(zip(tree.ids, row)) for x, row in zip(tree.ids, rows)}
+    if isinstance(tree, dict):
+        return {key: plain(value) for key, value in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [plain(value) for value in tree]
+    return tree
+
+
+@st.composite
+def matrices(draw):
+    """An n x n matrix, n in 1..5, not symmetric in general, whose entries
+    repeat and include both zeros and the extreme magnitudes; with or
+    without ids."""
+    n = draw(st.integers(1, 5))
+    entries = st.sampled_from(MATRIX_FLOATS) | finite_floats
+    values = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    ids = draw(st.none() | st.lists(texts, min_size=n, max_size=n, unique=True).map(tuple))
+    return _Matrix(values, ids)
+
+
+@st.composite
+def trees_with_a_matrix(draw):
+    """A matrix at depth 0 to 3, with siblings before and after it."""
+    tree = draw(matrices())
+    for _ in range(draw(st.integers(0, 3))):
+        before = draw(st.lists(trees, max_size=2))
+        after = draw(st.lists(trees, max_size=2))
+        if draw(st.booleans()):
+            tree = [*before, tree, *after]
+        else:
+            keys = draw(st.lists(texts, min_size=3, max_size=3, unique=True))
+            tree = {keys[0]: before, keys[1]: tree, keys[2]: after}
+    return tree
+
+
+@settings(max_examples=400, deadline=None)
+@given(trees_with_a_matrix())
+def test_a_matrix_is_written_as_json_dumps_writes_its_rows(tree):
+    assert "".join(_report_text(tree)) == dumped(plain(tree))
+
+
+@pytest.mark.parametrize(
+    "rows, ids",
+    [
+        ([[1.0, float("nan")], [float("inf"), 0.0]], None),
+        ([[1.0, float("-inf")], [float("nan"), 0.0]], ("a", "b")),
+        ([[float("inf")]], ("a",)),
+    ],
+    ids=["nan-first", "-inf-first", "1x1-inf"],
+)
+def test_a_non_finite_matrix_raises_json_dumps_error_before_opening_out(tmp_path, rows, ids):
+    tree = {"before": [1.5], "m": _Matrix(np.array(rows), ids)}
+    with pytest.raises(ValueError) as expected:
+        dumped(plain(tree))
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError) as raised:
+        _emit(tree, str(out))
+    assert str(raised.value) == str(expected.value)
+    assert not out.exists()
+
+
 NO_ACCELERATOR = """
 import sys
 sys.modules["_json"] = None  # json falls back to its pure-Python encoder
 import json
 from json import encoder
 assert encoder.c_make_encoder is None
-from atsuji.cli import _report_text
+import numpy as np
+from atsuji.cli import _Matrix, _report_text
 trees = [
     {"newdist": {"a": {"a": 0.0, "b": 0.1}, "b": {"a": 0.1, "b": 0.0}}, "ids": ["a", "\\ud800,\\x00"]},
     [[], {}, [[1, 2.5e-300, None, True]], {"k": (), 1: [-0.0], None: {"x": "\\u00e9"}}],
 ]
 for tree in trees:
     assert "".join(_report_text(tree)) == json.dumps(tree, indent=2, allow_nan=False) + "\\n"
+values = np.array([[0.0, -0.0], [0.1, 0.1]])
+ids = ("\\ud800,\\x00", "%\\u00e9")
+rows = values.tolist()
+for tree, expected in [
+    ({"m": _Matrix(values, ids)}, {"m": {x: dict(zip(ids, row)) for x, row in zip(ids, rows)}}),
+    ([_Matrix(values)], [rows]),
+]:
+    assert "".join(_report_text(tree)) == json.dumps(expected, indent=2, allow_nan=False) + "\\n"
 try:
     _report_text({"row": [1.0, float("nan")]})
 except ValueError as exc:

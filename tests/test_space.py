@@ -551,6 +551,31 @@ def test_half_and_full_scans_list_exactly_the_per_j_violations(case, one_ulp_asy
     assert report.passed == (not got)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    scan_cases() | symmetric_scan_cases().map(lambda case: case[:2]),
+    st.integers(1, 3) | st.integers(4, 80),
+    st.sampled_from([3, 5, _PAIR_BLOCK]),
+)
+def test_a_limited_listing_is_the_full_listing_cut_at_the_limit(case, limit, pair_block):
+    d, tol = case
+    space = FiniteSpace(ids=tuple(f"p{k}" for k in range(len(d))), dist=d, tol=tol)
+    with mock.patch.object(space_module, "_PAIR_BLOCK", pair_block):
+        full = verify_metric_axioms(space)
+        cut = verify_metric_axioms(space, limit=limit)
+    listed = [(v.kind, v.where, float(v.magnitude).hex()) for v in cut.violations]
+    assert listed == [(v.kind, v.where, float(v.magnitude).hex()) for v in full.violations][:limit]
+    assert cut.passed == full.passed
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_a_limit_below_one_is_rejected(limit):
+    space = FiniteSpace(ids=("a", "b"), dist=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="limit must be a positive integer"):
+        verify_metric_axioms(space, limit=limit)
+
+
 def test_scan_holds_no_n_squared_buffer(monkeypatch):
     # inline, so one buffer set of the triangle scan is alive; a single n^2
     # temporary, such as |d - d.T|, would add 8n^2 bytes on its own
