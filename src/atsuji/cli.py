@@ -52,7 +52,7 @@ from .space import (
     verify_metric_axioms,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _BUILTIN_PARAMS = {
     "sequence_grid_E": ("i_max", "j_max", "include_origin"),
@@ -201,30 +201,58 @@ def _build_matrix(spec: dict) -> FiniteSpace:
         raise SpecError("space", str(exc)) from exc
 
 
-def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
-    """Parse and validate a spec file; returns (space, derived, echo, kind)."""
+def _parse(path: str) -> Any:
+    """The parsed spec file; its text is freed on return, before any build."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SpecError("spec_path", str(exc)) from exc
     try:
-        data = json.loads(raw)
+        return json.loads(raw)
     except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise SpecError("spec", f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise SpecError("spec", "invalid JSON: nested too deeply") from None
-    _typed(data, "spec", dict)
+
+
+def _compact(points: list) -> bytes:
+    """``space.points`` as compact JSON.  JSON has no NaN or infinity, so one
+    anywhere in it (say, in an entry's extra field) is an input error."""
+    try:
+        return json.dumps(points, separators=(",", ":"), allow_nan=False).encode()
+    except (ValueError, RecursionError) as exc:
+        raise SpecError("space.points", str(exc)) from None
+
+
+def _echo(data: dict, space: FiniteSpace, key: str, kind: str, payload) -> dict:
+    """The spec, its inline ``space.<key>`` replaced by the sha256 of the
+    payload's bytes.  hashlib is imported here: at module level it would load
+    OpenSSL into every run."""
+    import hashlib
+
+    digest = {"kind": kind, "n": space.n, "sha256": hashlib.sha256(payload).hexdigest()}
+    return {**data, "space": {**data["space"], key: digest}}
+
+
+def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
+    """Parse and validate a spec file; returns (space, derived, echo, kind), the
+    echo holding an inline ``space.points`` or ``space.matrix`` as its digest."""
+    data = _typed(_parse(path), "spec", dict)
 
     space_spec = _get(data, "space", "spec", dict)
     kind = _get(space_spec, "kind", "space")
 
     oracle: DerivedSetView | None = None
+    echo = data
     if kind == "builtin":
         space, oracle = _build_builtin(space_spec)
     elif kind == "points_l2":
         space = _build_points(space_spec)
+        echo = _echo(data, space, "points", "json-compact", _compact(space_spec["points"]))
     elif kind == "matrix":
         space = _build_matrix(space_spec)
+        # hashed through the matrix's buffer: no copy on a little-endian machine
+        echo = _echo(data, space, "matrix", "float64-le", np.asarray(space.dist, dtype="<f8"))
     else:
         raise SpecError("space.kind", f"unknown kind {kind!r}; "
                         "expected 'builtin', 'points_l2', or 'matrix'")
@@ -253,7 +281,7 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
             raise SpecError("derived_set.kind", f"unknown kind {dkind!r}; "
                             "expected 'oracle', 'detect', or 'empty'")
 
-    return space, derived, data, kind
+    return space, derived, echo, kind
 
 
 # --- report serialization ------------------------------------------------
@@ -269,12 +297,8 @@ def _witness_obj(w: WitnessPair | None) -> dict | None:
     return {"x": w.x, "y": w.y, "distance": _num(w.distance), "gap": _num(w.gap)}
 
 
-def _pair_obj(pair: tuple[str, str] | None) -> list[str] | None:
-    return None if pair is None else [pair[0], pair[1]]
-
-
 def _isolation_obj(rep: IsolationReport) -> dict:
-    return {"eta": _num(rep.eta), "witness": _pair_obj(rep.witness)}
+    return {"eta": _num(rep.eta), "witness": rep.witness}
 
 
 def _axiom_obj(space: FiniteSpace, report: AxiomReport) -> dict:
@@ -283,7 +307,7 @@ def _axiom_obj(space: FiniteSpace, report: AxiomReport) -> dict:
         "violations": [
             {
                 "kind": v.kind,
-                "indices": list(v.where),
+                "indices": v.where,
                 "ids": [space.ids[k] for k in v.where],
                 "magnitude": _num(v.magnitude),
             }
@@ -313,85 +337,17 @@ class _Matrix:
         self.ids = ids
 
 
-# A report is the text of json.dumps(report, indent=2, allow_nan=False) plus a
-# newline.  With an indent, json formats every value in pure Python and joins
-# millions of chunks, so only the containers are walked here: a container of
-# scalars (a matrix row, a violation's ids) is one call of the C encoder, whose
-# item separator ",\x00" then becomes a comma, newline and indent.  A raw \x00
-# can only be that separator, since ensure_ascii escapes control characters.
-_FLAT = json.JSONEncoder(separators=(",\x00", ": "), allow_nan=False)
-_SCALARS = (str, int, float, type(None))  # bool is an int
-_SCALAR_TYPES = frozenset((*_SCALARS, bool))
-_STR = frozenset((str,))
-_ascii = json.encoder.encode_basestring_ascii
-
-if json.encoder.c_make_encoder is None:  # no accelerator: json's pure-Python encoder
-    _flat = _FLAT.encode
-else:
-    # built once, where JSONEncoder.encode builds one per call; without
-    # markers, since a scalar or a container of scalars holds no cycle
-    _C_FLAT = json.encoder.c_make_encoder(
-        None, _FLAT.default, _ascii, None, _FLAT.key_separator, _FLAT.item_separator,
-        False, False, False,
-    )
-
-    def _flat(value: Any) -> str:
-        return "".join(_C_FLAT(value, 0))
-
-
-def _scalar(value: Any) -> str:
-    if isinstance(value, str):
-        return _ascii(value)
-    if isinstance(value, float):  # formatted as both of json's encoders do
-        if not math.isfinite(value):
-            # json's pure-Python message, which names the value
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    return _flat(value)
-
-
-def _key(key: Any) -> str:
-    if not isinstance(key, str):
-        if not isinstance(key, _SCALARS):
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {type(key).__name__}")
-        key = _scalar(key)
-    return _ascii(key)
-
-
-def _all(kinds: type | tuple, exact: frozenset, values) -> bool:
-    """Whether every value is an instance of ``kinds``; the set of exact
-    types ``exact`` answers most containers in one set operation."""
-    types = set(map(type, values))
-    return types <= exact or all(issubclass(t, kinds) for t in types)
-
-
-def _members(container: list | tuple | dict, indent: str):
-    """(prefix, member) pairs of a container, the prefix holding the comma,
-    newline, indent and any key; lazily, so an error comes from the first bad
-    key or value in document order."""
-    before = indent
-    if isinstance(container, dict):
-        for key, member in container.items():
-            yield before + _key(key) + ": ", member
-            before = "," + indent
-    else:
-        for member in container:
-            yield before, member
-            before = "," + indent
-
-
 def _heads(keys: tuple[str, ...] | None, opening: str, indent: str, count: int) -> list[str]:
     """The text before each of ``count`` members of a container: the opening
     bracket or a comma, the newline and indent, and the member's key if any."""
     if keys is None:
         return [opening + indent] + ["," + indent] * (count - 1)
-    keys = [_ascii(key) + ": " for key in keys]
+    keys = [json.encoder.encode_basestring_ascii(key) + ": " for key in keys]
     return [opening + indent + keys[0]] + ["," + indent + key for key in keys[1:]]
 
 
-def _matrix_text(matrix: _Matrix, prefix: str, indent: str) -> list[str]:
-    """The pieces of a matrix member whose rows are indented by ``indent``.
+def _matrix_text(matrix: _Matrix, indent: str) -> list[str]:
+    """The pieces of a matrix whose rows are indented by ``indent``.
 
     Each distinct entry is formatted once: the entries are deduplicated by
     bit pattern (so -0.0 and 0.0 stay apart), and a row is one join of the
@@ -404,14 +360,15 @@ def _matrix_text(matrix: _Matrix, prefix: str, indent: str) -> list[str]:
     distinct = distinct.view(np.float64)
     if not np.isfinite(distinct).all():
         # json's error, which names the first non-finite entry in row order
-        _scalar(float(values.flat[np.argmin(np.isfinite(values))]))
+        bad = float(values.flat[np.argmin(np.isfinite(values))])
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
     texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
     rows, columns = values.shape
     parts: list[str] = [""] * (2 * columns + 1)  # heads and texts, interleaved
     parts[0::2] = _heads(matrix.ids, opening, indent + "  ", columns) + [indent + closing]
     first = parts[0]
     pieces = []
-    for head, row in zip(_heads(matrix.ids, prefix + opening, indent, rows), inverse):
+    for head, row in zip(_heads(matrix.ids, opening, indent, rows), inverse):
         parts[0] = head + first
         parts[1::2] = texts[row].tolist()
         pieces.append("".join(parts))
@@ -420,49 +377,32 @@ def _matrix_text(matrix: _Matrix, prefix: str, indent: str) -> list[str]:
 
 
 def _report_text(report: Any) -> list[str]:
-    """The pieces of ``json.dumps(report, indent=2, allow_nan=False) + "\\n"``.
+    """The pieces of ``json.dumps(report, indent=2, allow_nan=False) + "\\n"``,
+    each _Matrix leaf written as json.dumps writes its rows.
 
-    The walk keeps its own stack of open containers, so no nesting depth
-    reaches the recursion limit."""
+    json's own encoder writes the report; for a matrix, ``default`` returns
+    None, and the ``null`` chunk that json yields next is replaced by the
+    matrix's text, indented one step past the line it starts on."""
+    matrices: list[_Matrix] = []
+
+    def default(value: Any) -> Any:
+        if isinstance(value, _Matrix):
+            matrices.append(value)
+            return None
+        return json.JSONEncoder.default(encoder, value)
+
+    encoder = json.JSONEncoder(indent=2, allow_nan=False, default=default)
     pieces: list[str] = []
-    stack = [(iter([("", report)]), "\n", None)]  # (members, closing text, id)
-    open_ids = set()
-    while stack:
-        members, closing, _ = stack[-1]
-        indent = "\n" + "  " * len(stack)  # of the members of a member container
-        for prefix, value in members:
-            if isinstance(value, _Matrix):
-                pieces += _matrix_text(value, prefix, indent)
+    try:
+        for chunk in encoder.iterencode(report):
+            if not matrices:
+                pieces.append(chunk)
                 continue
-            if not isinstance(value, (list, tuple, dict)):
-                pieces.append(prefix + _scalar(value))
-                continue
-            is_dict = isinstance(value, dict)
-            brackets = "{}" if is_dict else "[]"
-            if not value:
-                pieces.append(prefix + brackets)
-                continue
-            if _all(_SCALARS, _SCALAR_TYPES, value.values() if is_dict else value) and (
-                not is_dict or _all(str, _STR, value)
-            ):
-                try:
-                    text = _flat(value)
-                except ValueError:
-                    pass  # walked below, to raise the pure-Python encoder's error
-                else:
-                    pieces += (prefix + text[0] + indent,
-                               text[1:-1].replace("\x00", indent),
-                               indent[:-2] + text[-1])
-                    continue
-            if id(value) in open_ids:
-                raise ValueError("Circular reference detected")
-            open_ids.add(id(value))
-            pieces.append(prefix + brackets[0])
-            stack.append((_members(value, indent), indent[:-2] + brackets[1], id(value)))
-            break
-        else:
-            open_ids.discard(stack.pop()[2])
-            pieces.append(closing)
+            line = next((piece for piece in reversed(pieces) if "\n" in piece), "\n")
+            pieces += _matrix_text(matrices.pop(), line[line.rfind("\n"):] + "  ")
+    except RecursionError:  # json's encoder recurses once per nesting level
+        raise ValueError("report: nested too deeply to encode") from None
+    pieces.append("\n")
     return pieces
 
 
@@ -566,14 +506,14 @@ def _cmd_remetrize(space, derived, args, spec_echo) -> tuple:
         "axioms": _axiom_obj(new_space, axioms),
         "same_topology": {
             "passed": topology.passed,
-            "witness": _pair_obj(topology.witness),
+            "witness": topology.witness,
             "failed_check": topology.failed_check,
         },
         "isolation_bounds": {
             repr(eta): {
                 "passed": rep.passed,
                 "n": rep.n,
-                "witness": _pair_obj(rep.witness),
+                "witness": rep.witness,
                 "observed_eta": _num(rep.observed_eta),
             }
             for eta, rep in bounds.items()
@@ -601,7 +541,7 @@ def _cmd_remetrize(space, derived, args, spec_echo) -> tuple:
 
     ok = axioms.passed and topology.passed and all(r.passed for r in bounds.values())
     witnesses = [
-        {"check": name, "pair": _pair_obj(pair)}
+        {"check": name, "pair": pair}
         for name, pair in [
             ("same_topology", topology.witness),
             *[(f"isolation_bound({eta!r})", rep.witness) for eta, rep in bounds.items()],

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -792,3 +794,79 @@ def test_a_tol_flag_shares_the_loaded_matrix(tmp_path, monkeypatch, capsys):
     assert main(["net", spec, "--eps", "0.5", "--tol", "0.125"]) == 0
     assert seen[0].tol == 0.125
     assert seen[0].dist is loaded[0][0].dist
+
+
+# --- schema 2: an inline payload is echoed as the sha256 of its canonical bytes
+
+
+def test_matrix_echo_is_the_digest_of_its_float64_bytes(tmp_path):
+    matrix = [[0, 1, 2.5], [1, 0, 1.5], [2.5, 1.5, 0]]  # int entries are floats too
+    spec = write_spec(tmp_path, {**matrix_spec(["a", "b", "c"], matrix), "tol": 1e-9})
+    code, report = run_to_file(tmp_path, ["check-metric", spec])
+    assert code == 0 and report["schema_version"] == 2
+    digest = hashlib.sha256(np.asarray(matrix, dtype="<f8")).hexdigest()
+    assert report["inputs"]["spec"] == {
+        "space": {"kind": "matrix", "ids": ["a", "b", "c"],
+                  "matrix": {"kind": "float64-le", "n": 3, "sha256": digest}},
+        "tol": 1e-9,
+    }
+
+
+def test_points_echo_is_the_digest_of_their_compact_json(tmp_path):
+    # the digest is of the parsed points, so the file's layout and number
+    # spellings do not enter it; every other field is echoed verbatim
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"comment": [1, {"x": null}], "space": {"kind": "points_l2", "points": [\n'
+                    '  {"id": "a", "coords": {"1": 1.50e0}, "note": "\\u00e9"},\n'
+                    '  {"id": "b", "coords": {"2": 2}}]}, "derived_set": {"kind": "empty"}}',
+                    encoding="utf-8")
+    points = json.loads(spec.read_text(encoding="utf-8"))["space"]["points"]
+    compact = '[{"id":"a","coords":{"1":1.5},"note":"\\u00e9"},{"id":"b","coords":{"2":2}}]'
+    assert json.dumps(points, separators=(",", ":"), allow_nan=False) == compact
+    code, report = run_to_file(tmp_path, ["net", str(spec), "--eps", "0.5"])
+    assert code == 0
+    digest = hashlib.sha256(compact.encode("ascii")).hexdigest()
+    assert report["inputs"]["spec"] == {
+        "comment": [1, {"x": None}],
+        "space": {"kind": "points_l2",
+                  "points": {"kind": "json-compact", "n": 2, "sha256": digest}},
+        "derived_set": {"kind": "empty"},
+    }
+
+
+def test_out_matrix_echo_is_the_digest_of_the_reports_newdist(tmp_path):
+    spec = write_spec(tmp_path, builtin("sequence_grid_E", i_max=3, j_max=4, include_origin=True))
+    out_matrix = tmp_path / "m.json"
+    code, first = run_to_file(tmp_path, ["remetrize", spec, "--out-matrix", str(out_matrix)])
+    assert code == 0
+    assert first["inputs"]["spec"] == json.loads(Path(spec).read_text(encoding="utf-8"))
+    code, second = run_to_file(tmp_path, ["check-metric", str(out_matrix)], name="second.json")
+    assert code == 0
+    newdist = first["result"]["newdist"]
+    values = np.array([list(row.values()) for row in newdist.values()], dtype="<f8")
+    assert second["inputs"]["spec"]["space"]["matrix"] == {
+        "kind": "float64-le", "n": len(newdist), "sha256": hashlib.sha256(values).hexdigest(),
+    }
+
+
+def test_load_spec_keeps_only_the_matrix_of_a_matrix_spec(tmp_path):
+    """Neither the spec's text nor its parsed lists outlive load_spec: the
+    text is freed before the space is built, and the echo holds a digest."""
+    n = 300
+    coords = np.random.default_rng(0).random((n, 3))
+    matrix = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(axis=2))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(matrix_spec([f"p{k}" for k in range(n)], matrix.tolist())),
+                    encoding="utf-8")
+    del coords, matrix
+    tracemalloc.start()
+    try:
+        loaded = cli.load_spec(str(spec))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded[0].n == n
+    # the text is 2.5 matrices and the parsed lists 4; holding the text
+    # while building, as before, peaked at 7.59 matrices and held 5.07
+    assert held < 1.5 * 8 * n * n
+    assert peak < 7.0 * 8 * n * n

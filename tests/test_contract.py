@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atsuji import cli
 from atsuji.cli import main
 
 
@@ -193,3 +194,26 @@ def test_builtin_name_of_the_wrong_type_is_input_error(tmp_path, capsys, name):
     spec.write_text(json.dumps({"space": {"kind": "builtin", "name": name}}), encoding="utf-8")
     assert main(["check-metric", str(spec)]) == 2
     assert capsys.readouterr().err == f"error: space.name: must be a JSON string, got {name!r}\n"
+
+
+@pytest.mark.parametrize("note", ["NaN", "-Infinity", "1e400", '[{"deep": NaN}]'])
+def test_a_non_finite_value_in_a_point_entry_is_input_error_at_load(tmp_path, monkeypatch, note):
+    # the echo digests the points as JSON, which has no NaN or infinity: the
+    # spec is rejected at load, before any command computes or writes
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"space": {"kind": "points_l2", "points": [{"id": "a", "coords": {}, '
+                    f'"note": {note}}}, {{"id": "b", "coords": {{"1": 1}}}}]}}}}', encoding="utf-8")
+    ran = []
+    for name in list(cli._COMMANDS):
+        monkeypatch.setitem(cli._COMMANDS, name, lambda *args: ran.append(args))
+    out, matrix = tmp_path / "report.json", tmp_path / "matrix.json"
+    for command in commands("a", "b", str(matrix)):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([command[0], str(spec), *command[1:], "--out", str(out)])
+        err = stderr.getvalue()
+        assert code == 2
+        assert err.startswith("error: space.points: Out of range float values") and (
+            err.count("\n") == 1 and err.endswith("\n")), err
+        assert not out.exists() and not matrix.exists()
+    assert ran == []

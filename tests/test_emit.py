@@ -110,6 +110,17 @@ def test_emit_rejects_a_circular_report():
         emitted(loop)
 
 
+def test_emit_raises_an_input_error_on_a_report_too_deep_to_encode(tmp_path):
+    # json's encoder recurses once per level; main exits 2 on a ValueError
+    deep = [1.5]
+    for _ in range(2 * sys.getrecursionlimit()):
+        deep = [deep]
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="nested too deeply"):
+        _emit({"inputs": deep}, str(out))
+    assert not out.exists()
+
+
 def test_emit_to_file_matches_stdout(tmp_path):
     report = {"rows": [[0.5, 1.0], [1.0, 0.5]], "ids": ["a", "b"], "nested": {"x": [{}]}}
     out = tmp_path / "report.json"
@@ -249,19 +260,22 @@ def test_non_finite_echo_exits_2_and_leaves_no_report(tmp_path, capsys, extra, c
     assert not out.exists()
 
 
-def nested(depth: int) -> str:
-    """An echoed field nested ``depth`` deep, lists and dicts alternating,
-    around a non-empty innermost leaf."""
+def nested(depth: int, lists_only: bool) -> str:
+    """An echoed field nested ``depth`` deep, lists and dicts alternating or
+    lists only, around a non-empty innermost leaf."""
     text = '{"leaf": [1, 2.5, "x"]}'
     for k in range(depth):
-        text = f"[{text}]" if k % 2 else f'{{"k": {text}}}'
+        text = f"[{text}]" if k % 2 or lists_only else f'{{"k": {text}}}'
     return text
 
 
-@pytest.mark.parametrize("depth", [500, 900, 960, 980, 990, 995, 998])
-def test_deeply_nested_echo_is_echoed_or_input_error(tmp_path, depth):
+@pytest.mark.parametrize("depth, lists_only", [
+    *[pytest.param(depth, False, id=str(depth)) for depth in (500, 900, 960, 980, 990, 995, 998)],
+    *[pytest.param(depth, True, id=f"lists-{depth}") for depth in (500, 980, 990, 998)],
+])
+def test_deeply_nested_echo_is_echoed_or_input_error(tmp_path, depth, lists_only):
     spec = tmp_path / "spec.json"
-    spec.write_text(builtin_with(f'"comment": {nested(depth)}'), encoding="utf-8")
+    spec.write_text(builtin_with(f'"comment": {nested(depth, lists_only)}'), encoding="utf-8")
     out = tmp_path / "report.json"
     proc = subprocess.run(
         [sys.executable, "-m", "atsuji", "net", str(spec), "--eps", "0.5", "--out", str(out)],
