@@ -215,13 +215,13 @@ def _parse(path: str) -> Any:
         raise SpecError("spec", "invalid JSON: nested too deeply") from None
 
 
-def _compact(points: list) -> bytes:
-    """``space.points`` as compact JSON.  JSON has no NaN or infinity, so one
-    anywhere in it (say, in an entry's extra field) is an input error."""
+def _compact(value: Any, field: str) -> str:
+    """The spec's ``field`` as compact JSON.  JSON has no NaN or infinity, so
+    one anywhere in it (say, in an entry's extra field) is an input error."""
     try:
-        return json.dumps(points, separators=(",", ":"), allow_nan=False).encode()
+        return json.dumps(value, separators=(",", ":"), allow_nan=False)
     except (ValueError, RecursionError) as exc:
-        raise SpecError("space.points", str(exc)) from None
+        raise SpecError(field, str(exc)) from None
 
 
 def _echo(data: dict, space: FiniteSpace, key: str, kind: str, payload) -> dict:
@@ -248,7 +248,8 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
         space, oracle = _build_builtin(space_spec)
     elif kind == "points_l2":
         space = _build_points(space_spec)
-        echo = _echo(data, space, "points", "json-compact", _compact(space_spec["points"]))
+        points = _compact(space_spec["points"], "space.points").encode()
+        echo = _echo(data, space, "points", "json-compact", points)
     elif kind == "matrix":
         space = _build_matrix(space_spec)
         # hashed through the matrix's buffer: no copy on a little-endian machine
@@ -281,6 +282,8 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
             raise SpecError("derived_set.kind", f"unknown kind {dkind!r}; "
                             "expected 'oracle', 'detect', or 'empty'")
 
+    for key, value in echo.items():  # the report must encode, so fail here, not after the run
+        _compact(value, key)
     return space, derived, echo, kind
 
 

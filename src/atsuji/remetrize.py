@@ -54,7 +54,9 @@ class RemetrizedSpace:
     levels (absent for derived-set members, and empty in fallback mode).
 
     ``space`` is the remetrized space as a plain FiniteSpace (same ids and
-    tol), built at construction; ``newdist`` is its read-only matrix.
+    tol), built at construction; ``newdist`` is its read-only matrix.  A
+    read-only float64 ``newdist``, such as the fresh one :func:`remetrize`
+    builds, is adopted without a copy; any other is copied.
     """
 
     base: FiniteSpace
@@ -65,7 +67,9 @@ class RemetrizedSpace:
     space: FiniteSpace = field(init=False, repr=False)
 
     def __post_init__(self):
-        space = FiniteSpace(ids=self.base.ids, dist=self.newdist, tol=self.base.tol)
+        d = self.newdist
+        fresh = isinstance(d, np.ndarray) and d.dtype == np.float64 and not d.flags.writeable
+        space = (FiniteSpace._adopt if fresh else FiniteSpace)(self.base.ids, d, self.base.tol)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "newdist", space.dist)
 
@@ -135,6 +139,7 @@ def remetrize(base: FiniteSpace, derived: DerivedSetView) -> RemetrizedSpace:
     newdist[member_mask, :] = base.dist[member_mask, :]
     newdist[:, member_mask] = base.dist[:, member_mask]
     np.fill_diagonal(newdist, 0.0)
+    newdist.setflags(write=False)  # so RemetrizedSpace adopts it
 
     return RemetrizedSpace(
         base=base,

@@ -19,8 +19,11 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -74,7 +77,10 @@ class PointSpec:
         for slot, value in self.coords.items():
             if not isinstance(slot, int) or slot < 1:
                 raise ValueError(f"point {self.id!r}: slot {slot!r} must be an integer >= 1")
-            v = float(value)
+            try:
+                v = float(value)
+            except OverflowError:  # an integer beyond the largest double
+                v = math.inf
             if not math.isfinite(v):
                 raise ValueError(f"point {self.id!r}: coordinate in slot {slot} is not finite")
             if v != 0.0:
@@ -88,7 +94,7 @@ def _point_ids(ids: Iterable[PointId]) -> tuple[PointId, ...]:
     if not ids:
         raise ValueError("a finite space needs at least one point")
     if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
         raise DuplicatePointError(f"duplicate point ids: {dupes}")
     return ids
 
@@ -295,43 +301,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _room(found: list, limit: int | None) -> int | None:
-    """How many more violations a listing of ``limit`` takes after ``found``."""
-    return None if limit is None else limit - len(found)
-
-
-def _pair_checks(
-    d: np.ndarray, tol: float, limit: int | None
-) -> tuple[list[Violation], bool]:
-    """The nonneg, symmetry and identity violations, in report order, and
-    whether ``d`` equals ``d.T`` entrywise; one pass over blocks of rows, so
-    no n x n temporary is held.  A row block compares its entries from the
-    diagonal on with their mirrors, which covers every pair once.  Each kind
-    lists at most ``limit`` violations, and the result is cut to ``limit``."""
-    nonneg, symmetry, apart = [], [], []
+def _symmetry(d: np.ndarray, tol: float):
+    """Yield the symmetry violations in row order and return whether ``d``
+    equals ``d.T`` entrywise.  A row block compares its entries from the
+    diagonal on with their mirrors, which covers every pair once."""
     symmetric = True
     buffer = np.empty(min(_PAIR_BLOCK, len(d)) * len(d))
     for start in range(0, len(d), _PAIR_BLOCK):
-        rows = d[start : start + _PAIR_BLOCK]
-        for i, j in np.argwhere(rows < -tol)[: _room(nonneg, limit)]:
-            nonneg.append(Violation("nonneg", (start + int(i), int(j)), float(-rows[i, j])))
-        upper = rows[:, start:]  # local (i, j) is the pair (start + i, start + j)
+        upper = d[start : start + _PAIR_BLOCK, start:]  # local (i, j) is (start + i, start + j)
         gap = buffer[: upper.size].reshape(upper.shape)
-        np.subtract(upper, d[start:, start : start + len(rows)].T, out=gap)
+        np.subtract(upper, d[start:, start : start + len(upper)].T, out=gap)
         np.abs(gap, out=gap)
         symmetric = symmetric and not gap.any()
-        for i, j in np.argwhere(np.triu(gap > tol, k=1))[: _room(symmetry, limit)]:
-            where = (start + int(i), start + int(j))
-            symmetry.append(Violation("symmetry", where, float(gap[i, j])))
-        for i, j in np.argwhere(np.triu(upper <= tol, k=1))[: _room(apart, limit)]:
-            where = (start + int(i), start + int(j))
-            apart.append(Violation("identity", where, float(tol - upper[i, j])))
-    diag = np.abs(np.diagonal(d))
-    identity = [
-        Violation("identity", (int(i), int(i)), float(diag[i]))
-        for i in np.flatnonzero(diag > tol)[:limit]
-    ]
-    return (nonneg + symmetry + identity + apart)[:limit], symmetric
+        for i, j in np.argwhere(np.triu(gap > tol, k=1)):
+            yield Violation("symmetry", (start + int(i), start + int(j)), float(gap[i, j]))
+    return symmetric
 
 
 def _triangle_block(
@@ -368,45 +352,74 @@ def _triangle_block(
         free.append(held)
 
 
-def _triangle_row(
-    d: np.ndarray, tol: float, free: list, limit: int | None, i: int
-) -> list[Violation]:
-    """The first ``limit`` triangle violations ``(i, j, k)`` of row ``i`` in
-    lexicographic order, listed chunk of middle points by chunk through the
-    tile memory of a buffer set taken from ``free`` and put back."""
+def _triangles(d: np.ndarray, tol: float, symmetric: bool):
+    """Yield the triangle violations in row order: decide the row blocks in
+    order, inline or on a pool created here, and list each block's flagged
+    rows once the block is decided.  A column flag marks rows only from its
+    own block's start on, so by then those rows are final.  A row is listed
+    chunk of middle points by chunk, from the per-triple differences."""
     n = len(d)
-    held = free.pop()
-    try:
-        chunk = min(_ROW_BLOCK * _MID_BLOCK, n)
-        flat = held[0][: chunk * n].reshape(chunk, n)
-        found: list[Violation] = []
-        for j0 in range(0, n, chunk):
-            if _room(found, limit) == 0:
-                break
-            mids = d[j0 : j0 + chunk]
-            excess = np.add(d[i, j0 : j0 + len(mids), None], mids, out=flat[: len(mids)])
-            np.subtract(d[i], excess, out=excess)
-            for j, k in np.argwhere(excess > tol)[: _room(found, limit)]:
-                found.append(Violation("triangle", (i, j0 + int(j), int(k)), float(excess[j, k])))
-        return found
-    finally:
-        free.append(held)
-
-
-def _triangle_scan(
-    d: np.ndarray, tol: float, symmetric: bool, free: list, run: Callable, limit: int | None
-) -> list[Violation]:
-    """Decide every row block, then list the first ``limit`` violations of
-    the flagged rows, in row order; ``run(task, items)`` maps a task over
-    items in order, inline or on a pool.  A flagged row has a violation, so
-    the first ``limit`` flagged rows hold the first ``limit`` violations."""
-    flagged = np.zeros(len(d), dtype=bool)
+    starts = range(0, n, _ROW_BLOCK)
+    workers = min(_usable_cpus(), len(starts))
+    # One buffer set per worker, allocated by the caller: after the scan the
+    # caller's heap reuses that memory, which a worker thread's allocator arena
+    # would keep.  A worker holds one set at a time, so pop never finds the
+    # list empty; list pop and append are atomic.
+    tile, row = _ROW_BLOCK * min(_MID_BLOCK, n) * n, _ROW_BLOCK * n
+    free = [(np.empty(tile), np.empty(row), np.empty(row)) for _ in range(workers)]
     decide = partial(_triangle_block, d, tol, free, symmetric)
-    for rows, columns in run(decide, range(0, len(d), _ROW_BLOCK)):
-        flagged[rows] = flagged[columns] = True
-    listing = np.flatnonzero(flagged)[:limit].tolist()
-    listed = run(partial(_triangle_row, d, tol, free, limit), listing)
-    return [v for row in listed for v in row][:limit]
+    pool = None
+    if workers == 1:
+        decided = map(decide, starts)
+    else:
+        # imported here, not with the module: it loads logging, ~10 ms
+        from concurrent.futures import ThreadPoolExecutor
+
+        # every task runs in a copy of the caller's context, so numpy's
+        # errstate (a context variable) holds in the workers as inline
+        caller = contextvars.copy_context()
+        pool = ThreadPoolExecutor(max_workers=workers)
+        decided = pool.map(lambda start: caller.copy().run(decide, start), starts)
+    try:
+        flagged = np.zeros(n, dtype=bool)
+        chunk = min(_ROW_BLOCK * _MID_BLOCK, n)
+        flat = None  # the listing's buffer, allocated at the first flagged row
+        for start, (rows, columns) in zip(starts, decided):
+            flagged[rows] = flagged[columns] = True
+            for i in start + np.flatnonzero(flagged[start : start + _ROW_BLOCK]):
+                if flat is None:
+                    flat = np.empty((chunk, n))
+                for j0 in range(0, n, chunk):
+                    mids = d[j0 : j0 + chunk]
+                    excess = np.add(d[i, j0 : j0 + len(mids), None], mids, out=flat[: len(mids)])
+                    np.subtract(d[i], excess, out=excess)
+                    for j, k in np.argwhere(excess > tol):
+                        where = (int(i), j0 + int(j), int(k))
+                        yield Violation("triangle", where, float(excess[j, k]))
+    finally:
+        if pool is not None:  # no block starts once the consumer stops
+            pool.shutdown(cancel_futures=True)
+
+
+def _violations(d: np.ndarray, tol: float):
+    """Yield every axiom violation of ``d`` in report order, each computed
+    only when the consumer asks for it: one pass over row blocks per pair
+    kind (nonneg, symmetry, diagonal identity, off-diagonal identity), so no
+    n x n temporary is held, and then the triangle scan."""
+    n = len(d)
+    for start in range(0, n, _PAIR_BLOCK):
+        rows = d[start : start + _PAIR_BLOCK]
+        for i, j in np.argwhere(rows < -tol):
+            yield Violation("nonneg", (start + int(i), int(j)), float(-rows[i, j]))
+    symmetric = yield from _symmetry(d, tol)
+    diag = np.abs(np.diagonal(d))
+    for i in np.flatnonzero(diag > tol):
+        yield Violation("identity", (int(i), int(i)), float(diag[i]))
+    for start in range(0, n, _PAIR_BLOCK):
+        upper = d[start : start + _PAIR_BLOCK, start:]
+        for i, j in np.argwhere(np.triu(upper <= tol, k=1)):
+            yield Violation("identity", (start + int(i), start + int(j)), float(tol - upper[i, j]))
+    yield from _triangles(d, tol, symmetric)
 
 
 def verify_metric_axioms(space: FiniteSpace, limit: int | None = None) -> AxiomReport:
@@ -415,10 +428,10 @@ def verify_metric_axioms(space: FiniteSpace, limit: int | None = None) -> AxiomR
     Every breach beyond ``space.tol`` is reported; the scan never samples.
     Violations are listed by kind (nonneg, symmetry, identity, triangle) and
     lexicographically by index within each kind.  A positive ``limit`` lists
-    only the first ``limit`` of them, a canonical prefix of the full list:
-    it cuts the listing, never the deciding, so every pair and triple is
-    still checked and ``passed`` is exact.  The pair checks run in one
-    pass over blocks of rows, which also finds whether the matrix equals its
+    the first ``limit`` and stops the scan once it holds them.  ``passed``
+    stays exact, since a failing matrix always lists at least one violation.
+    Unlimited calls decide every triple.  The pair checks run in row blocks,
+    and the symmetry pass also finds whether the matrix equals its
     transpose entrywise.
 
     The triangle inequality is decided row by row with min-plus tiles: for a
@@ -441,49 +454,17 @@ def verify_metric_axioms(space: FiniteSpace, limit: int | None = None) -> AxiomR
     earlier row violates at column ``k``, which its block reports as a column
     flag.  A matrix symmetric only within ``tol`` gets the full scan.
 
-    The flagged rows then list their triples, from the same per-triple
-    differences, so magnitudes are those of the per-triple test.  Both phases
-    run on a thread pool sized to the usable CPUs (numpy releases the GIL in
-    the tile arithmetic), created for the call, and are gathered in order;
-    with one usable CPU they run inline.
+    The flagged rows of a decided block list their triples, from the same
+    per-triple differences, so magnitudes are those of the per-triple test.
+    The blocks are decided on a thread pool sized to the usable CPUs (numpy
+    releases the GIL in the tile arithmetic), created for the call, shut
+    down when the call returns, and gathered in order; with one usable CPU
+    they are decided inline.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be a positive integer or None, got {limit!r}")
-    d = space.dist
-    n = space.n
-    tol = space.tol
-    violations, symmetric = _pair_checks(d, tol, limit)
-    left = _room(violations, limit)
-
-    workers = min(_usable_cpus(), math.ceil(n / _ROW_BLOCK))
-    # One buffer set per worker, allocated by the caller: after the scan the
-    # caller's heap reuses that memory, which a worker thread's allocator arena
-    # would keep.  A worker holds one set at a time, so pop never finds the
-    # list empty; list pop and append are atomic.
-    free = [
-        (
-            np.empty(_ROW_BLOCK * min(_MID_BLOCK, n) * n),
-            np.empty(_ROW_BLOCK * n),
-            np.empty(_ROW_BLOCK * n),
-        )
-        for _ in range(workers)
-    ]
-    if workers == 1:
-        violations += _triangle_scan(d, tol, symmetric, free, map, left)
-    else:
-        # imported here, not with the module: it loads logging, ~10 ms
-        from concurrent.futures import ThreadPoolExecutor
-
-        # every task runs in a copy of the caller's context, so numpy's
-        # errstate (a context variable) holds in the workers as inline
-        caller = contextvars.copy_context()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            violations += _triangle_scan(
-                d, tol, symmetric, free,
-                lambda task, items: pool.map(lambda item: caller.copy().run(task, item), items),
-                left,
-            )
-
+    with closing(_violations(space.dist, space.tol)) as stream:
+        violations = list(islice(stream, limit))
     return AxiomReport(passed=not violations, violations=violations)
 
 

@@ -6,12 +6,14 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from atsuji import FiniteSpace, convergent_sequence, remetrize, verify_metric_axioms
 from atsuji import cli
+from atsuji import space as space_module
 from atsuji.cli import main
 
 
@@ -110,6 +112,25 @@ def test_grossly_non_metric_matrix_exits_2_without_listing_every_violation(
         f"{first.where} (magnitude {first.magnitude!r})\n"
     )
     assert len(peaks) == 1 and peaks[0] < 1_000_000
+
+
+def test_a_negative_entry_exits_2_before_the_triangle_scan(tmp_path, capsys):
+    # the nonneg pass lists the violation first, and the scan stops there
+    n = 40
+    x = np.arange(n, dtype=float)
+    d = np.abs(x[:, None] - x[None, :])
+    d[0, n - 1] += 5.0  # a triangle violation too, listed after the nonneg one
+    d[2, 7] = -0.5
+    ids = [f"p{k}" for k in range(n)]
+    spec = write_spec(tmp_path, {"space": {"kind": "matrix", "ids": ids, "matrix": d.tolist()}})
+    with mock.patch.object(
+        space_module, "_triangle_block", wraps=space_module._triangle_block
+    ) as block:
+        assert main(["atsuji", spec]) == 2
+    assert block.call_count == 0
+    assert capsys.readouterr().err == (
+        "error: space.matrix: violates the nonneg axiom at indices (2, 7) (magnitude 0.5)\n"
+    )
 
 
 def test_malformed_spec_names_field(tmp_path, capsys):

@@ -196,13 +196,35 @@ def test_builtin_name_of_the_wrong_type_is_input_error(tmp_path, capsys, name):
     assert capsys.readouterr().err == f"error: space.name: must be a JSON string, got {name!r}\n"
 
 
-@pytest.mark.parametrize("note", ["NaN", "-Infinity", "1e400", '[{"deep": NaN}]'])
-def test_a_non_finite_value_in_a_point_entry_is_input_error_at_load(tmp_path, monkeypatch, note):
-    # the echo digests the points as JSON, which has no NaN or infinity: the
-    # spec is rejected at load, before any command computes or writes
+POINTS_AB = '[{"id": "a", "coords": {}}, {"id": "b", "coords": {"1": 1}}]'
+
+
+def points_with_note(note: str) -> str:
+    return ('{"space": {"kind": "points_l2", "points": [{"id": "a", "coords": {}, '
+            f'"note": {note}}}, {{"id": "b", "coords": {{"1": 1}}}}]}}}}')
+
+
+@pytest.mark.parametrize("spec_text, field", [
+    *[pytest.param(points_with_note(note), "space.points", id=note)
+      for note in ["NaN", "-Infinity", "1e400", '[{"deep": NaN}]']],
+    pytest.param(f'{{"space": {{"kind": "points_l2", "points": {POINTS_AB}}}, "comment": NaN}}',
+                 "comment", id="comment-NaN"),
+    pytest.param(f'{{"space": {{"kind": "points_l2", "points": {POINTS_AB}}}, '
+                 '"derived_set": {"kind": "oracle", "ids": ["a"], "why": [Infinity]}}',
+                 "derived_set", id="derived_set-field-Infinity"),
+    pytest.param('{"space": {"kind": "matrix", "ids": ["a", "b"], "matrix": [[0, 1], [1, 0]], '
+                 '"note": {"x": 1e400}}}', "space", id="matrix-space-field-1e400"),
+    pytest.param('{"space": {"kind": "builtin", "name": "convergent_sequence", '
+                 '"params": {"n_max": 3}}, "tags": [-Infinity]}',
+                 "tags", id="builtin-tags-Infinity"),
+])
+def test_a_non_finite_value_in_a_point_entry_is_input_error_at_load(
+    tmp_path, monkeypatch, spec_text, field
+):
+    # the echo is written as JSON, which has no NaN or infinity: the spec is
+    # rejected at load, naming the field, before any command computes or writes
     spec = tmp_path / "spec.json"
-    spec.write_text('{"space": {"kind": "points_l2", "points": [{"id": "a", "coords": {}, '
-                    f'"note": {note}}}, {{"id": "b", "coords": {{"1": 1}}}}]}}}}', encoding="utf-8")
+    spec.write_text(spec_text, encoding="utf-8")
     ran = []
     for name in list(cli._COMMANDS):
         monkeypatch.setitem(cli._COMMANDS, name, lambda *args: ran.append(args))
@@ -213,7 +235,7 @@ def test_a_non_finite_value_in_a_point_entry_is_input_error_at_load(tmp_path, mo
             code = main([command[0], str(spec), *command[1:], "--out", str(out)])
         err = stderr.getvalue()
         assert code == 2
-        assert err.startswith("error: space.points: Out of range float values") and (
+        assert err.startswith(f"error: {field}: Out of range float values") and (
             err.count("\n") == 1 and err.endswith("\n")), err
         assert not out.exists() and not matrix.exists()
     assert ran == []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,3 +460,26 @@ def test_remetrized_space_rejects_a_matrix_that_is_not_a_finite_space(newdist):
     space, view = convergent_sequence(2)
     with pytest.raises(ValueError):
         RemetrizedSpace(base=space, derived=view, newdist=newdist, levels={})
+
+
+def test_remetrize_holds_one_n_squared_buffer():
+    # the fresh newdist becomes the space's matrix without a copy
+    space, view = convergent_sequence(1000)
+    n = space.n
+    tracemalloc.start()
+    try:
+        r = remetrize(space, view)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.space.dist is r.newdist and not r.newdist.flags.writeable
+    assert peak < 1.2 * 8 * n * n
+
+
+def test_remetrized_space_copies_a_writable_matrix():
+    space, view = convergent_sequence(3)
+    newdist = np.array(space.dist)
+    r = RemetrizedSpace(base=space, derived=view, newdist=newdist, levels={})
+    assert r.newdist is not newdist and not r.newdist.flags.writeable
+    newdist[0, 1] = 5.0
+    assert r.space.dist[0, 1] == space.dist[0, 1]

@@ -1,6 +1,8 @@
 import math
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from atsuji import (
+    AxiomReport,
     DuplicatePointError,
     FiniteSpace,
     IndiscerniblePointsError,
@@ -591,6 +594,96 @@ def test_scan_holds_no_n_squared_buffer(monkeypatch):
         tracemalloc.stop()
     assert report.passed
     assert peak < 0.25 * 8 * n * n
+
+
+# --- the ordered violation stream --------------------------------------------
+
+
+def scan_counting_blocks(space, limit=None, cpus=1):
+    """The report of ``verify_metric_axioms(space, limit)`` on ``cpus`` usable
+    CPUs, and how many row blocks the triangle scan decided."""
+    with mock.patch.object(space_module, "_usable_cpus", lambda: cpus), mock.patch.object(
+        space_module, "_triangle_block", wraps=space_module._triangle_block
+    ) as block:
+        report = verify_metric_axioms(space, limit=limit)
+    return report, block.call_count
+
+
+def line_space(n, plants=(), negative=None):
+    """Points 0..n-1 on a line, each planted pair (i, k) raised by 1.0 on both
+    sides, and one entry made negative."""
+    x = np.arange(n, dtype=float)
+    d = np.abs(x[:, None] - x[None, :])
+    for i, k in plants:
+        d[i, k] = d[k, i] = d[i, k] + 1.0
+    if negative is not None:
+        d[negative] = -1.0
+    return FiniteSpace(ids=tuple(f"p{m}" for m in range(n)), dist=d)
+
+
+def test_a_limit_of_one_decides_only_the_block_of_its_violation():
+    n = 6 * _ROW_BLOCK + 3
+    blocks = math.ceil(n / _ROW_BLOCK)
+    early = line_space(n, plants=[(0, n - 2)])
+    report, decided = scan_counting_blocks(early, limit=1)
+    assert decided == 1
+    assert [v.where for v in report.violations] == [(0, 1, n - 2)]
+    full, decided = scan_counting_blocks(early)
+    assert decided == blocks and full.violations[:1] == report.violations
+
+    negative = line_space(n, plants=[(0, n - 2)], negative=(3, 5))
+    report, decided = scan_counting_blocks(negative, limit=1)
+    assert decided == 0
+    assert report.violations == [("nonneg", (3, 5), 1.0)]
+    assert scan_counting_blocks(line_space(n), limit=1) == (AxiomReport(True, []), blocks)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(
+    scan_cases() | symmetric_scan_cases().map(lambda case: case[:2]),
+    st.integers(1, 3) | st.integers(4, 80),
+)
+def test_a_limited_scan_decides_no_block_past_the_kth_violation(case, limit):
+    d, tol = case
+    space = FiniteSpace(ids=tuple(f"p{k}" for k in range(len(d))), dist=d, tol=tol)
+    full, blocks = scan_counting_blocks(space)
+    assert blocks == math.ceil(len(d) / _ROW_BLOCK)  # unlimited: every block
+    cut, decided = scan_counting_blocks(space, limit=limit)
+    assert cut.violations == full.violations[:limit]
+    if len(full.violations) < limit:
+        assert decided == blocks
+    else:
+        kth = full.violations[limit - 1]
+        assert decided == (kth.where[0] // _ROW_BLOCK + 1 if kth.kind == "triangle" else 0)
+
+
+def test_a_pooled_limited_scan_equals_the_inline_one_and_leaves_no_thread():
+    n = 6 * _ROW_BLOCK + 3
+    space = line_space(n, plants=[(2, n - 4), (4 * _ROW_BLOCK, n - 1)])
+    threads = threading.active_count()
+    for limit in (1, n, None):  # n crosses from the first flagged row into the next
+        pooled, _ = scan_counting_blocks(space, limit=limit, cpus=3)
+        assert threading.active_count() == threads
+        assert pooled == scan_counting_blocks(space, limit=limit)[0]
+
+
+# --- input checks --------------------------------------------------------------
+
+
+def test_a_repeated_id_among_many_is_found_in_linear_time():
+    specs = [PointSpec(f"p{k}", {1: float(k)}) for k in range(20_000)]
+    specs.append(PointSpec("p7", {1: -1.0}))
+    begin = time.perf_counter()
+    with pytest.raises(DuplicatePointError, match=r"^duplicate point ids: \['p7'\]$"):
+        build_space(specs)
+    assert time.perf_counter() - begin < 1.0
+
+
+def test_an_integer_coordinate_beyond_the_doubles_is_not_finite():
+    specs = [PointSpec("a", {1: 10**400}), PointSpec("b", {})]
+    with pytest.raises(ValueError, match=r"^point 'a': coordinate in slot 1 is not finite$"):
+        build_space(specs)
 
 
 # --- the least-pair tie-break ------------------------------------------------
