@@ -8,6 +8,7 @@ optional ``tol``.  Reports serialize with a fixed field order and full
 round-trip float precision, so identical invocations are byte-identical.
 Exit codes: 0 success/PASS, 1 FAIL verdict (or witness found), 2 input error
 (a malformed spec, a bad flag value, or an output path that cannot be opened).
+Number flags are read by the parser, every occurrence, before the spec is.
 Spec values are never coerced: numbers are JSON ints or floats (not bools),
 point ids are JSON strings, and coordinate slots are decimal digits.
 """
@@ -413,27 +414,18 @@ def _emit(report: dict, out: str | None) -> None:
     """Write a report; it is encoded in full first, so an unencodable report
     (a non-finite float) raises before ``out`` is opened."""
     pieces = _report_text(report)
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as sink:
             sink.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
 
 
-def _report(command: str, spec_path: str, spec_echo: dict, flags: dict,
-            result: dict, witnesses: list, notes: list[str]) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "command": command,
-        "inputs": {"spec_path": spec_path, "spec": spec_echo, "flags": flags},
-        "result": result,
-        "witnesses": witnesses,
-        "notes": notes,
-    }
-
-
 # --- commands -------------------------------------------------------------
+#
+# A command takes the space, its derived set and the parsed flags, and returns
+# the report's flags echo, result, witnesses and notes, the exit code, and any
+# further (document, path, flag) outputs, written only after the report.
 
 def _parse_id_list(raw: str, space: FiniteSpace, flag: str) -> list[str]:
     ids = [s for s in (part.strip() for part in raw.split(",")) if s]
@@ -442,22 +434,18 @@ def _parse_id_list(raw: str, space: FiniteSpace, flag: str) -> list[str]:
     return _known_ids(space, ids, flag)
 
 
-def _make_function(space: FiniteSpace, args) -> SampledFunction:
-    if args.fn == "parity":
+def _make_function(space: FiniteSpace, fn: str, a: str | None, b: str | None) -> SampledFunction:
+    if fn == "parity":
         return parity_function(space)
-    if args.fn == "identity":
+    if fn == "identity":
         values = {p: float(k) for k, p in enumerate(space.ids)}
         return SampledFunction(values=values, label="identity")
-    if args.fn == "const":
+    if fn == "const":
         return SampledFunction(values={p: 0.0 for p in space.ids}, label="const")
     # separator
-    if not args.a or not args.b:
+    if a is None or b is None:
         raise SpecError("--fn", "separator requires --a and --b")
-    return separator(
-        space,
-        _parse_id_list(args.a, space, "--a"),
-        _parse_id_list(args.b, space, "--b"),
-    )
+    return separator(space, _parse_id_list(a, space, "--a"), _parse_id_list(b, space, "--b"))
 
 
 def _validate_matrix_arm(command: str, kind: str, space: FiniteSpace) -> None:
@@ -475,27 +463,20 @@ def _validate_matrix_arm(command: str, kind: str, space: FiniteSpace) -> None:
         )
 
 
-def _cmd_check_metric(space, derived, args, spec_echo) -> tuple[dict, int]:
+def _cmd_check_metric(space, derived, args) -> tuple:
     report = verify_metric_axioms(space)
-    result = _axiom_obj(space, report)
-    code = 0 if report.passed else 1
-    return _report("check-metric", args.spec, spec_echo, {"tol": space.tol},
-                   result, [], []), code
+    return {"tol": space.tol}, _axiom_obj(space, report), [], [], 0 if report.passed else 1
 
 
-def _cmd_atsuji(space, derived, args, spec_echo) -> tuple[dict, int]:
-    entries = args.eps_grid.split(",") if args.eps_grid else DEFAULT_EPS_GRID
-    grid = [_finite(s, "--eps-grid", positive=True) for s in entries]
-    threshold = _finite(args.threshold, "--threshold", positive=True)
-    verdict = atsuji_check(space, derived, grid, threshold)
-    flags = {"eps_grid": grid, "threshold": threshold, "tol": space.tol}
+def _cmd_atsuji(space, derived, args) -> tuple:
+    verdict = atsuji_check(space, derived, args.eps_grid, args.threshold)
+    flags = {"eps_grid": args.eps_grid, "threshold": args.threshold, "tol": space.tol}
     witnesses = [w for w in [_witness_obj(verdict.fail_witness)] if w is not None]
     code = 1 if verdict.status == "FAIL" else 0
-    return _report("atsuji", args.spec, spec_echo, flags,
-                   _verdict_obj(verdict), witnesses, list(verdict.notes)), code
+    return flags, _verdict_obj(verdict), witnesses, list(verdict.notes), code
 
 
-def _cmd_remetrize(space, derived, args, spec_echo) -> tuple:
+def _cmd_remetrize(space, derived, args) -> tuple:
     result_space = remetrize(space, derived)
     new_space = result_space.space
     axioms = verify_metric_axioms(new_space)
@@ -527,7 +508,7 @@ def _cmd_remetrize(space, derived, args, spec_echo) -> tuple:
         notes.append("derived set empty: used the max(dist, 1) fallback metric")
 
     outputs = []
-    if args.out_matrix:
+    if args.out_matrix is not None:
         members = sorted(derived.members, key=space.index)
         matrix_spec = {
             "space": {
@@ -552,43 +533,30 @@ def _cmd_remetrize(space, derived, args, spec_echo) -> tuple:
         if pair is not None
     ]
     flags = {"out_matrix": args.out_matrix, "tol": space.tol}
-    report = _report("remetrize", args.spec, spec_echo, flags, result, witnesses, notes)
-    return report, 0 if ok else 1, *outputs
+    return flags, result, witnesses, notes, 0 if ok else 1, *outputs
 
 
-def _cmd_witness(space, derived, args, spec_echo) -> tuple[dict, int]:
-    eps0 = _finite(args.eps0, "--eps0", positive=True)
-    delta = _finite(args.delta, "--delta", positive=True)
-    f = _make_function(space, args)
-    pair = uc_witness_search(space, f, eps0, delta)
-    flags = {"fn": args.fn, "eps0": eps0, "delta": delta, "tol": space.tol}
+def _cmd_witness(space, derived, args) -> tuple:
+    f = _make_function(space, args.fn, args.a, args.b)
+    pair = uc_witness_search(space, f, args.eps0, args.delta)
+    flags = {"fn": args.fn, "eps0": args.eps0, "delta": args.delta, "tol": space.tol}
     if args.fn == "separator":
-        flags["a"] = args.a
-        flags["b"] = args.b
-    result = {"function": f.label, "found": pair is not None, "witness": _witness_obj(pair)}
-    witnesses = [w for w in [_witness_obj(pair)] if w is not None]
-    return _report("witness", args.spec, spec_echo, flags, result, witnesses, []), (
-        1 if pair is not None else 0
-    )
+        flags.update(a=args.a, b=args.b)
+    witness = _witness_obj(pair)
+    result = {"function": f.label, "found": pair is not None, "witness": witness}
+    return flags, result, [] if pair is None else [witness], [], 0 if pair is None else 1
 
 
-def _cmd_separator(space, derived, args, spec_echo) -> tuple[dict, int]:
-    f = separator(
-        space,
-        _parse_id_list(args.a, space, "--a"),
-        _parse_id_list(args.b, space, "--b"),
-    )
+def _cmd_separator(space, derived, args) -> tuple:
+    f = _make_function(space, "separator", args.a, args.b)
     result = {"label": f.label, "values": {p: f.values[p] for p in space.ids}}
-    flags = {"a": args.a, "b": args.b, "tol": space.tol}
-    return _report("separator", args.spec, spec_echo, flags, result, [], []), 0
+    return {"a": args.a, "b": args.b, "tol": space.tol}, result, [], [], 0
 
 
-def _cmd_net(space, derived, args, spec_echo) -> tuple[dict, int]:
-    eps = _finite(args.eps, "--eps", positive=True)
-    net = greedy_epsilon_net(space, space.ids, eps)
-    result = {"eps": eps, "size": len(net), "net": net}
-    return _report("net", args.spec, spec_echo, {"eps": eps, "tol": space.tol},
-                   result, [], []), 0
+def _cmd_net(space, derived, args) -> tuple:
+    net = greedy_epsilon_net(space, space.ids, args.eps)
+    result = {"eps": args.eps, "size": len(net), "net": net}
+    return {"eps": args.eps, "tol": space.tol}, result, [], [], 0
 
 
 _COMMANDS = {
@@ -616,6 +584,18 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(field, detail)
 
 
+def _positive(flag: str):
+    """The reader of a positive number flag, which the parser applies to
+    every occurrence before the spec is read.  Its SpecError is neither an
+    ArgumentError nor a ValueError, so argparse lets it through to ``main``."""
+    return lambda text: _finite(text, flag, positive=True)
+
+
+def _scales(text: str) -> list[float]:
+    """The reader of ``--eps-grid``: comma-separated positive numbers."""
+    return [_finite(entry, "--eps-grid", positive=True) for entry in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="atsuji",
@@ -627,16 +607,17 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("spec", help="path to a JSON space spec file")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--tol", help="override the comparison tolerance")
+        p.add_argument("--tol", type=_positive("--tol"),
+                       help="override the comparison tolerance")
 
     p = sub.add_parser("check-metric", help="verify the metric axioms exhaustively")
     common(p)
 
     p = sub.add_parser("atsuji", help="run the characterization check")
     common(p)
-    p.add_argument("--eps-grid", help="comma-separated positive scales "
-                   "(default: 2^0 down to 2^-10)")
-    p.add_argument("--threshold", default=DEFAULT_THRESHOLD,
+    p.add_argument("--eps-grid", type=_scales, default=list(DEFAULT_EPS_GRID),
+                   help="comma-separated positive scales (default: 2^0 down to 2^-10)")
+    p.add_argument("--threshold", type=_positive("--threshold"), default=DEFAULT_THRESHOLD,
                    help="isolation below this fails the check (default %(default)s)")
 
     p = sub.add_parser("remetrize", help="build the equivalent uniformly "
@@ -649,8 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "failure witness of a named function")
     common(p)
     p.add_argument("--fn", required=True, choices=["parity", "identity", "const", "separator"])
-    p.add_argument("--eps0", required=True, help="minimum value gap")
-    p.add_argument("--delta", required=True, help="maximum distance")
+    p.add_argument("--eps0", required=True, type=_positive("--eps0"), help="minimum value gap")
+    p.add_argument("--delta", required=True, type=_positive("--delta"), help="maximum distance")
     p.add_argument("--a", help="comma-separated ids (separator only)")
     p.add_argument("--b", help="comma-separated ids (separator only)")
 
@@ -661,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("net", help="greedy eps-net of the whole space")
     common(p)
-    p.add_argument("--eps", required=True, help="net radius")
+    p.add_argument("--eps", required=True, type=_positive("--eps"), help="net radius")
 
     return parser
 
@@ -674,17 +655,25 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
             space, derived, spec_echo, kind = load_spec(args.spec)
             if args.tol is not None:
-                tol = _finite(args.tol, "--tol", positive=True)
-                space = FiniteSpace._adopt(space.ids, space.dist, tol)
+                space = FiniteSpace._adopt(space.ids, space.dist, args.tol)
             _validate_matrix_arm(args.command, kind, space)
-            # a command returns its report, exit code and any further
-            # (document, path, flag) outputs, written only after the report
-            report, code, *outputs = _COMMANDS[args.command](space, derived, args, spec_echo)
+            flags, result, witnesses, notes, code, *outputs = _COMMANDS[args.command](
+                space, derived, args
+            )
+            report = {
+                "schema_version": SCHEMA_VERSION,
+                "version": __version__,
+                "command": args.command,
+                "inputs": {"spec_path": args.spec, "spec": spec_echo, "flags": flags},
+                "result": result,
+                "witnesses": witnesses,
+                "notes": notes,
+            }
             for document, path, flag in [(report, args.out, "--out"), *outputs]:
                 try:
                     _emit(document, path)
                 except OSError as exc:
-                    if not path:  # stdout, not a flag's path
+                    if path is None:  # stdout, not a flag's path
                         raise
                     raise SpecError(flag, str(exc)) from None
         except (SpecError, KeyError, ValueError) as exc:

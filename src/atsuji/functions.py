@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .space import FiniteSpace, PointId, _least_pair
+from .space import _PAIR_BLOCK, FiniteSpace, PointId, _least_pair
 
 __all__ = [
     "SampledFunction",
@@ -93,12 +93,15 @@ def modulus_of_continuity(space: FiniteSpace, f: SampledFunction, eta: float) ->
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta!r}")
-    v = f.array(space)
-    gaps = np.abs(v[:, None] - v[None, :])
-    mask = np.triu(gaps >= eta, k=1)
-    if not mask.any():
-        return math.inf
-    return float(space.dist[mask].min())
+    v, n = f.array(space), space.n
+    buffer = np.empty((min(_PAIR_BLOCK, n), n))  # one row block's gaps: no n x n temporary
+    least = math.inf
+    for start in range(0, n, _PAIR_BLOCK):
+        dist = space.dist[start : start + _PAIR_BLOCK]
+        gap = np.subtract(v[start : start + len(dist), None], v, out=buffer[: len(dist)])
+        reaches = np.triu(np.abs(gap, out=gap) >= eta, k=start + 1)  # pairs i < j
+        least = min(least, float(np.min(dist, initial=math.inf, where=reaches)))
+    return least
 
 
 def uc_witness_search(

@@ -54,9 +54,9 @@ class RemetrizedSpace:
     levels (absent for derived-set members, and empty in fallback mode).
 
     ``space`` is the remetrized space as a plain FiniteSpace (same ids and
-    tol), built at construction; ``newdist`` is its read-only matrix.  A
-    read-only float64 ``newdist``, such as the fresh one :func:`remetrize`
-    builds, is adopted without a copy; any other is copied.
+    tol), built at construction; ``newdist`` is its read-only matrix, a copy
+    of the caller's.  Only :func:`remetrize` adopts the matrix it has just
+    built, through :meth:`_adopt`.
     """
 
     base: FiniteSpace
@@ -67,11 +67,20 @@ class RemetrizedSpace:
     space: FiniteSpace = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = self.newdist
-        fresh = isinstance(d, np.ndarray) and d.dtype == np.float64 and not d.flags.writeable
-        space = (FiniteSpace._adopt if fresh else FiniteSpace)(self.base.ids, d, self.base.tol)
+        space = FiniteSpace(self.base.ids, self.newdist, self.base.tol)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "newdist", space.dist)
+
+    @classmethod
+    def _adopt(cls, base: FiniteSpace, derived: DerivedSetView, newdist: np.ndarray,
+               levels: dict[PointId, int], empty_derived_fallback_used: bool) -> RemetrizedSpace:
+        """A result over ``newdist`` itself, not a copy: the path for a matrix
+        that the package has just built and that nothing else holds."""
+        space = FiniteSpace._adopt(base.ids, newdist, base.tol)
+        r = object.__new__(cls)
+        vars(r).update(base=base, derived=derived, newdist=space.dist, levels=levels,
+                       empty_derived_fallback_used=empty_derived_fallback_used, space=space)
+        return r
 
     @cached_property
     def _isolation_profile(self) -> _IsolationProfile:
@@ -139,15 +148,7 @@ def remetrize(base: FiniteSpace, derived: DerivedSetView) -> RemetrizedSpace:
     newdist[member_mask, :] = base.dist[member_mask, :]
     newdist[:, member_mask] = base.dist[:, member_mask]
     np.fill_diagonal(newdist, 0.0)
-    newdist.setflags(write=False)  # so RemetrizedSpace adopts it
-
-    return RemetrizedSpace(
-        base=base,
-        derived=derived,
-        newdist=newdist,
-        levels=levels,
-        empty_derived_fallback_used=not member_mask.any(),
-    )
+    return RemetrizedSpace._adopt(base, derived, newdist, levels, not member_mask.any())
 
 
 def verify_same_topology(r: RemetrizedSpace) -> TopologyReport:

@@ -427,12 +427,14 @@ def verify_metric_axioms(space: FiniteSpace, limit: int | None = None) -> AxiomR
 
     Every breach beyond ``space.tol`` is reported; the scan never samples.
     Violations are listed by kind (nonneg, symmetry, identity, triangle) and
-    lexicographically by index within each kind.  A positive ``limit`` lists
-    the first ``limit`` and stops the scan once it holds them.  ``passed``
-    stays exact, since a failing matrix always lists at least one violation.
-    Unlimited calls decide every triple.  The pair checks run in row blocks,
-    and the symmetry pass also finds whether the matrix equals its
-    transpose entrywise.
+    lexicographically by index within each kind, except that identity lists
+    every diagonal entry ``(i, i)`` before the off-diagonal pairs ``(i, j)``
+    with ``i < j``: on 6 points, ``(5, 5)`` comes before ``(0, 1)``.  A
+    positive ``limit`` lists the first ``limit`` and stops the scan once it
+    holds them.  ``passed`` stays exact, since a failing matrix always lists
+    at least one violation.  Unlimited calls decide every triple.  The pair
+    checks run in row blocks, and the symmetry pass also finds whether the
+    matrix equals its transpose entrywise.
 
     The triangle inequality is decided row by row with min-plus tiles: for a
     block of rows ``i`` the scan accumulates ``min_j (d[i, j] + d[j, k])``

@@ -639,6 +639,32 @@ def test_non_positive_flag_names_the_flag(tmp_path, capsys, argv, flag):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["check-metric", "{spec}", "--tol", "0"], "--tol: must be positive, got 0.0"),
+        (["atsuji", "{spec}", "--threshold", "0"], "--threshold: must be positive, got 0.0"),
+        (["atsuji", "{spec}", "--eps-grid", "1,nan"], "--eps-grid: must be finite, got 'nan'"),
+        (["net", "{spec}", "--eps", "abc"], "--eps: must be a number"),
+        (["witness", "{spec}", "--fn", "const", "--eps0=-1", "--eps0=0.5", "--delta", "1"],
+         "--eps0: must be positive, got -1.0"),
+        (["witness", "{spec}", "--fn", "const", "--eps0", "1", "--delta", "1e400"],
+         "--delta: must be finite, got '1e400'"),
+    ],
+    ids=["tol", "threshold", "eps-grid", "eps", "repeated-eps0", "delta"],
+)
+def test_a_bad_flag_exits_2_before_the_spec_is_read(tmp_path, capsys, monkeypatch, argv, message):
+    # the parser reads every occurrence of every flag, so a bad value costs no
+    # spec load, build or validation
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    loaded, load = [], cli.load_spec
+    monkeypatch.setattr(cli, "load_spec", lambda path: loaded.append(path) or load(path))
+    assert main([spec if a == "{spec}" else a for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert loaded == []
+
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (["net", "{spec}", "--eps", "-inf"], "--eps: expected one argument\n"),
         (["net", "{spec}"], "the following arguments are required: --eps\n"),
         (["cloud", "{spec}"], "command: invalid choice: 'cloud' "),
@@ -717,6 +743,26 @@ def test_unencodable_report_leaves_no_out_matrix_file(tmp_path, capsys):
     assert "Out of range float" in capsys.readouterr().err
     assert not out.exists()
     assert not matrix.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["atsuji", "{spec}", "--eps-grid=", "--out", "{out}"], "--eps-grid: must be a number\n"),
+        (["net", "{spec}", "--eps", "0.5", "--out="], "--out: "),
+        (["remetrize", "{spec}", "--out-matrix=", "--out", "{out}"], "--out-matrix: "),
+    ],
+    ids=["eps-grid", "out", "out-matrix"],
+)
+def test_an_empty_flag_value_is_input_error(tmp_path, capsys, argv, message):
+    # an empty value is a value: no default grid, no stdout, no skipped file
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    out = tmp_path / "report.json"
+    argv = [{"{spec}": spec, "{out}": str(out)}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 # --- witness functions other than parity and const ---------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,34 @@ def test_modulus_parity_frozen():
     f = parity_function(space)
     value = modulus_of_continuity(space, f, 0.5)
     assert value == pytest.approx(1 / (49 * 50), abs=1e-12)
+
+
+def test_modulus_holds_no_n_squared_buffer():
+    space, _ = positive_integers(1001, "d2")
+    n = space.n
+    f = SampledFunction({p: float(k % 2) for k, p in enumerate(space.ids)}, label="parity")
+    v = f.array(space)
+    expected = float(space.dist[np.triu(np.abs(v[:, None] - v) >= 0.5, k=1)].min())
+    tracemalloc.start()
+    try:
+        value = modulus_of_continuity(space, f, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    assert peak < 0.25 * 8 * n * n
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([0.0, 0.25, 1.0]),
+                    min_size=_PAIR_BLOCK + 12, max_size=_PAIR_BLOCK + 12),
+    eta=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+)
+def test_modulus_matches_brute_force_across_row_blocks(values, eta):
+    space, _ = convergent_sequence(_PAIR_BLOCK + 11)
+    f = SampledFunction(dict(zip(space.ids, values)), label="random")
+    assert modulus_of_continuity(space, f, eta) == brute_modulus(space, f, eta)
 
 
 def test_modulus_rejects_bad_eta():

@@ -483,3 +483,16 @@ def test_remetrized_space_copies_a_writable_matrix():
     assert r.newdist is not newdist and not r.newdist.flags.writeable
     newdist[0, 1] = 5.0
     assert r.space.dist[0, 1] == space.dist[0, 1]
+
+
+def test_remetrized_space_copies_a_read_only_view_of_a_writable_matrix():
+    # read-only is not owned: writing through the array under the view must
+    # not reach the result, so only remetrize's own matrix is adopted
+    space, view = convergent_sequence(3)
+    a = np.array(remetrize(space, view).newdist)
+    v = a.view()
+    v.setflags(write=False)
+    r = RemetrizedSpace(base=space, derived=view, newdist=v, levels={})
+    before = float(a[1, 2])
+    a[1, 2] = -5.0
+    assert r.space.dist[1, 2] == before and r.newdist is r.space.dist

@@ -740,3 +740,17 @@ def test_build_space_indiscernible_message_prints_a_plain_float():
     with pytest.raises(IndiscerniblePointsError) as raised:
         build_space([PointSpec("a", {1: 0.5}), PointSpec("b", {1: 0.5})])
     assert str(raised.value) == "points 'a' and 'b' are indiscernible (distance 0.0 <= tol 1e-12)"
+
+
+def test_identity_lists_the_diagonal_before_the_off_diagonal_pairs():
+    # the identity kind lists every diagonal entry, then the pairs i < j, so
+    # (5, 5) precedes (0, 1); a limit takes the prefix of that order
+    d = np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0)))
+    d[5, 5] = 0.5
+    d[0, 1] = d[1, 0] = 0.0
+    space = FiniteSpace(ids=tuple("abcdef"), dist=d)
+    violations = verify_metric_axioms(space).violations
+    assert [(v.kind, v.where) for v in violations[:2]] == [
+        ("identity", (5, 5)), ("identity", (0, 1))]
+    assert {v.kind for v in violations[2:]} == {"triangle"}
+    assert verify_metric_axioms(space, limit=1).violations == violations[:1]
