@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -167,7 +168,9 @@ def _build_points(spec: dict) -> FiniteSpace:
         coords_raw = _get(entry, "coords", f"space.points[{k}]", dict, default={})
         coords, field = {}, f"space.points[{k}].coords"
         for slot, value in coords_raw.items():
-            if not (slot.isascii() and slot.isdigit()) or type(value) not in (int, float):
+            if not (slot.isascii() and slot.isdigit() and int(slot) >= 1) or (
+                type(value) not in (int, float)
+            ):
                 raise SpecError(field, f"slot {slot!r} must map an integer >= 1 to a number")
             if int(slot) in coords:  # "1" and "01" name one slot
                 raise SpecError(field, f"slot {slot!r} repeats slot {int(slot)}")
@@ -259,15 +262,14 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
         raise SpecError("space.kind", f"unknown kind {kind!r}; "
                         "expected 'builtin', 'points_l2', or 'matrix'")
 
-    if data.get("tol") is not None:
+    if "tol" in data:
         tol = _finite(_typed(data["tol"], "tol", int, float), "tol", positive=True)
         space = FiniteSpace._adopt(space.ids, space.dist, tol)
 
-    derived_spec = data.get("derived_set")
-    if derived_spec is None:
+    if "derived_set" not in data:
         derived = oracle if oracle is not None else DerivedSetView("oracle", frozenset())
     else:
-        _typed(derived_spec, "derived_set", dict)
+        derived_spec = _typed(data["derived_set"], "derived_set", dict)
         dkind = _get(derived_spec, "kind", "derived_set")
         if dkind == "oracle":
             ids = _id_list(_get(derived_spec, "ids", "derived_set", list), "derived_set.ids")
@@ -435,8 +437,17 @@ def _parse_id_list(raw: str, space: FiniteSpace, flag: str) -> list[str]:
 
 
 def _make_function(space: FiniteSpace, fn: str, a: str | None, b: str | None) -> SampledFunction:
+    """The function ``fn`` on ``space``; a ValueError of its construction is
+    an input error of the flag that chose what it is built from."""
+    if fn != "separator":
+        for flag, ids in (("--a", a), ("--b", b)):
+            if ids is not None:
+                raise SpecError(flag, "applies only to --fn separator")
     if fn == "parity":
-        return parity_function(space)
+        try:
+            return parity_function(space)
+        except ValueError as exc:
+            raise SpecError("--fn", str(exc)) from None
     if fn == "identity":
         values = {p: float(k) for k, p in enumerate(space.ids)}
         return SampledFunction(values=values, label="identity")
@@ -445,7 +456,11 @@ def _make_function(space: FiniteSpace, fn: str, a: str | None, b: str | None) ->
     # separator
     if a is None or b is None:
         raise SpecError("--fn", "separator requires --a and --b")
-    return separator(space, _parse_id_list(a, space, "--a"), _parse_id_list(b, space, "--b"))
+    zero_set, one_set = _parse_id_list(a, space, "--a"), _parse_id_list(b, space, "--b")
+    try:
+        return separator(space, zero_set, one_set)
+    except ValueError as exc:
+        raise SpecError("--b", str(exc)) from None
 
 
 def _validate_matrix_arm(command: str, kind: str, space: FiniteSpace) -> None:
@@ -653,6 +668,11 @@ def main(argv: list[str] | None = None) -> int:
     with np.errstate(over="ignore"):
         try:
             args = build_parser().parse_args(argv)
+            out_matrix = getattr(args, "out_matrix", None)
+            if out_matrix is not None and args.out is not None and (
+                os.path.realpath(out_matrix) == os.path.realpath(args.out)
+            ):
+                raise SpecError("--out-matrix", "names the same file as --out")
             space, derived, spec_echo, kind = load_spec(args.spec)
             if args.tol is not None:
                 space = FiniteSpace._adopt(space.ids, space.dist, args.tol)

@@ -50,20 +50,22 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class RemetrizedSpace:
-    """A base space plus the rebuilt distance matrix and per-point dyadic
-    levels (absent for derived-set members, and empty in fallback mode).
+    """A base space, its derived-set view and the rebuilt distance matrix.
 
     ``space`` is the remetrized space as a plain FiniteSpace (same ids and
     tol), built at construction; ``newdist`` is its read-only matrix, a copy
     of the caller's.  Only :func:`remetrize` adopts the matrix it has just
     built, through :meth:`_adopt`.
+
+    ``levels`` (the dyadic level of every point outside the derived set,
+    none in fallback mode) and ``empty_derived_fallback_used`` are derived
+    from ``base`` and ``derived``, never given, so a result over any matrix is
+    checked against what ``remetrize(base, derived)`` guarantees.
     """
 
     base: FiniteSpace
     derived: DerivedSetView
     newdist: np.ndarray
-    levels: dict[PointId, int]
-    empty_derived_fallback_used: bool = False
     space: FiniteSpace = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -73,14 +75,23 @@ class RemetrizedSpace:
 
     @classmethod
     def _adopt(cls, base: FiniteSpace, derived: DerivedSetView, newdist: np.ndarray,
-               levels: dict[PointId, int], empty_derived_fallback_used: bool) -> RemetrizedSpace:
+               levels: dict[PointId, int]) -> RemetrizedSpace:
         """A result over ``newdist`` itself, not a copy: the path for a matrix
-        that the package has just built and that nothing else holds."""
+        that the package has just built and that nothing else holds.
+        ``levels`` is ``_levels(base, derived.members)[2]``, already computed."""
         space = FiniteSpace._adopt(base.ids, newdist, base.tol)
         r = object.__new__(cls)
         vars(r).update(base=base, derived=derived, newdist=space.dist, levels=levels,
-                       empty_derived_fallback_used=empty_derived_fallback_used, space=space)
+                       space=space)
         return r
+
+    @property
+    def empty_derived_fallback_used(self) -> bool:
+        return not self.derived.members
+
+    @cached_property
+    def levels(self) -> dict[PointId, int]:
+        return _levels(self.base, self.derived.members)[2]
 
     @cached_property
     def _isolation_profile(self) -> _IsolationProfile:
@@ -126,19 +137,9 @@ def remetrize(base: FiniteSpace, derived: DerivedSetView) -> RemetrizedSpace:
     a true derived set, which is closed, but a sloppy oracle over an invalid
     matrix could do it and the dyadic level would be undefined).
     """
-    member_mask = base.mask(derived.members)
-    dist_to_derived = base.reach(derived.members)  # inf everywhere when D is empty
-    bad = np.flatnonzero(~member_mask & (dist_to_derived <= 0.0))
-    if bad.size:
-        raise ValueError(
-            f"point {base.ids[bad[0]]!r} is outside the derived set but at "
-            "distance 0 from it; the dyadic level is undefined"
-        )
-
+    member_mask, leveled, levels = _levels(base, derived.members)
     # a point outside D has the floor 2^level, and a pair the larger floor of
     # its endpoints; when D is empty every point sits at level 0, floor 1
-    leveled = np.flatnonzero(np.isfinite(dist_to_derived) & ~member_mask)
-    levels = {base.ids[k]: dyadic_level(dist_to_derived[k]) for k in leveled}
     floor = np.ones(base.n)
     floor[leveled] = [math.ldexp(1.0, m) for m in levels.values()]
 
@@ -148,7 +149,25 @@ def remetrize(base: FiniteSpace, derived: DerivedSetView) -> RemetrizedSpace:
     newdist[member_mask, :] = base.dist[member_mask, :]
     newdist[:, member_mask] = base.dist[:, member_mask]
     np.fill_diagonal(newdist, 0.0)
-    return RemetrizedSpace._adopt(base, derived, newdist, levels, not member_mask.any())
+    return RemetrizedSpace._adopt(base, derived, newdist, levels)
+
+
+def _levels(
+    base: FiniteSpace, members: frozenset[PointId]
+) -> tuple[np.ndarray, np.ndarray, dict[PointId, int]]:
+    """The membership mask of ``members`` in ``base``, the indices of the
+    points outside them (none when there are no members), and those points'
+    dyadic levels of distance to them, keyed by id in index order."""
+    member_mask = base.mask(members)
+    dist_to_derived = base.reach(members)  # inf everywhere when D is empty
+    bad = np.flatnonzero(~member_mask & (dist_to_derived <= 0.0))
+    if bad.size:
+        raise ValueError(
+            f"point {base.ids[bad[0]]!r} is outside the derived set but at "
+            "distance 0 from it; the dyadic level is undefined"
+        )
+    leveled = np.flatnonzero(np.isfinite(dist_to_derived) & ~member_mask)
+    return member_mask, leveled, {base.ids[k]: dyadic_level(dist_to_derived[k]) for k in leveled}
 
 
 def verify_same_topology(r: RemetrizedSpace) -> TopologyReport:

@@ -386,6 +386,41 @@ def test_witness_separator_requires_sets(tmp_path, capsys):
     assert "--fn" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--a", "nope"], ["--b", "zz"], ["--a", "nope", "--b", "zz"]],
+                         ids=["a", "b", "both"])
+@pytest.mark.parametrize("fn", ["parity", "identity", "const"])
+def test_witness_rejects_separator_sets_for_other_functions(tmp_path, capsys, fn, flags):
+    spec = write_spec(tmp_path, builtin("sequence_grid_E", i_max=3, j_max=3,
+                                        include_origin=False))
+    out = tmp_path / "report.json"
+    argv = ["witness", spec, "--fn", fn, "--eps0", "0.5", "--delta", "1", *flags]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flags[0]}: applies only to --fn separator\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, argv, message",
+    [
+        (builtin("convergent_sequence", n_max=5),
+         ["witness", "{spec}", "--fn", "parity", "--eps0", "0.5", "--delta", "1"],
+         "--fn: point id 'zero' does not encode grid indices p_<i>_<j>"),
+        (builtin("sequence_grid_E", i_max=3, j_max=3, include_origin=False),
+         ["separator", "{spec}", "--a", "p_1_1", "--b", "p_1_1"],
+         "--b: A and B must be disjoint; shared points: ['p_1_1']"),
+        (builtin("sequence_grid_E", i_max=3, j_max=3, include_origin=False),
+         ["witness", "{spec}", "--fn", "separator", "--eps0", "0.5", "--delta", "1",
+          "--a", "p_1_1,p_1_2", "--b", "p_1_2"],
+         "--b: A and B must be disjoint; shared points: ['p_1_2']"),
+    ],
+    ids=["parity-off-grid", "separator-shared", "witness-separator-shared"],
+)
+def test_a_function_that_cannot_be_built_names_its_flag(tmp_path, capsys, payload, argv, message):
+    spec = write_spec(tmp_path, payload)
+    assert main([spec if a == "{spec}" else a for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_separator_command(tmp_path):
     spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
     code, report = run_to_file(
@@ -562,6 +597,29 @@ def test_spec_values_are_not_coerced(tmp_path, capsys, payload, field):
 
 
 @pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({**builtin("convergent_sequence", n_max=5), "tol": None},
+         "tol: must be a JSON number, got None"),
+        ({**builtin("convergent_sequence", n_max=5), "derived_set": None},
+         "derived_set: must be a JSON object, got None"),
+        (points_spec([{"id": "a", "coords": {"0": 0.5}}, {"id": "b"}]),
+         "space.points[0].coords: slot '0' must map an integer >= 1 to a number"),
+        (points_spec([{"id": "a", "coords": {"00": 0.5}}, {"id": "b"}]),
+         "space.points[0].coords: slot '00' must map an integer >= 1 to a number"),
+    ],
+    ids=["tol-null", "derived-set-null", "slot-zero", "slot-zero-zero"],
+)
+def test_optional_spec_fields_are_read_strictly(tmp_path, capsys, payload, message):
+    # null is a value, not an absent field, and slot 0 is not a slot
+    spec = write_spec(tmp_path, payload)
+    out = tmp_path / "report.json"
+    assert main(["check-metric", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "matrix",
     [
         [[0, -1.7e308, 1], [-1.7e308, 0, -1.7e308], [1, -1.7e308, 0]],
@@ -731,6 +789,23 @@ def test_unwritable_output_path_is_input_error(tmp_path, capsys, flag, where):
     assert err.count("\n") == 1
     if flag == "--out-matrix":  # written after the report, which stays
         assert json.loads(out.read_text(encoding="utf-8"))["command"] == "remetrize"
+
+
+@pytest.mark.parametrize(
+    "matrix_path", ["{out}", "{dir}/./report.json", "{dir}/sub/../report.json"],
+    ids=["same", "dot", "dot-dot"],
+)
+def test_out_matrix_must_not_name_the_out_file(tmp_path, capsys, monkeypatch, matrix_path):
+    # the matrix would overwrite the report; refused before the spec is read
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    (tmp_path / "sub").mkdir()
+    out = tmp_path / "report.json"
+    matrix_path = matrix_path.format(out=out, dir=tmp_path)
+    loaded, load = [], cli.load_spec
+    monkeypatch.setattr(cli, "load_spec", lambda path: loaded.append(path) or load(path))
+    assert main(["remetrize", spec, "--out", str(out), "--out-matrix", matrix_path]) == 2
+    assert capsys.readouterr().err == "error: --out-matrix: names the same file as --out\n"
+    assert not out.exists() and loaded == []
 
 
 def test_unencodable_report_leaves_no_out_matrix_file(tmp_path, capsys):

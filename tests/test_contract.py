@@ -118,8 +118,9 @@ def commands(a: str, b: str, matrix_path: str) -> list[list[str]]:
         ["check-metric"],
         ["atsuji", "--eps-grid", "1,0.25", "--threshold", "0.01"],
         ["remetrize", "--out-matrix", matrix_path],
-        *[["witness", "--fn", fn, "--eps0", "0.5", "--delta", "0.6", "--a", a, "--b", b]
-          for fn in ("parity", "identity", "const", "separator")],
+        *[["witness", "--fn", fn, "--eps0", "0.5", "--delta", "0.6"]
+          for fn in ("parity", "identity", "const")],
+        ["witness", "--fn", "separator", "--eps0", "0.5", "--delta", "0.6", "--a", a, "--b", b],
         ["separator", "--a", a, "--b", b],
         ["net", "--eps", "0.5"],
     ]

@@ -164,8 +164,6 @@ def test_same_topology_catches_tampering():
         base=space,
         derived=view,
         newdist=tampered,
-        levels=r.levels,
-        empty_derived_fallback_used=False,
     )
     report = verify_same_topology(bad)
     assert not report.passed
@@ -180,7 +178,7 @@ def test_same_topology_catches_changed_derived_pairs():
     i, j = space.index("zero"), space.index("n1")
     tampered[i, j] = tampered[j, i] = space.dist[i, j] + 1.0
     bad = RemetrizedSpace(
-        base=space, derived=view, newdist=tampered, levels=r.levels
+        base=space, derived=view, newdist=tampered
     )
     report = verify_same_topology(bad)
     assert not report.passed
@@ -212,7 +210,7 @@ def test_isolation_bound_fails_for_unremetrized_d2():
     # feeding the base matrix through the same check exposes the original
     # failure: adjacent integers get arbitrarily close
     space, view = positive_integers(1000, "d2")
-    identity = RemetrizedSpace(base=space, derived=view, newdist=space.dist, levels={})
+    identity = RemetrizedSpace(base=space, derived=view, newdist=space.dist)
     report = verify_isolation_bound(identity, 0.1)
     assert not report.passed
     assert report.witness == ("n999", "n1000")
@@ -232,6 +230,33 @@ def test_isolation_bound_fallback_claims_unit_floor():
         assert report.passed
         assert report.observed_eta == 1.0
         assert report.witness is None
+
+
+def test_a_rebuilt_result_is_held_to_the_bound_remetrize_guarantees():
+    # the fallback flag and the levels follow from base and derived set, so a
+    # result rebuilt from remetrize's matrix gets remetrize's verdicts
+    space, view = positive_integers(10, "d1")
+    r = remetrize(space, view)
+    rebuilt = RemetrizedSpace(base=space, derived=view, newdist=r.newdist)
+    assert rebuilt.empty_derived_fallback_used and rebuilt.levels == {}
+    for eta in (0.5, 1.0, 3.0, 4.0, 8.0):
+        assert verify_isolation_bound(rebuilt, eta) == verify_isolation_bound(r, eta)
+
+    space, view = convergent_sequence(50)
+    r = remetrize(space, view)
+    rebuilt = RemetrizedSpace(base=space, derived=view, newdist=r.newdist)
+    assert not rebuilt.empty_derived_fallback_used
+    assert list(rebuilt.levels.items()) == list(r.levels.items())
+
+
+def test_levels_and_fallback_flag_are_not_settable():
+    space, view = convergent_sequence(5)
+    r = remetrize(space, view)
+    for name in ("levels", "empty_derived_fallback_used"):
+        with pytest.raises(TypeError):
+            RemetrizedSpace(base=space, derived=view, newdist=r.newdist, **{name: {}})
+        with pytest.raises(AttributeError):
+            setattr(r, name, {})
 
 
 def test_isolation_bound_rejects_bad_eta():
@@ -446,7 +471,7 @@ def test_same_topology_matches_the_full_mask_reference(n, nonpositive, tampered,
         d_new[rng.integers(quiet, n), rng.integers(quiet, n)] = rng.choice([-1.0, 0.0, 0.25, 3.0])
     base = FiniteSpace(ids=tuple(f"q{k}" for k in range(n)), dist=d_old)
     derived = DerivedSetView("oracle", frozenset(np.array(base.ids)[member].tolist()))
-    r = RemetrizedSpace(base=base, derived=derived, newdist=d_new, levels={})
+    r = RemetrizedSpace(base=base, derived=derived, newdist=d_new)
     report = verify_same_topology(r)
     assert (report.failed_check, report.witness) == reference_topology(base, member, d_new)
     assert report.passed == (report.failed_check is None)
@@ -459,7 +484,7 @@ def test_same_topology_matches_the_full_mask_reference(n, nonpositive, tampered,
 def test_remetrized_space_rejects_a_matrix_that_is_not_a_finite_space(newdist):
     space, view = convergent_sequence(2)
     with pytest.raises(ValueError):
-        RemetrizedSpace(base=space, derived=view, newdist=newdist, levels={})
+        RemetrizedSpace(base=space, derived=view, newdist=newdist)
 
 
 def test_remetrize_holds_one_n_squared_buffer():
@@ -479,7 +504,7 @@ def test_remetrize_holds_one_n_squared_buffer():
 def test_remetrized_space_copies_a_writable_matrix():
     space, view = convergent_sequence(3)
     newdist = np.array(space.dist)
-    r = RemetrizedSpace(base=space, derived=view, newdist=newdist, levels={})
+    r = RemetrizedSpace(base=space, derived=view, newdist=newdist)
     assert r.newdist is not newdist and not r.newdist.flags.writeable
     newdist[0, 1] = 5.0
     assert r.space.dist[0, 1] == space.dist[0, 1]
@@ -492,7 +517,7 @@ def test_remetrized_space_copies_a_read_only_view_of_a_writable_matrix():
     a = np.array(remetrize(space, view).newdist)
     v = a.view()
     v.setflags(write=False)
-    r = RemetrizedSpace(base=space, derived=view, newdist=v, levels={})
+    r = RemetrizedSpace(base=space, derived=view, newdist=v)
     before = float(a[1, 2])
     a[1, 2] = -5.0
     assert r.space.dist[1, 2] == before and r.newdist is r.space.dist
