@@ -50,6 +50,7 @@ from .space import (
     AxiomReport,
     FiniteSpace,
     PointSpec,
+    Violation,
     build_space,
     verify_metric_axioms,
 )
@@ -157,6 +158,11 @@ def _build_builtin(spec: dict) -> tuple[FiniteSpace, DerivedSetView]:
         raise SpecError("space.params", str(exc)) from exc
 
 
+# No digit limit on CPython's int() of a decimal string can be set below 640
+# (sys.int_info.str_digits_check_threshold), so a slot this long always converts.
+_SLOT_DIGITS = 640
+
+
 def _build_points(spec: dict) -> FiniteSpace:
     points = _get(spec, "points", "space", list)
     if not points:
@@ -168,6 +174,9 @@ def _build_points(spec: dict) -> FiniteSpace:
         coords_raw = _get(entry, "coords", f"space.points[{k}]", dict, default={})
         coords, field = {}, f"space.points[{k}].coords"
         for slot, value in coords_raw.items():
+            if len(slot) > _SLOT_DIGITS:  # int() of a longer one may raise, naming no field
+                raise SpecError(field, f"slot of {len(slot)} characters is longer "
+                                f"than {_SLOT_DIGITS} digits")
             if not (slot.isascii() and slot.isdigit() and int(slot) >= 1) or (
                 type(value) not in (int, float)
             ):
@@ -308,18 +317,7 @@ def _isolation_obj(rep: IsolationReport) -> dict:
 
 
 def _axiom_obj(space: FiniteSpace, report: AxiomReport) -> dict:
-    return {
-        "passed": report.passed,
-        "violations": [
-            {
-                "kind": v.kind,
-                "indices": v.where,
-                "ids": [space.ids[k] for k in v.where],
-                "magnitude": _num(v.magnitude),
-            }
-            for v in report.violations
-        ],
-    }
+    return {"passed": report.passed, "violations": _Violations(space.ids, report.violations)}
 
 
 def _verdict_obj(verdict: AtsujiVerdict) -> dict:
@@ -329,6 +327,25 @@ def _verdict_obj(verdict: AtsujiVerdict) -> dict:
         "isolation": {repr(e): _isolation_obj(verdict.isolation[e]) for e in verdict.isolation},
         "fail_witness": _witness_obj(verdict.fail_witness),
     }
+
+
+def _heads(keys: tuple[str, ...] | None, opening: str, indent: str, count: int) -> list[str]:
+    """The text before each of ``count`` members of a container: the opening
+    bracket or a comma, the newline and indent, and the member's key if any."""
+    if keys is None:
+        return [opening + indent] + ["," + indent] * (count - 1)
+    keys = [json.encoder.encode_basestring_ascii(key) + ": " for key in keys]
+    return [opening + indent + keys[0]] + ["," + indent + key for key in keys[1:]]
+
+
+def _out_of_range(value: float) -> ValueError:
+    """json's error for a float that JSON cannot hold."""
+    return ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+# A report leaf is an object with a method ``text(indent) -> list[str]``: the
+# pieces of the JSON text json.dumps(indent=2) would write for the value it
+# stands for, whose members are indented by ``indent`` (a newline and spaces).
 
 
 class _Matrix:
@@ -342,58 +359,85 @@ class _Matrix:
         self.values = values
         self.ids = ids
 
+    def text(self, indent: str) -> list[str]:
+        """Each distinct entry is formatted once: the entries are deduplicated
+        by bit pattern (so -0.0 and 0.0 stay apart), and a row is one join of
+        the keys and separators, built once, with that row's texts."""
+        values = self.values
+        opening, closing = "[]" if self.ids is None else "{}"
+        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        inverse = inverse.reshape(values.shape)  # its shape varies across numpy 2.x releases
+        distinct = distinct.view(np.float64)
+        if not np.isfinite(distinct).all():  # the first non-finite entry in row order
+            raise _out_of_range(float(values.flat[np.argmin(np.isfinite(values))]))
+        texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+        rows, columns = values.shape
+        parts: list[str] = [""] * (2 * columns + 1)  # heads and texts, interleaved
+        parts[0::2] = _heads(self.ids, opening, indent + "  ", columns) + [indent + closing]
+        first = parts[0]
+        pieces = []
+        for head, row in zip(_heads(self.ids, opening, indent, rows), inverse):
+            parts[0] = head + first
+            parts[1::2] = texts[row].tolist()
+            pieces.append("".join(parts))
+        pieces.append(indent[:-2] + closing)
+        return pieces
 
-def _heads(keys: tuple[str, ...] | None, opening: str, indent: str, count: int) -> list[str]:
-    """The text before each of ``count`` members of a container: the opening
-    bracket or a comma, the newline and indent, and the member's key if any."""
-    if keys is None:
-        return [opening + indent] + ["," + indent] * (count - 1)
-    keys = [json.encoder.encode_basestring_ascii(key) + ": " for key in keys]
-    return [opening + indent + keys[0]] + ["," + indent + key for key in keys[1:]]
 
+class _Violations:
+    """A report leaf: the violations of an AxiomReport, written as json.dumps
+    writes ``[{"kind", "indices", "ids", "magnitude"}]``, an infinite
+    magnitude as null (as ``_num`` writes it), without building the dicts."""
 
-def _matrix_text(matrix: _Matrix, indent: str) -> list[str]:
-    """The pieces of a matrix whose rows are indented by ``indent``.
+    __slots__ = ("ids", "violations")
 
-    Each distinct entry is formatted once: the entries are deduplicated by
-    bit pattern (so -0.0 and 0.0 stay apart), and a row is one join of the
-    keys and separators, built once, with that row's texts."""
-    values = matrix.values
-    opening, closing = "[]" if matrix.ids is None else "{}"
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    inverse = inverse.reshape(values.shape)  # its shape varies across numpy 2.x releases
-    distinct = distinct.view(np.float64)
-    if not np.isfinite(distinct).all():
-        # json's error, which names the first non-finite entry in row order
-        bad = float(values.flat[np.argmin(np.isfinite(values))])
-        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
-    rows, columns = values.shape
-    parts: list[str] = [""] * (2 * columns + 1)  # heads and texts, interleaved
-    parts[0::2] = _heads(matrix.ids, opening, indent + "  ", columns) + [indent + closing]
-    first = parts[0]
-    pieces = []
-    for head, row in zip(_heads(matrix.ids, opening, indent, rows), inverse):
-        parts[0] = head + first
-        parts[1::2] = texts[row].tolist()
-        pieces.append("".join(parts))
-    pieces.append(indent[:-2] + closing)
-    return pieces
+    def __init__(self, ids: tuple[str, ...], violations: list[Violation]):
+        self.ids = ids
+        self.violations = violations
+
+    def text(self, indent: str) -> list[str]:
+        """One string template per violation: each point id is encoded once,
+        indices are written with ``str`` and magnitudes with
+        ``float.__repr__``."""
+        if not self.violations:
+            return ["[]"]
+        ids = list(map(json.encoder.encode_basestring_ascii, self.ids))
+        field, entry = indent + "  ", indent + "    "
+        templates: dict[int, str] = {}  # by the number of points of a violation
+        pieces, head = [], "[" + indent
+        for kind, where, magnitude in self.violations:
+            template = templates.get(len(where))
+            if template is None:
+                slots = ("," + entry).join(["%s"] * len(where))
+                template = templates[len(where)] = (
+                    f'{{{field}"kind": %s,{field}"indices": [{entry}{slots}{field}],'
+                    f'{field}"ids": [{entry}{slots}{field}],{field}"magnitude": %s{indent}}}'
+                )
+            magnitude = float.__repr__(magnitude)
+            if magnitude == "nan":
+                raise _out_of_range(math.nan)
+            if magnitude in ("inf", "-inf"):
+                magnitude = "null"
+            kind = json.encoder.encode_basestring_ascii(kind)
+            pieces.append(head + template % (kind, *where, *map(ids.__getitem__, where), magnitude))
+            head = "," + indent
+        pieces.append(indent[:-2] + "]")
+        return pieces
 
 
 def _report_text(report: Any) -> list[str]:
     """The pieces of ``json.dumps(report, indent=2, allow_nan=False) + "\\n"``,
-    each _Matrix leaf written as json.dumps writes its rows.
+    each report leaf written by its ``text`` method.
 
-    json's own encoder writes the report; for a matrix, ``default`` returns
+    json's own encoder writes the report; for a leaf, ``default`` returns
     None, and the ``null`` chunk that json yields next is replaced by the
-    matrix's text, indented one step past the line it starts on."""
-    matrices: list[_Matrix] = []
+    leaf's text, indented one step past the line it starts on."""
+    leaves: list[Any] = []
 
     def default(value: Any) -> Any:
-        if isinstance(value, _Matrix):
-            matrices.append(value)
+        if hasattr(value, "text"):
+            leaves.append(value)
             return None
         return json.JSONEncoder.default(encoder, value)
 
@@ -401,11 +445,11 @@ def _report_text(report: Any) -> list[str]:
     pieces: list[str] = []
     try:
         for chunk in encoder.iterencode(report):
-            if not matrices:
+            if not leaves:
                 pieces.append(chunk)
                 continue
             line = next((piece for piece in reversed(pieces) if "\n" in piece), "\n")
-            pieces += _matrix_text(matrices.pop(), line[line.rfind("\n"):] + "  ")
+            pieces += leaves.pop().text(line[line.rfind("\n"):] + "  ")
     except RecursionError:  # json's encoder recurses once per nesting level
         raise ValueError("report: nested too deeply to encode") from None
     pieces.append("\n")
@@ -662,6 +706,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two output paths name one file: by ``os.path.samefile`` when
+    both exist (which sees hard links), else by their real paths."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a path that does not exist yet, or cannot be read
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def main(argv: list[str] | None = None) -> int:
     # a finite matrix can still overflow in sums and differences: that is an
     # infinite magnitude in the report, not a numpy warning on stderr
@@ -669,9 +722,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             args = build_parser().parse_args(argv)
             out_matrix = getattr(args, "out_matrix", None)
-            if out_matrix is not None and args.out is not None and (
-                os.path.realpath(out_matrix) == os.path.realpath(args.out)
-            ):
+            if out_matrix is not None and args.out is not None and _same_file(out_matrix, args.out):
                 raise SpecError("--out-matrix", "names the same file as --out")
             space, derived, spec_echo, kind = load_spec(args.spec)
             if args.tol is not None:

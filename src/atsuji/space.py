@@ -357,7 +357,10 @@ def _triangles(d: np.ndarray, tol: float, symmetric: bool):
     order, inline or on a pool created here, and list each block's flagged
     rows once the block is decided.  A column flag marks rows only from its
     own block's start on, so by then those rows are final.  A row is listed
-    chunk of middle points by chunk, from the per-triple differences."""
+    chunk of middle points by chunk, from the per-triple differences: one
+    ``np.nonzero`` per chunk gives its violating ``(j, k)`` in row-major
+    order, and their indices and magnitudes become Python ints and floats
+    in bulk, by ``tolist``."""
     n = len(d)
     starts = range(0, n, _ROW_BLOCK)
     workers = min(_usable_cpus(), len(starts))
@@ -386,16 +389,17 @@ def _triangles(d: np.ndarray, tol: float, symmetric: bool):
         flat = None  # the listing's buffer, allocated at the first flagged row
         for start, (rows, columns) in zip(starts, decided):
             flagged[rows] = flagged[columns] = True
-            for i in start + np.flatnonzero(flagged[start : start + _ROW_BLOCK]):
+            for i in (start + np.flatnonzero(flagged[start : start + _ROW_BLOCK])).tolist():
                 if flat is None:
                     flat = np.empty((chunk, n))
                 for j0 in range(0, n, chunk):
                     mids = d[j0 : j0 + chunk]
                     excess = np.add(d[i, j0 : j0 + len(mids), None], mids, out=flat[: len(mids)])
                     np.subtract(d[i], excess, out=excess)
-                    for j, k in np.argwhere(excess > tol):
-                        where = (int(i), j0 + int(j), int(k))
-                        yield Violation("triangle", where, float(excess[j, k]))
+                    js, ks = np.nonzero(excess > tol)
+                    magnitudes = excess[js, ks].tolist()
+                    for j, k, magnitude in zip((js + j0).tolist(), ks.tolist(), magnitudes):
+                        yield Violation("triangle", (i, j, k), magnitude)
     finally:
         if pool is not None:  # no block starts once the consumer stops
             pool.shutdown(cancel_futures=True)

@@ -1,0 +1,142 @@
+"""Rewrite the golden corpus: the spec files of this directory, the report
+each case writes, and ``cases.json``, which holds every case's command line,
+exit code and stderr.
+
+Run from the root of a checkout, against the package under test:
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+This script is the only way the corpus is rewritten.  Run it only where the
+report bytes are meant to change, and review the diff: ``tests/test_golden.py``
+compares every later run byte for byte with what it writes.  Each case runs
+``atsuji.cli.main`` with this directory as the working directory, so the
+reports echo the spec paths as written here.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+
+from atsuji.cli import main
+
+HERE = Path(__file__).resolve().parent
+
+
+def _l2(coords: np.ndarray) -> np.ndarray:
+    return np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
+
+
+def _table(n: int, seed: int) -> np.ndarray:
+    """A Euclidean distance table of ``n`` points in the unit square."""
+    return _l2(np.random.default_rng(seed).uniform(0.0, 1.0, (n, 2)))
+
+
+def _matrix(ids: list[str], dist) -> dict:
+    return {"space": {"kind": "matrix", "ids": ids, "matrix": np.asarray(dist).tolist()}}
+
+
+def _planted() -> np.ndarray:
+    """20 points with two inflated entries and a zero distance between two
+    distinct points: triangle and identity violations, exactly symmetric."""
+    d = _table(20, 1)
+    for i, k in [(2, 11), (7, 19)]:
+        d[i, k] = d[k, i] = d[i, k] + 4.0
+    d[4, 5] = d[5, 4] = 0.0
+    return d
+
+
+def _asymmetric() -> np.ndarray:
+    """12 points, a few entries changed on one side of the diagonal only."""
+    d = _table(12, 2)
+    d[0, 9] += 3.0
+    d[3, 1] *= 0.5
+    d[10, 6] = -0.25
+    return d
+
+
+def _within_tol() -> np.ndarray:
+    """Symmetric within the default tol but not entrywise, so the triangle
+    scan runs in full; one entry pair inflated."""
+    d = _table(18, 3)
+    d[1, 12] = d[12, 1] = d[1, 12] + 3.0
+    for i in range(0, 18, 3):
+        d[i, (i + 5) % 18] += 5e-13
+    return d
+
+
+OVERFLOW = [
+    [0, -1.7e308, 1, 1.7e308],
+    [-1.7e308, 0, -1.7e308, 1],
+    [1, -1.7e308, 0, 2],
+    [-1.7e308, 1, 2, 0],
+]
+
+TRICKY_IDS = ['"quoted"', "back\\slash", "tab\there", "nul\x00", "\x7f", "café",
+              "\U0001f600", "\ud800", "\udfff lone", "comma, colon: ", "[", "}"]
+
+
+def _tricky() -> np.ndarray:
+    d = _table(len(TRICKY_IDS), 4)
+    d[0, 7] = d[7, 0] = d[0, 7] + 3.0
+    d[2, 11] = d[11, 2] = d[2, 11] + 3.0
+    return d
+
+
+SPECS = {
+    "planted.spec.json": _matrix([f"x{k}" for k in range(20)], _planted()),
+    "asymmetric.spec.json": _matrix([f"a{k}" for k in range(12)], _asymmetric()),
+    "within-tol.spec.json": _matrix([f"t{k}" for k in range(18)], _within_tol()),
+    "overflow.spec.json": _matrix(["p0", "p1", "p2", "p3"], OVERFLOW),
+    "tricky-ids.spec.json": _matrix(TRICKY_IDS, _tricky()),
+    "clean.spec.json": _matrix([f"c{k}" for k in range(15)], _table(15, 5)),
+    "remetrize.spec.json": {
+        "space": {"kind": "builtin", "name": "convergent_sequence", "params": {"n_max": 8}},
+    },
+}
+
+# case name -> command line; the report is written to <name>.report.json
+CASES = {
+    "check-metric-planted": ["check-metric", "planted.spec.json"],
+    "check-metric-asymmetric": ["check-metric", "asymmetric.spec.json"],
+    "check-metric-within-tol": ["check-metric", "within-tol.spec.json"],
+    "check-metric-overflow": ["check-metric", "overflow.spec.json"],
+    "check-metric-tricky-ids": ["check-metric", "tricky-ids.spec.json"],
+    "check-metric-clean": ["check-metric", "clean.spec.json"],
+    "remetrize": ["remetrize", "remetrize.spec.json"],
+    "atsuji-rejects-planted": ["atsuji", "planted.spec.json"],
+}
+
+
+def run(argv: list[str], out: Path) -> tuple[int, str]:
+    """``main(argv + ["--out", out])`` in this directory: (exit code, stderr)."""
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(HERE)
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(out)])
+    finally:
+        os.chdir(cwd)
+    return code, err.getvalue()
+
+
+def regenerate() -> None:
+    for name, spec in SPECS.items():
+        (HERE / name).write_text(json.dumps(spec, indent=1) + "\n", encoding="ascii")
+    cases = {}
+    for name, argv in CASES.items():
+        report = HERE / f"{name}.report.json"
+        report.unlink(missing_ok=True)
+        code, stderr = run(argv, report)
+        cases[name] = {"argv": argv, "exit": code, "stderr": stderr}
+    (HERE / "cases.json").write_text(json.dumps(cases, indent=2) + "\n", encoding="ascii")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -663,6 +664,17 @@ def test_overlong_integer_in_spec_is_invalid_json(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_points_l2_overlong_slot_is_input_error(tmp_path, capsys):
+    # int() of a slot beyond Python's digit limit raises; the field is named first
+    spec = write_spec(tmp_path, points_spec([
+        {"id": "a", "coords": {"1" * 5000: 0.5}},
+        {"id": "b", "coords": {"1": 0.7}},
+    ]))
+    assert main(["check-metric", spec]) == 2
+    assert capsys.readouterr().err == (
+        "error: space.points[0].coords: slot of 5000 characters is longer than 640 digits\n")
+
+
 def test_points_l2_repeated_slot_is_input_error(tmp_path, capsys):
     # "1" and "01" both name slot 1: neither silently wins
     spec = write_spec(tmp_path, points_spec([
@@ -806,6 +818,17 @@ def test_out_matrix_must_not_name_the_out_file(tmp_path, capsys, monkeypatch, ma
     assert main(["remetrize", spec, "--out", str(out), "--out-matrix", matrix_path]) == 2
     assert capsys.readouterr().err == "error: --out-matrix: names the same file as --out\n"
     assert not out.exists() and loaded == []
+
+
+def test_out_matrix_must_not_be_a_hard_link_to_the_out_file(tmp_path, capsys):
+    # a hard link has its own real path; both paths exist, so they are compared as files
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    out, link = tmp_path / "h1.json", tmp_path / "h2.json"
+    out.write_text("old", encoding="utf-8")
+    os.link(out, link)
+    assert main(["remetrize", spec, "--out", str(out), "--out-matrix", str(link)]) == 2
+    assert capsys.readouterr().err == "error: --out-matrix: names the same file as --out\n"
+    assert out.read_text(encoding="utf-8") == "old"
 
 
 def test_unencodable_report_leaves_no_out_matrix_file(tmp_path, capsys):

@@ -4,6 +4,7 @@ allow_nan=False)`` plus a newline, for any JSON tree, and raises its errors."""
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atsuji.cli import _emit, _Matrix, _report_text, main
+from atsuji.cli import _emit, _Matrix, _report_text, _Violations, main
+from atsuji.space import Violation
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
 TRICKY_CHARS = [", ", ",\x00", "\x00", "%", '"', "\\", "\n", "\x7f", "é", " ",
@@ -134,13 +136,23 @@ MATRIX_FLOATS = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -2.5, 0.1]
 
 
 def plain(tree):
-    """``tree`` with each _Matrix replaced by the nested dicts or lists that
-    json.dumps would write for it."""
+    """``tree`` with each report leaf replaced by the nested dicts or lists
+    that json.dumps would write for it."""
     if isinstance(tree, _Matrix):
         rows = tree.values.tolist()
         if tree.ids is None:
             return rows
         return {x: dict(zip(tree.ids, row)) for x, row in zip(tree.ids, rows)}
+    if isinstance(tree, _Violations):
+        return [
+            {
+                "kind": v.kind,
+                "indices": v.where,
+                "ids": [tree.ids[k] for k in v.where],
+                "magnitude": None if math.isinf(v.magnitude) else v.magnitude,
+            }
+            for v in tree.violations
+        ]
     if isinstance(tree, dict):
         return {key: plain(value) for key, value in tree.items()}
     if isinstance(tree, (list, tuple)):
@@ -161,9 +173,23 @@ def matrices(draw):
 
 
 @st.composite
-def trees_with_a_matrix(draw):
-    """A matrix at depth 0 to 3, with siblings before and after it."""
-    tree = draw(matrices())
+def violation_lists(draw):
+    """Violations on n points, n in 1..5, with pair and triple ``where``s, ids
+    with escapes, and magnitudes that include infinities and the extremes;
+    the list may be empty."""
+    n = draw(st.integers(1, 5))
+    ids = draw(st.lists(texts, min_size=n, max_size=n, unique=True).map(tuple))
+    kinds = st.sampled_from(["nonneg", "symmetry", "identity", "triangle"])
+    where = st.lists(st.integers(0, n - 1), min_size=2, max_size=3).map(tuple)
+    magnitudes = st.sampled_from([math.inf, -math.inf, *MATRIX_FLOATS]) | finite_floats
+    violations = st.builds(Violation, kinds, where, magnitudes)
+    return _Violations(ids, draw(st.lists(violations, max_size=6)))
+
+
+@st.composite
+def trees_with_a_leaf(draw, leaves):
+    """A report leaf at depth 0 to 3, with siblings before and after it."""
+    tree = draw(leaves)
     for _ in range(draw(st.integers(0, 3))):
         before = draw(st.lists(trees, max_size=2))
         after = draw(st.lists(trees, max_size=2))
@@ -176,22 +202,30 @@ def trees_with_a_matrix(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(trees_with_a_matrix())
+@given(trees_with_a_leaf(matrices()))
 def test_a_matrix_is_written_as_json_dumps_writes_its_rows(tree):
     assert "".join(_report_text(tree)) == dumped(plain(tree))
 
 
+@settings(max_examples=400, deadline=None)
+@given(trees_with_a_leaf(violation_lists()))
+def test_violations_are_written_as_json_dumps_writes_their_dicts(tree):
+    assert "".join(_report_text(tree)) == dumped(plain(tree))
+
+
 @pytest.mark.parametrize(
-    "rows, ids",
+    "leaf",
     [
-        ([[1.0, float("nan")], [float("inf"), 0.0]], None),
-        ([[1.0, float("-inf")], [float("nan"), 0.0]], ("a", "b")),
-        ([[float("inf")]], ("a",)),
+        _Matrix(np.array([[1.0, float("nan")], [float("inf"), 0.0]])),
+        _Matrix(np.array([[1.0, float("-inf")], [float("nan"), 0.0]]), ("a", "b")),
+        _Matrix(np.array([[float("inf")]]), ("a",)),
+        _Violations(("a", "b"), [Violation("symmetry", (0, 1), math.inf),
+                                 Violation("triangle", (1, 0, 1), math.nan)]),
     ],
-    ids=["nan-first", "-inf-first", "1x1-inf"],
+    ids=["nan-first", "-inf-first", "1x1-inf", "violation-nan"],
 )
-def test_a_non_finite_matrix_raises_json_dumps_error_before_opening_out(tmp_path, rows, ids):
-    tree = {"before": [1.5], "m": _Matrix(np.array(rows), ids)}
+def test_a_non_finite_matrix_raises_json_dumps_error_before_opening_out(tmp_path, leaf):
+    tree = {"before": [1.5], "m": leaf}
     with pytest.raises(ValueError) as expected:
         dumped(plain(tree))
     out = tmp_path / "report.json"
@@ -208,7 +242,8 @@ import json
 from json import encoder
 assert encoder.c_make_encoder is None
 import numpy as np
-from atsuji.cli import _Matrix, _report_text
+from atsuji.cli import _Matrix, _report_text, _Violations
+from atsuji.space import Violation
 trees = [
     {"newdist": {"a": {"a": 0.0, "b": 0.1}, "b": {"a": 0.1, "b": 0.0}}, "ids": ["a", "\\ud800,\\x00"]},
     [[], {}, [[1, 2.5e-300, None, True]], {"k": (), 1: [-0.0], None: {"x": "\\u00e9"}}],
@@ -223,6 +258,14 @@ for tree, expected in [
     ([_Matrix(values)], [rows]),
 ]:
     assert "".join(_report_text(tree)) == json.dumps(expected, indent=2, allow_nan=False) + "\\n"
+violations = [Violation("triangle", (0, 1, 0), 2.5), Violation("nonneg", (1, 0), float("inf"))]
+expected = {"result": {"passed": False, "violations": [
+    {"kind": "triangle", "indices": [0, 1, 0], "ids": [ids[0], ids[1], ids[0]], "magnitude": 2.5},
+    {"kind": "nonneg", "indices": [1, 0], "ids": [ids[1], ids[0]], "magnitude": None},
+]}, "empty": []}
+tree = {"result": {"passed": False, "violations": _Violations(ids, violations)},
+        "empty": _Violations(ids, [])}
+assert "".join(_report_text(tree)) == json.dumps(expected, indent=2, allow_nan=False) + "\\n"
 try:
     _report_text({"row": [1.0, float("nan")]})
 except ValueError as exc:
