@@ -23,8 +23,8 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import islice
-from typing import Callable, Iterable, NamedTuple
+from itertools import islice, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -301,6 +301,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _listed(kind: str, magnitudes: np.ndarray, *where: np.ndarray) -> Iterator[Violation]:
+    """The violations of one kind at index arrays ``where`` already in report
+    order, made Python ints and floats in bulk: one ``tolist`` per array."""
+    return map(Violation, repeat(kind), zip(*(w.tolist() for w in where)), magnitudes.tolist())
+
+
 def _symmetry(d: np.ndarray, tol: float):
     """Yield the symmetry violations in row order and return whether ``d``
     equals ``d.T`` entrywise.  A row block compares its entries from the
@@ -313,8 +319,8 @@ def _symmetry(d: np.ndarray, tol: float):
         np.subtract(upper, d[start:, start : start + len(upper)].T, out=gap)
         np.abs(gap, out=gap)
         symmetric = symmetric and not gap.any()
-        for i, j in np.argwhere(np.triu(gap > tol, k=1)):
-            yield Violation("symmetry", (start + int(i), start + int(j)), float(gap[i, j]))
+        i, j = np.nonzero(np.triu(gap > tol, k=1))
+        yield from _listed("symmetry", gap[i, j], start + i, start + j)
     return symmetric
 
 
@@ -359,8 +365,7 @@ def _triangles(d: np.ndarray, tol: float, symmetric: bool):
     own block's start on, so by then those rows are final.  A row is listed
     chunk of middle points by chunk, from the per-triple differences: one
     ``np.nonzero`` per chunk gives its violating ``(j, k)`` in row-major
-    order, and their indices and magnitudes become Python ints and floats
-    in bulk, by ``tolist``."""
+    order."""
     n = len(d)
     starts = range(0, n, _ROW_BLOCK)
     workers = min(_usable_cpus(), len(starts))
@@ -397,9 +402,7 @@ def _triangles(d: np.ndarray, tol: float, symmetric: bool):
                     excess = np.add(d[i, j0 : j0 + len(mids), None], mids, out=flat[: len(mids)])
                     np.subtract(d[i], excess, out=excess)
                     js, ks = np.nonzero(excess > tol)
-                    magnitudes = excess[js, ks].tolist()
-                    for j, k, magnitude in zip((js + j0).tolist(), ks.tolist(), magnitudes):
-                        yield Violation("triangle", (i, j, k), magnitude)
+                    yield from _listed("triangle", excess[js, ks], np.full_like(js, i), js + j0, ks)
     finally:
         if pool is not None:  # no block starts once the consumer stops
             pool.shutdown(cancel_futures=True)
@@ -413,16 +416,16 @@ def _violations(d: np.ndarray, tol: float):
     n = len(d)
     for start in range(0, n, _PAIR_BLOCK):
         rows = d[start : start + _PAIR_BLOCK]
-        for i, j in np.argwhere(rows < -tol):
-            yield Violation("nonneg", (start + int(i), int(j)), float(-rows[i, j]))
+        i, j = np.nonzero(rows < -tol)
+        yield from _listed("nonneg", -rows[i, j], start + i, j)
     symmetric = yield from _symmetry(d, tol)
     diag = np.abs(np.diagonal(d))
-    for i in np.flatnonzero(diag > tol):
-        yield Violation("identity", (int(i), int(i)), float(diag[i]))
+    i = np.flatnonzero(diag > tol)
+    yield from _listed("identity", diag[i], i, i)
     for start in range(0, n, _PAIR_BLOCK):
         upper = d[start : start + _PAIR_BLOCK, start:]
-        for i, j in np.argwhere(np.triu(upper <= tol, k=1)):
-            yield Violation("identity", (start + int(i), start + int(j)), float(tol - upper[i, j]))
+        i, j = np.nonzero(np.triu(upper <= tol, k=1))
+        yield from _listed("identity", tol - upper[i, j], start + i, start + j)
     yield from _triangles(d, tol, symmetric)
 
 
@@ -438,7 +441,9 @@ def verify_metric_axioms(space: FiniteSpace, limit: int | None = None) -> AxiomR
     holds them.  ``passed`` stays exact, since a failing matrix always lists
     at least one violation.  Unlimited calls decide every triple.  The pair
     checks run in row blocks, and the symmetry pass also finds whether the
-    matrix equals its transpose entrywise.
+    matrix equals its transpose entrywise.  Every kind is listed one pair
+    block or listing chunk at a time, from one ``np.nonzero`` of its mask,
+    and its indices and magnitudes become Python ints and floats in bulk.
 
     The triangle inequality is decided row by row with min-plus tiles: for a
     block of rows ``i`` the scan accumulates ``min_j (d[i, j] + d[j, k])``

@@ -8,7 +8,8 @@ Run from the root of a checkout, against the package under test:
 
 This script is the only way the corpus is rewritten.  Run it only where the
 report bytes are meant to change, and review the diff: ``tests/test_golden.py``
-compares every later run byte for byte with what it writes.  Each case runs
+compares every later run byte for byte with what it writes, and CI reruns it
+and fails on any difference from the committed corpus.  Each case runs
 ``atsuji.cli.main`` with this directory as the working directory, so the
 reports echo the spec paths as written here.
 """
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from atsuji.cli import main
+from atsuji.space import _PAIR_BLOCK
 
 HERE = Path(__file__).resolve().parent
 
@@ -88,6 +90,36 @@ def _tricky() -> np.ndarray:
     return d
 
 
+def _pair_blocks() -> np.ndarray:
+    """An integer line metric of ``_PAIR_BLOCK + 4`` points, so that the pair
+    passes cross a row block, with each pair kind planted in rows on both
+    sides of row ``_PAIR_BLOCK``: one-sided negative entries, one-sided
+    raised entries, nonzero diagonal entries, and zero pairs from points
+    that share a position (these break no triangle)."""
+    n, edge = _PAIR_BLOCK + 4, _PAIR_BLOCK
+    x = np.arange(n)
+    x[61], x[edge + 1] = x[60], x[edge]
+    d = np.abs(x[:, None] - x[None, :]).astype(float)
+    d[3, 2] = d[edge + 3, edge + 2] = -0.5
+    d[20, 21] += 0.25
+    d[edge + 2, edge + 1] += 0.25
+    d[40, 40] = d[edge + 2, edge + 2] = 0.5
+    return d
+
+
+POINTS = [
+    {"id": point_id, "coords": {str(1 + k % 3): 1 + k / 4, str(4 + k % 5): 1.5 - k % 2}}
+    for k, point_id in enumerate(TRICKY_IDS)
+]
+
+
+def _builtin(name: str, derived: dict | None = None, **params) -> dict:
+    spec = {"space": {"kind": "builtin", "name": name, "params": params}}
+    if derived is not None:
+        spec["derived_set"] = derived
+    return spec
+
+
 SPECS = {
     "planted.spec.json": _matrix([f"x{k}" for k in range(20)], _planted()),
     "asymmetric.spec.json": _matrix([f"a{k}" for k in range(12)], _asymmetric()),
@@ -98,6 +130,12 @@ SPECS = {
     "remetrize.spec.json": {
         "space": {"kind": "builtin", "name": "convergent_sequence", "params": {"n_max": 8}},
     },
+    "pair-blocks.spec.json": _matrix([f"q{k}" for k in range(_PAIR_BLOCK + 4)], _pair_blocks()),
+    "sequence.spec.json": _builtin("convergent_sequence", n_max=30),
+    "empty-derived.spec.json": _builtin("convergent_sequence", {"kind": "empty"}, n_max=40),
+    "detect.spec.json": _builtin("convergent_sequence", {"kind": "detect", "radius": 2}, n_max=20),
+    "grid.spec.json": _builtin("sequence_grid_E", i_max=3, j_max=12, include_origin=False),
+    "points.spec.json": {"space": {"kind": "points_l2", "points": POINTS}},
 }
 
 # case name -> command line; the report is written to <name>.report.json
@@ -110,6 +148,18 @@ CASES = {
     "check-metric-clean": ["check-metric", "clean.spec.json"],
     "remetrize": ["remetrize", "remetrize.spec.json"],
     "atsuji-rejects-planted": ["atsuji", "planted.spec.json"],
+    "check-metric-pair-blocks": ["check-metric", "pair-blocks.spec.json"],
+    "atsuji-pass": ["atsuji", "sequence.spec.json"],
+    "atsuji-fail": ["atsuji", "empty-derived.spec.json", "--threshold", "1e-3"],
+    "atsuji-inconclusive": ["atsuji", "detect.spec.json"],
+    "remetrize-empty-derived": ["remetrize", "empty-derived.spec.json"],
+    "witness-found": ["witness", "grid.spec.json", "--fn", "parity", "--eps0", "0.5",
+                      "--delta", "0.1"],
+    "witness-not-found": ["witness", "grid.spec.json", "--fn", "parity", "--eps0", "0.5",
+                          "--delta", "0.001"],
+    "separator": ["separator", "sequence.spec.json", "--a", "zero", "--b", "n1,n2"],
+    "net-points": ["net", "points.spec.json", "--eps", "2.6"],
+    "check-metric-points": ["check-metric", "points.spec.json"],
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -446,11 +447,14 @@ def scan_cases(draw):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=120, deadline=None)
-@given(scan_cases())
-def test_tiled_scan_lists_exactly_the_per_j_violations(case):
+@given(scan_cases(), st.sampled_from([3, 5, _PAIR_BLOCK]))
+def test_tiled_scan_lists_exactly_the_per_j_violations(case, pair_block):
+    # small pair blocks make the nonneg, symmetry and identity listings
+    # cross row blocks on every matrix of more than a few points
     d, tol = case
     space = FiniteSpace(ids=tuple(f"p{k}" for k in range(len(d))), dist=d, tol=tol)
-    report = verify_metric_axioms(space)
+    with mock.patch.object(space_module, "_PAIR_BLOCK", pair_block):
+        report = verify_metric_axioms(space)
     got = [(v.kind, v.where, float(v.magnitude).hex()) for v in report.violations]
     assert got == per_j_axiom_violations(space.dist, tol)
     assert report.passed == (not got)
@@ -666,6 +670,25 @@ def test_a_pooled_limited_scan_equals_the_inline_one_and_leaves_no_thread():
         pooled, _ = scan_counting_blocks(space, limit=limit, cpus=3)
         assert threading.active_count() == threads
         assert pooled == scan_counting_blocks(space, limit=limit)[0]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_every_violation_holds_python_ints_and_floats(cpus):
+    # every kind, listed in bulk on the inline and the pooled scan, holds no
+    # numpy scalar, so a library caller can json.dumps its fields
+    n = 3 * _ROW_BLOCK + 5
+    d = line_space(n, plants=[(1, n - 2), (2 * _ROW_BLOCK, n - 1)], negative=(4, 9)).dist.copy()
+    d[3, 3] = 0.5
+    d[6, 7] = d[7, 6] = 0.0
+    d[n - 3, 2] += 0.25
+    space = FiniteSpace(ids=tuple(f"p{k}" for k in range(n)), dist=d)
+    with mock.patch.object(space_module, "_PAIR_BLOCK", 5):
+        report, _ = scan_counting_blocks(space, cpus=cpus)
+    assert {v.kind for v in report.violations} == {"nonneg", "symmetry", "identity", "triangle"}
+    for v in report.violations:
+        assert type(v.where) is tuple and all(type(k) is int for k in v.where)
+        assert type(v.magnitude) is float
+        json.dumps([v.kind, v.where, v.magnitude])
 
 
 # --- input checks --------------------------------------------------------------
