@@ -11,7 +11,8 @@ report bytes are meant to change, and review the diff: ``tests/test_golden.py``
 compares every later run byte for byte with what it writes, and CI reruns it
 and fails on any difference from the committed corpus.  Each case runs
 ``atsuji.cli.main`` with this directory as the working directory, so the
-reports echo the spec paths as written here.
+reports echo the spec paths as written here, and an ``--out-matrix`` file
+named by a case is written here too.
 """
 
 from __future__ import annotations
@@ -113,6 +114,18 @@ POINTS = [
 ]
 
 
+# a sequence converging to the origin in l2, with its limit given as the derived set
+LIMIT = {
+    "space": {
+        "kind": "points_l2",
+        "points": [{"id": "x0"}] + [
+            {"id": f"x{k}", "coords": {"1": 1 / k, "2": (-1) ** k / k**2}} for k in range(1, 11)
+        ],
+    },
+    "derived_set": {"kind": "oracle", "ids": ["x0"]},
+}
+
+
 def _builtin(name: str, derived: dict | None = None, **params) -> dict:
     spec = {"space": {"kind": "builtin", "name": name, "params": params}}
     if derived is not None:
@@ -136,6 +149,10 @@ SPECS = {
     "detect.spec.json": _builtin("convergent_sequence", {"kind": "detect", "radius": 2}, n_max=20),
     "grid.spec.json": _builtin("sequence_grid_E", i_max=3, j_max=12, include_origin=False),
     "points.spec.json": {"space": {"kind": "points_l2", "points": POINTS}},
+    "limit.spec.json": LIMIT,
+    "unknown-kind.spec.json": {"space": {"kind": "hyperbolic", "n": 3}},
+    # the text as written, not a JSON value: the closing brace is missing
+    "malformed.spec.json": '{"space": {"kind": "matrix", "ids": ["a"], "matrix": [[0]]}\n',
 }
 
 # case name -> command line; the report is written to <name>.report.json
@@ -160,6 +177,16 @@ CASES = {
     "separator": ["separator", "sequence.spec.json", "--a", "zero", "--b", "n1,n2"],
     "net-points": ["net", "points.spec.json", "--eps", "2.6"],
     "check-metric-points": ["check-metric", "points.spec.json"],
+    "remetrize-points": ["remetrize", "points.spec.json"],
+    "atsuji-oracle": ["atsuji", "limit.spec.json"],
+    # also writes the matrix file named here, relative to the working directory
+    "remetrize-out-matrix": ["remetrize", "limit.spec.json", "--out-matrix",
+                             "remetrize-out-matrix.matrix.json"],
+    "check-metric-malformed-json": ["check-metric", "malformed.spec.json"],
+    "atsuji-unknown-kind": ["atsuji", "unknown-kind.spec.json"],
+    "atsuji-bad-eps-grid": ["atsuji", "sequence.spec.json", "--eps-grid", "0.5,,0.25"],
+    "witness-bad-delta": ["witness", "grid.spec.json", "--fn", "parity", "--eps0", "0.5",
+                          "--delta", "1e400"],
 }
 
 
@@ -178,7 +205,8 @@ def run(argv: list[str], out: Path) -> tuple[int, str]:
 
 def regenerate() -> None:
     for name, spec in SPECS.items():
-        (HERE / name).write_text(json.dumps(spec, indent=1) + "\n", encoding="ascii")
+        text = spec if isinstance(spec, str) else json.dumps(spec, indent=1) + "\n"
+        (HERE / name).write_text(text, encoding="ascii")
     cases = {}
     for name, argv in CASES.items():
         report = HERE / f"{name}.report.json"

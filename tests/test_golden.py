@@ -1,11 +1,15 @@
-"""Reports, exit codes and stderr of the golden corpus in ``tests/golden/``.
+"""Reports, exit codes, stderr and ``--out-matrix`` files of the golden corpus
+in ``tests/golden/``.
 
-Each case runs ``main`` with that directory as its working directory and its
-report written to a temporary file, and must reproduce the corpus byte for
-byte.  ``tests/golden/regen.py`` is the only way the corpus is rewritten.
+Each case runs ``main`` in a temporary directory holding a copy of its spec,
+under the spec's name in the corpus, so the report echoes the same spec path
+and the case's other output files are written there, not into the corpus.
+Every file must reproduce the corpus byte for byte.
+``tests/golden/regen.py`` is the only way the corpus is rewritten.
 """
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -19,12 +23,16 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="ascii"))
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(tmp_path, capsys, monkeypatch, name):
     case = CASES[name]
-    out = tmp_path / "report.json"
-    monkeypatch.chdir(GOLDEN)
-    assert main([*case["argv"], "--out", str(out)]) == case["exit"]
+    argv = case["argv"]
+    shutil.copy(GOLDEN / argv[1], tmp_path)  # argv[1] is the spec path
+    out = tmp_path / f"{name}.report.json"
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", str(out)]) == case["exit"]
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", case["stderr"])
-    expected = GOLDEN / f"{name}.report.json"
-    assert out.exists() == expected.exists()
-    if expected.exists():
-        assert out.read_bytes() == expected.read_bytes()
+    written = [argv[k + 1] for k, flag in enumerate(argv) if flag == "--out-matrix"]
+    for path in [out.name, *written]:
+        expected = GOLDEN / path
+        assert (tmp_path / path).exists() == expected.exists(), path
+        if expected.exists():
+            assert (tmp_path / path).read_bytes() == expected.read_bytes(), path
