@@ -3,6 +3,24 @@ and remetrization to an equivalent-topology uniformly continuous metric."""
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# OpenBLAS reads its thread count from these when numpy loads it; a caller
+# who sets any of them keeps that choice.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREADS):
+    # atsuji makes no BLAS call, but OpenBLAS starts a worker per extra CPU at
+    # load that spins idle: `import numpy` took 0.24 CPU-s against 0.11 s with
+    # one thread (2 vCPUs).  The variable is removed again at once, so no
+    # child process inherits it.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from . import analysis, functions, generators, remetrize, space
 
 # Each module's __all__ is the public API, re-exported here.  The modules are

@@ -353,26 +353,42 @@ class _Matrix:
     writes ``{ids[i]: {ids[j]: values[i, j]}}``, or ``values.tolist()`` when
     there are no ids, without building either."""
 
-    __slots__ = ("values", "ids")
+    __slots__ = ("values", "ids", "_entries")
 
     def __init__(self, values: np.ndarray, ids: tuple[str, ...] | None = None):
         self.values = values
         self.ids = ids
+        self._entries: list = []  # [(texts, inverse)] once formatted; shared by without_ids
+
+    def without_ids(self) -> _Matrix:
+        """This matrix written as ``values.tolist()``.  The two leaves share
+        one formatting of the entries: whichever writes first formats them."""
+        twin = _Matrix(self.values)
+        twin._entries = self._entries
+        return twin
+
+    def _formatted(self) -> tuple[np.ndarray, np.ndarray]:
+        """(texts, inverse): the text of each distinct entry, deduplicated by
+        bit pattern (so -0.0 and 0.0 stay apart) and formatted once, and each
+        entry's index into the texts, in the matrix's shape."""
+        if not self._entries:
+            values = self.values
+            bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+            distinct, inverse = np.unique(bits, return_inverse=True)
+            inverse = inverse.reshape(values.shape)  # its shape varies across numpy 2.x releases
+            distinct = distinct.view(np.float64)
+            if not np.isfinite(distinct).all():  # the first non-finite entry in row order
+                raise _out_of_range(float(values.flat[np.argmin(np.isfinite(values))]))
+            texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+            self._entries.append((texts, inverse))
+        return self._entries[0]
 
     def text(self, indent: str) -> list[str]:
-        """Each distinct entry is formatted once: the entries are deduplicated
-        by bit pattern (so -0.0 and 0.0 stay apart), and a row is one join of
-        the keys and separators, built once, with that row's texts."""
-        values = self.values
+        """A row is one join of the keys and separators, built once, with
+        that row's texts."""
+        texts, inverse = self._formatted()
         opening, closing = "[]" if self.ids is None else "{}"
-        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        inverse = inverse.reshape(values.shape)  # its shape varies across numpy 2.x releases
-        distinct = distinct.view(np.float64)
-        if not np.isfinite(distinct).all():  # the first non-finite entry in row order
-            raise _out_of_range(float(values.flat[np.argmin(np.isfinite(values))]))
-        texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
-        rows, columns = values.shape
+        rows, columns = self.values.shape
         parts: list[str] = [""] * (2 * columns + 1)  # heads and texts, interleaved
         parts[0::2] = _heads(self.ids, opening, indent + "  ", columns) + [indent + closing]
         first = parts[0]
@@ -538,6 +554,7 @@ def _cmd_atsuji(space, derived, args) -> tuple:
 def _cmd_remetrize(space, derived, args) -> tuple:
     result_space = remetrize(space, derived)
     new_space = result_space.space
+    newdist = _Matrix(result_space.newdist, space.ids)
     axioms = verify_metric_axioms(new_space)
     topology = verify_same_topology(result_space)
     bounds = {eta: verify_isolation_bound(result_space, eta) for eta in DEFAULT_EPS_GRID}
@@ -545,7 +562,7 @@ def _cmd_remetrize(space, derived, args) -> tuple:
     result = {
         "empty_derived_fallback_used": result_space.empty_derived_fallback_used,
         "levels": result_space.levels,
-        "newdist": _Matrix(result_space.newdist, space.ids),
+        "newdist": newdist,
         "axioms": _axiom_obj(new_space, axioms),
         "same_topology": {
             "passed": topology.passed,
@@ -573,7 +590,7 @@ def _cmd_remetrize(space, derived, args) -> tuple:
             "space": {
                 "kind": "matrix",
                 "ids": list(space.ids),
-                "matrix": _Matrix(result_space.newdist),
+                "matrix": newdist.without_ids(),
             },
             "derived_set": (
                 {"kind": "oracle", "ids": members} if members else {"kind": "empty"}

@@ -26,7 +26,9 @@ __all__ = [
     "parity_function",
 ]
 
-_GRID_ID = re.compile(r"^p_(\d+)_(\d+)$")
+# used with fullmatch: "$" would also match before a trailing newline, and
+# "\d" would accept non-ASCII digits
+_GRID_ID = re.compile(r"p_([0-9]+)_([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def parity_function(space: FiniteSpace) -> SampledFunction:
     """
     values: dict[PointId, float] = {}
     for p in space.ids:
-        m = _GRID_ID.match(p)
+        m = _GRID_ID.fullmatch(p)
         if m is None:
             raise ValueError(f"point id {p!r} does not encode grid indices p_<i>_<j>")
         i, j = int(m.group(1)), int(m.group(2))

@@ -406,6 +406,12 @@ def test_witness_rejects_separator_sets_for_other_functions(tmp_path, capsys, fn
         (builtin("convergent_sequence", n_max=5),
          ["witness", "{spec}", "--fn", "parity", "--eps0", "0.5", "--delta", "1"],
          "--fn: point id 'zero' does not encode grid indices p_<i>_<j>"),
+        ({"space": {"kind": "matrix", "ids": ["p_1_1", "p_1_2\n"], "matrix": [[0, 1], [1, 0]]}},
+         ["witness", "{spec}", "--fn", "parity", "--eps0", "0.5", "--delta", "2"],
+         "--fn: point id 'p_1_2\\n' does not encode grid indices p_<i>_<j>"),
+        ({"space": {"kind": "matrix", "ids": ["p_1_1", "p_\u0661_3"], "matrix": [[0, 1], [1, 0]]}},
+         ["witness", "{spec}", "--fn", "parity", "--eps0", "0.5", "--delta", "2"],
+         "--fn: point id 'p_\u0661_3' does not encode grid indices p_<i>_<j>"),
         (builtin("sequence_grid_E", i_max=3, j_max=3, include_origin=False),
          ["separator", "{spec}", "--a", "p_1_1", "--b", "p_1_1"],
          "--b: A and B must be disjoint; shared points: ['p_1_1']"),
@@ -414,7 +420,8 @@ def test_witness_rejects_separator_sets_for_other_functions(tmp_path, capsys, fn
           "--a", "p_1_1,p_1_2", "--b", "p_1_2"],
          "--b: A and B must be disjoint; shared points: ['p_1_2']"),
     ],
-    ids=["parity-off-grid", "separator-shared", "witness-separator-shared"],
+    ids=["parity-off-grid", "parity-trailing-newline", "parity-arabic-digit", "separator-shared",
+         "witness-separator-shared"],
 )
 def test_a_function_that_cannot_be_built_names_its_flag(tmp_path, capsys, payload, argv, message):
     spec = write_spec(tmp_path, payload)

@@ -257,3 +257,10 @@ def test_parity_rejects_foreign_ids():
     space, _ = positive_integers(5, "d1")
     with pytest.raises(ValueError):
         parity_function(space)
+
+
+@pytest.mark.parametrize("point_id", ["p_1_2\n", "p_\u0661_3"], ids=["newline", "arabic-digit"])
+def test_parity_rejects_ids_that_only_resemble_grid_ids(point_id):
+    space = FiniteSpace(("p_1_1", point_id), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="does not encode grid indices"):
+        parity_function(space)
