@@ -10,15 +10,13 @@ import sys
 # who sets any of them keeps that choice.
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
+# atsuji makes no BLAS call; OpenBLAS's idle worker per extra CPU made `import
+# numpy` cost 0.24 CPU-s on 2 vCPUs, against 0.11 s with one thread
 if "numpy" not in sys.modules and not any(name in os.environ for name in _BLAS_THREADS):
-    # atsuji makes no BLAS call, but OpenBLAS starts a worker per extra CPU at
-    # load that spins idle: `import numpy` took 0.24 CPU-s against 0.11 s with
-    # one thread (2 vCPUs).  The variable is removed again at once, so no
-    # child process inherits it.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy
-    finally:
+    finally:  # removed at once, so no child process inherits it
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import analysis, functions, generators, remetrize, space

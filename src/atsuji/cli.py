@@ -554,11 +554,11 @@ def _cmd_atsuji(space, derived, args) -> tuple:
 def _cmd_remetrize(space, derived, args) -> tuple:
     result_space = remetrize(space, derived)
     new_space = result_space.space
-    newdist = _Matrix(result_space.newdist, space.ids)
     axioms = verify_metric_axioms(new_space)
     topology = verify_same_topology(result_space)
     bounds = {eta: verify_isolation_bound(result_space, eta) for eta in DEFAULT_EPS_GRID}
 
+    newdist = _Matrix(result_space.newdist, space.ids)
     result = {
         "empty_derived_fallback_used": result_space.empty_derived_fallback_used,
         "levels": result_space.levels,
