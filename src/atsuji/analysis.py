@@ -207,24 +207,13 @@ def atsuji_check(
         )
 
     worst = isolation[worst_eps]
+    status, witness = "PASS", None
     if worst.eta < threshold:
-        x, y = worst.witness
-        witness = WitnessPair(x=x, y=y, distance=worst.eta, gap=0.0)
+        status, witness = "FAIL", WitnessPair(*worst.witness, distance=worst.eta, gap=0.0)
         notes.append(
             f"isolation {worst.eta!r} at eps {worst_eps!r} fell below threshold {threshold!r}"
         )
-        return AtsujiVerdict(
-            status="FAIL",
-            net_sizes=net_sizes,
-            isolation=isolation,
-            fail_witness=witness,
-            notes=notes,
-        )
-    if math.isinf(worst.eta):
-        notes.append(
-            "no grid complement contained two points; isolation was never exercised"
-        )
-        return AtsujiVerdict(
-            status="INCONCLUSIVE", net_sizes=net_sizes, isolation=isolation, notes=notes
-        )
-    return AtsujiVerdict(status="PASS", net_sizes=net_sizes, isolation=isolation, notes=notes)
+    elif math.isinf(worst.eta):
+        status = "INCONCLUSIVE"
+        notes.append("no grid complement contained two points; isolation was never exercised")
+    return AtsujiVerdict(status, net_sizes, isolation, witness, notes)

@@ -16,6 +16,7 @@ point ids are JSON strings, and coordinate slots are decimal digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -32,14 +33,12 @@ from .analysis import (
     DEFAULT_THRESHOLD,
     AtsujiVerdict,
     DerivedSetView,
-    IsolationReport,
     atsuji_check,
     detect_limit_points,
     greedy_epsilon_net,
 )
 from .functions import (
     SampledFunction,
-    WitnessPair,
     parity_function,
     separator,
     uc_witness_search,
@@ -306,14 +305,15 @@ def _num(value: float) -> float | None:
     return None if math.isinf(value) else float(value)
 
 
-def _witness_obj(w: WitnessPair | None) -> dict | None:
-    if w is None:
+def _fields(report: Any) -> dict | None:
+    """A result dataclass as a report object, None for None: its fields, each
+    float through ``_num``.  ``dataclasses.fields`` lists the declared fields
+    only, never a cached property, in declaration order: a result's field
+    order is its report order, and the golden corpus pins it."""
+    if report is None:
         return None
-    return {"x": w.x, "y": w.y, "distance": _num(w.distance), "gap": _num(w.gap)}
-
-
-def _isolation_obj(rep: IsolationReport) -> dict:
-    return {"eta": _num(rep.eta), "witness": rep.witness}
+    values = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return {name: _num(v) if isinstance(v, float) else v for name, v in values.items()}
 
 
 def _axiom_obj(space: FiniteSpace, report: AxiomReport) -> dict:
@@ -324,8 +324,8 @@ def _verdict_obj(verdict: AtsujiVerdict) -> dict:
     return {
         "status": verdict.status,
         "net_sizes": {repr(e): verdict.net_sizes[e] for e in verdict.net_sizes},
-        "isolation": {repr(e): _isolation_obj(verdict.isolation[e]) for e in verdict.isolation},
-        "fail_witness": _witness_obj(verdict.fail_witness),
+        "isolation": {repr(e): _fields(verdict.isolation[e]) for e in verdict.isolation},
+        "fail_witness": _fields(verdict.fail_witness),
     }
 
 
@@ -546,7 +546,7 @@ def _cmd_check_metric(space, derived, args) -> tuple:
 def _cmd_atsuji(space, derived, args) -> tuple:
     verdict = atsuji_check(space, derived, args.eps_grid, args.threshold)
     flags = {"eps_grid": args.eps_grid, "threshold": args.threshold, "tol": space.tol}
-    witnesses = [w for w in [_witness_obj(verdict.fail_witness)] if w is not None]
+    witnesses = [w for w in [_fields(verdict.fail_witness)] if w is not None]
     code = 1 if verdict.status == "FAIL" else 0
     return flags, _verdict_obj(verdict), witnesses, list(verdict.notes), code
 
@@ -564,20 +564,8 @@ def _cmd_remetrize(space, derived, args) -> tuple:
         "levels": result_space.levels,
         "newdist": newdist,
         "axioms": _axiom_obj(new_space, axioms),
-        "same_topology": {
-            "passed": topology.passed,
-            "witness": topology.witness,
-            "failed_check": topology.failed_check,
-        },
-        "isolation_bounds": {
-            repr(eta): {
-                "passed": rep.passed,
-                "n": rep.n,
-                "witness": rep.witness,
-                "observed_eta": _num(rep.observed_eta),
-            }
-            for eta, rep in bounds.items()
-        },
+        "same_topology": _fields(topology),
+        "isolation_bounds": {repr(eta): _fields(rep) for eta, rep in bounds.items()},
     }
     notes = []
     if result_space.empty_derived_fallback_used:
@@ -618,7 +606,7 @@ def _cmd_witness(space, derived, args) -> tuple:
     flags = {"fn": args.fn, "eps0": args.eps0, "delta": args.delta, "tol": space.tol}
     if args.fn == "separator":
         flags.update(a=args.a, b=args.b)
-    witness = _witness_obj(pair)
+    witness = _fields(pair)
     result = {"function": f.label, "found": pair is not None, "witness": witness}
     return flags, result, [] if pair is None else [witness], [], 0 if pair is None else 1
 

@@ -226,8 +226,5 @@ def verify_isolation_bound(r: RemetrizedSpace, eta: float) -> IsolationBoundRepo
     if r.empty_derived_fallback_used:
         bound = min(bound, 1.0)
     report = r._isolation_profile.at(eta)
-    if report.eta >= bound - r.base.tol:
-        return IsolationBoundReport(passed=True, n=n, observed_eta=report.eta)
-    return IsolationBoundReport(
-        passed=False, n=n, witness=report.witness, observed_eta=report.eta
-    )
+    passed = report.eta >= bound - r.base.tol
+    return IsolationBoundReport(passed, n, None if passed else report.witness, report.eta)
