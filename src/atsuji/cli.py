@@ -46,10 +46,12 @@ from .functions import (
 from .generators import convergent_sequence, positive_integers, sequence_grid
 from .remetrize import remetrize, verify_isolation_bound, verify_same_topology
 from .space import (
+    DEFAULT_TOL,
     AxiomReport,
     FiniteSpace,
     PointSpec,
     Violation,
+    _require_discernible,
     build_space,
     verify_metric_axioms,
 )
@@ -219,6 +221,8 @@ def _parse(path: str) -> Any:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SpecError("spec_path", str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError("spec", f"invalid JSON: {exc}") from exc
     try:
         return json.loads(raw)
     except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
@@ -523,19 +527,24 @@ def _make_function(space: FiniteSpace, fn: str, a: str | None, b: str | None) ->
         raise SpecError("--b", str(exc)) from None
 
 
-def _validate_matrix_arm(command: str, kind: str, space: FiniteSpace) -> None:
-    """Matrix-arm specs must satisfy the axioms at load (builtin and points_l2
-    spaces are valid by construction); check-metric is itself the validator."""
-    if kind != "matrix" or command == "check-metric":
+def _validate_matrix_arm(command: str, kind: str, space: FiniteSpace, tol_field: str) -> None:
+    """Every spec must satisfy the axioms at the run's tol, at load; check-metric
+    is itself the validator.  builtin and points_l2 spaces are metrics whose
+    points build_space keeps more than DEFAULT_TOL apart: a larger tol, set by
+    ``tol_field``, relaxes every other axiom, but can make two points identical."""
+    if command == "check-metric":
         return
-    report = verify_metric_axioms(space, limit=1)
-    if not report.passed:
-        v = report.violations[0]
-        raise SpecError(
-            "space.matrix",
-            f"violates the {v.kind} axiom at indices {tuple(v.where)} "
-            f"(magnitude {v.magnitude!r})",
-        )
+    if kind == "matrix":
+        report = verify_metric_axioms(space, limit=1)
+        if not report.passed:
+            v = report.violations[0]
+            raise SpecError("space.matrix", f"violates the {v.kind} axiom at indices "
+                            f"{tuple(v.where)} (magnitude {v.magnitude!r})")
+    elif space.tol > DEFAULT_TOL:
+        try:
+            _require_discernible(space, space.tol)
+        except ValueError as exc:
+            raise SpecError(tol_field, str(exc)) from None
 
 
 def _cmd_check_metric(space, derived, args) -> tuple:
@@ -732,7 +741,8 @@ def main(argv: list[str] | None = None) -> int:
             space, derived, spec_echo, kind = load_spec(args.spec)
             if args.tol is not None:
                 space = FiniteSpace._adopt(space.ids, space.dist, args.tol)
-            _validate_matrix_arm(args.command, kind, space)
+            tol_field = "tol" if args.tol is None else "--tol"
+            _validate_matrix_arm(args.command, kind, space, tol_field)
             flags, result, witnesses, notes, code, *outputs = _COMMANDS[args.command](
                 space, derived, args
             )
@@ -749,9 +759,15 @@ def main(argv: list[str] | None = None) -> int:
                 try:
                     _emit(document, path)
                 except OSError as exc:
-                    if path is None:  # stdout, not a flag's path
+                    if path is not None:
+                        raise SpecError(flag, str(exc)) from None
+                    if not isinstance(exc, BrokenPipeError):
                         raise
-                    raise SpecError(flag, str(exc)) from None
+                    # the reader closed stdout, which leaves the verdict as it
+                    # is; fd 1 goes to devnull so the exit flush cannot raise
+                    devnull = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(devnull, sys.stdout.fileno())
+                    os.close(devnull)
         except (SpecError, KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

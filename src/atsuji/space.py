@@ -276,14 +276,20 @@ def build_space(specs: Iterable[PointSpec]) -> FiniteSpace:
         raise ValueError(
             f"points {ids[i]!r} and {ids[j]!r}: their l2 distance overflows a double"
         ) from None
-    close = _least_pair(n, lambda rows: space.dist[rows] <= DEFAULT_TOL)
+    _require_discernible(space, DEFAULT_TOL)
+    return space
+
+
+def _require_discernible(space: FiniteSpace, tol: float) -> None:
+    """Raise :class:`IndiscerniblePointsError` naming the least pair of
+    distinct points within ``tol`` of each other, if there is one."""
+    close = _least_pair(space.n, lambda rows: space.dist[rows] <= tol)
     if close is not None:
         i, j = close
         raise IndiscerniblePointsError(
             f"points {space.ids[i]!r} and {space.ids[j]!r} are indiscernible "
-            f"(distance {float(space.dist[i, j])!r} <= tol {DEFAULT_TOL!r})"
+            f"(distance {float(space.dist[i, j])!r} <= tol {tol!r})"
         )
-    return space
 
 
 # Tile shape of the triangle scan, chosen by measurement at 650 to 2001 points

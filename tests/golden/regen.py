@@ -10,9 +10,11 @@ This script is the only way the corpus is rewritten.  Run it only where the
 report bytes are meant to change, and review the diff: ``tests/test_golden.py``
 compares every later run byte for byte with what it writes, and CI reruns it
 and fails on any difference from the committed corpus.  Each case runs
-``atsuji.cli.main`` with this directory as the working directory, so the
-reports echo the spec paths as written here, and an ``--out-matrix`` file
-named by a case is written here too.
+``atsuji.cli.main`` in one temporary working directory holding the specs, so
+the reports echo the spec paths as written here, and an ``--out-matrix`` file
+named by a case is written there too.  Everything written there is copied
+here only when every case exits 0, 1 or 2 without a traceback: a crash is
+never pinned as a golden result.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ import contextlib
 import io
 import json
 import os
+import shutil
+import sys
+import tempfile
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +131,17 @@ LIMIT = {
     "derived_set": {"kind": "oracle", "ids": ["x0"]},
 }
 
+# a and b closer than the spec's tol, though build_space keeps them apart
+INDISCERNIBLE_AT_TOL = {
+    "space": {
+        "kind": "points_l2",
+        "points": [{"id": "a"}, {"id": "b", "coords": {"1": 1e-6}},
+                   {"id": "c", "coords": {"1": 1.0}}],
+    },
+    "tol": 1e-3,
+    "derived_set": {"kind": "oracle", "ids": ["a"]},
+}
+
 
 def _builtin(name: str, derived: dict | None = None, **params) -> dict:
     spec = {"space": {"kind": "builtin", "name": name, "params": params}}
@@ -151,6 +168,14 @@ SPECS = {
     "points.spec.json": {"space": {"kind": "points_l2", "points": POINTS}},
     "limit.spec.json": LIMIT,
     "unknown-kind.spec.json": {"space": {"kind": "hyperbolic", "n": 3}},
+    "repeated-slot.spec.json": {"space": {"kind": "points_l2", "points": [
+        {"id": "a", "coords": {"1": 0.5, "01": 0.25}}, {"id": "b"}]}},
+    "ragged.spec.json": {"space": {"kind": "matrix", "ids": ["a", "b", "c"],
+                                   "matrix": [[0, 1, 1], [1, 0], [1, 1, 0]]}},
+    "unknown-param.spec.json": _builtin("convergent_sequence", n_max=5, k=2),
+    "unknown-oracle.spec.json": _builtin("convergent_sequence",
+                                         {"kind": "oracle", "ids": ["zero", "omega"]}, n_max=5),
+    "indiscernible-at-tol.spec.json": INDISCERNIBLE_AT_TOL,
     # the text as written, not a JSON value: the closing brace is missing
     "malformed.spec.json": '{"space": {"kind": "matrix", "ids": ["a"], "matrix": [[0]]}\n',
 }
@@ -182,38 +207,57 @@ CASES = {
     # also writes the matrix file named here, relative to the working directory
     "remetrize-out-matrix": ["remetrize", "limit.spec.json", "--out-matrix",
                              "remetrize-out-matrix.matrix.json"],
+    # reads the matrix file that the case above writes
+    "check-metric-out-matrix": ["check-metric", "remetrize-out-matrix.matrix.json"],
     "check-metric-malformed-json": ["check-metric", "malformed.spec.json"],
     "atsuji-unknown-kind": ["atsuji", "unknown-kind.spec.json"],
     "atsuji-bad-eps-grid": ["atsuji", "sequence.spec.json", "--eps-grid", "0.5,,0.25"],
     "witness-bad-delta": ["witness", "grid.spec.json", "--fn", "parity", "--eps0", "0.5",
                           "--delta", "1e400"],
+    "check-metric-repeated-slot": ["check-metric", "repeated-slot.spec.json"],
+    "atsuji-ragged-row": ["atsuji", "ragged.spec.json"],
+    "net-unknown-param": ["net", "unknown-param.spec.json", "--eps", "0.5"],
+    "remetrize-unknown-oracle-id": ["remetrize", "unknown-oracle.spec.json"],
+    "remetrize-indiscernible-at-tol": ["remetrize", "indiscernible-at-tol.spec.json"],
 }
 
 
-def run(argv: list[str], out: Path) -> tuple[int, str]:
-    """``main(argv + ["--out", out])`` in this directory: (exit code, stderr)."""
+def run(argv: list[str], out: Path, cwd: Path) -> tuple[int, str]:
+    """``main(argv + ["--out", out])`` in ``cwd``: (exit code, stderr).  An
+    exception that escapes ``main`` is a crash: its traceback goes to stderr
+    and the exit code is 1, as the interpreter would have it."""
     err = io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(HERE)
+    previous = os.getcwd()
+    os.chdir(cwd)
     try:
         with contextlib.redirect_stderr(err):
-            code = main([*argv, "--out", str(out)])
+            try:
+                code = main([*argv, "--out", str(out)])
+            except Exception:
+                traceback.print_exc()
+                code = 1
     finally:
-        os.chdir(cwd)
+        os.chdir(previous)
     return code, err.getvalue()
 
 
 def regenerate() -> None:
-    for name, spec in SPECS.items():
-        text = spec if isinstance(spec, str) else json.dumps(spec, indent=1) + "\n"
-        (HERE / name).write_text(text, encoding="ascii")
-    cases = {}
-    for name, argv in CASES.items():
-        report = HERE / f"{name}.report.json"
-        report.unlink(missing_ok=True)
-        code, stderr = run(argv, report)
-        cases[name] = {"argv": argv, "exit": code, "stderr": stderr}
-    (HERE / "cases.json").write_text(json.dumps(cases, indent=2) + "\n", encoding="ascii")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, spec in SPECS.items():
+            text = spec if isinstance(spec, str) else json.dumps(spec, indent=1) + "\n"
+            (work / name).write_text(text, encoding="ascii")
+        cases = {}
+        for name, argv in CASES.items():
+            code, stderr = run(argv, work / f"{name}.report.json", work)
+            if code not in (0, 1, 2) or "Traceback" in stderr:
+                sys.exit(f"{name}: exit {code} is a crash, not a result; nothing written\n{stderr}")
+            cases[name] = {"argv": argv, "exit": code, "stderr": stderr}
+        (work / "cases.json").write_text(json.dumps(cases, indent=2) + "\n", encoding="ascii")
+        for name in CASES:  # a case that writes no report leaves none behind
+            (HERE / f"{name}.report.json").unlink(missing_ok=True)
+        for path in work.iterdir():
+            shutil.copyfile(path, HERE / path.name)
 
 
 if __name__ == "__main__":

@@ -245,6 +245,56 @@ def test_points_l2_indiscernible_is_input_error(tmp_path, capsys):
     assert "indiscernible" in capsys.readouterr().err
 
 
+TOL_POINTS = [{"id": "a"}, {"id": "b", "coords": {"1": 1e-6}}, {"id": "c", "coords": {"1": 1.0}}]
+TOL_MATRIX = [[0.0, 1e-6, 1.0], [1e-6, 0.0, 1.0 - 1e-6], [1.0, 1.0 - 1e-6, 0.0]]
+TOL_ARGV = {
+    "atsuji": [],
+    "remetrize": [],
+    "witness": ["--fn", "const", "--eps0", "1", "--delta", "1"],
+    "separator": ["--a", "a", "--b", "c"],
+    "net": ["--eps", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOL_ARGV))
+@pytest.mark.parametrize("tol_field", ["tol", "--tol"])
+def test_points_within_the_run_tol_are_input_error(tmp_path, capsys, command, tol_field):
+    # build_space keeps points more than DEFAULT_TOL apart; a larger tol must
+    # hold a points_l2 space to the identity axiom as it holds a matrix
+    payload = points_spec(TOL_POINTS)
+    argv = [command, write_spec(tmp_path, payload), *TOL_ARGV[command]]
+    if tol_field == "tol":
+        write_spec(tmp_path, {**payload, "tol": 1e-3})
+    else:
+        argv += ["--tol", "1e-3"]
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: {tol_field}: points 'a' and 'b' are indiscernible (distance 1e-06 <= tol 0.001)\n"
+    )
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"space": {"kind": "matrix", "ids": ["a", "b", "c"], "matrix": TOL_MATRIX}, "tol": 1e-3},
+     "space.matrix: violates the identity axiom at indices (0, 1) (magnitude 0.000999)"),
+    ({**builtin("convergent_sequence", n_max=30), "tol": 1e-2},
+     "tol: points 'n10' and 'n11' are indiscernible (distance 0.009090909090909094 <= tol 0.01)"),
+], ids=["matrix", "builtin"])
+def test_every_arm_is_held_to_identity_at_the_run_tol(tmp_path, capsys, payload, message):
+    assert main(["atsuji", write_spec(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_metric_lists_points_within_the_run_tol(tmp_path):
+    payload = {**points_spec(TOL_POINTS), "tol": 1e-3}
+    code, report = run_to_file(tmp_path, ["check-metric", write_spec(tmp_path, payload)])
+    assert code == 1
+    assert [(v["kind"], v["ids"]) for v in report["result"]["violations"]] == [
+        ("identity", ["a", "b"])
+    ]
+
+
 def test_atsuji_d2_fails_with_exit_1(tmp_path):
     spec = write_spec(tmp_path, builtin("positive_integers", n_max=1000, metric="d2"))
     code, report = run_to_file(tmp_path, ["atsuji", spec])
@@ -492,6 +542,21 @@ def test_module_entrypoint_subprocess(tmp_path):
     assert proc.stderr == ""
 
 
+def test_a_closed_stdout_pipe_keeps_the_exit_code(tmp_path):
+    # the report (2.7 MB) is far larger than a pipe buffer, so the reader
+    # closes the pipe while the report is still being written
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=300))
+    argv = [sys.executable, "-m", "atsuji", "remetrize", spec]
+    to_devnull = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    assert (to_devnull.returncode, to_devnull.stderr) == (0, b"")
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with proc:
+        assert proc.stdout.read(10) == b'{\n  "schem'
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=120), stderr) == (0, b"")
+
+
 # --- non-finite and wrongly typed inputs exit 2 --------------------------------
 
 
@@ -668,6 +733,18 @@ def test_overlong_integer_in_spec_is_invalid_json(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["check-metric", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: spec: invalid JSON: ")
+    assert not out.exists()
+
+
+def test_a_spec_that_is_not_utf8_is_invalid_json(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b'{"space": \xff}')
+    out = tmp_path / "report.json"
+    assert main(["check-metric", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: spec: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 10: "
+        "invalid start byte\n"
+    )
     assert not out.exists()
 
 
@@ -963,8 +1040,9 @@ def test_a_tol_flag_shares_the_loaded_matrix(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "net",
                         lambda space, *rest: seen.append(space) or net(space, *rest))
     spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
-    assert main(["net", spec, "--eps", "0.5", "--tol", "0.125"]) == 0
-    assert seen[0].tol == 0.125
+    # below the least distance, 1/9 - 1/10, so no two points are indiscernible
+    assert main(["net", spec, "--eps", "0.5", "--tol", "0.0078125"]) == 0
+    assert seen[0].tol == 0.0078125
     assert seen[0].dist is loaded[0][0].dist
 
 

@@ -8,6 +8,7 @@ Every file must reproduce the corpus byte for byte.
 ``tests/golden/regen.py`` is the only way the corpus is rewritten.
 """
 
+import importlib.util
 import json
 import shutil
 from pathlib import Path
@@ -36,3 +37,22 @@ def test_golden_report(tmp_path, capsys, monkeypatch, name):
         assert (tmp_path / path).exists() == expected.exists(), path
         if expected.exists():
             assert (tmp_path / path).read_bytes() == expected.read_bytes(), path
+
+
+@pytest.mark.parametrize("crash", ["traceback", "exit-3"])
+def test_regen_refuses_to_pin_a_crash(tmp_path, monkeypatch, crash):
+    spec = importlib.util.spec_from_file_location("regen", GOLDEN / "regen.py")
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+
+    def crashing_main(argv):
+        if crash == "traceback":
+            raise BrokenPipeError(32, "Broken pipe")
+        return 3
+
+    monkeypatch.setattr(regen, "HERE", tmp_path)
+    monkeypatch.setattr(regen, "main", crashing_main)
+    with pytest.raises(SystemExit) as exited:
+        regen.regenerate()
+    assert exited.value.code not in (0, None)
+    assert list(tmp_path.iterdir()) == []
