@@ -79,6 +79,15 @@ def _within_tol() -> np.ndarray:
     return d
 
 
+def _within_tol_metric() -> np.ndarray:
+    """A Euclidean table raised by 5e-13 on one side of three pairs: a metric
+    within the default tol that is not symmetric entrywise."""
+    d = _table(12, 6)
+    for i, j in [(0, 5), (7, 2), (4, 11)]:
+        d[i, j] += 5e-13
+    return d
+
+
 OVERFLOW = [
     [0, -1.7e308, 1, 1.7e308],
     [-1.7e308, 0, -1.7e308, 1],
@@ -131,6 +140,17 @@ LIMIT = {
     "derived_set": {"kind": "oracle", "ids": ["x0"]},
 }
 
+
+def _many_slots_point(k: int) -> dict:
+    """Point k alone in slot k + 2; every third point also in the shared slot 1."""
+    coords = {str(k + 2): 1 + k / 40}
+    if k % 3 == 0:
+        coords["1"] = 0.5
+    return {"id": f"m{k}", "coords": coords}
+
+
+MANY_SLOTS = {"space": {"kind": "points_l2", "points": [_many_slots_point(k) for k in range(40)]}}
+
 # a and b closer than the spec's tol, though build_space keeps them apart
 INDISCERNIBLE_AT_TOL = {
     "space": {
@@ -165,6 +185,12 @@ SPECS = {
     "empty-derived.spec.json": _builtin("convergent_sequence", {"kind": "empty"}, n_max=40),
     "detect.spec.json": _builtin("convergent_sequence", {"kind": "detect", "radius": 2}, n_max=20),
     "grid.spec.json": _builtin("sequence_grid_E", i_max=3, j_max=12, include_origin=False),
+    "grid-wide.spec.json": _builtin("sequence_grid_E", i_max=12, j_max=3, include_origin=True),
+    "many-slots.spec.json": MANY_SLOTS,
+    "within-tol-metric.spec.json": {
+        **_matrix([f"w{k}" for k in range(12)], _within_tol_metric()),
+        "derived_set": {"kind": "oracle", "ids": ["w0"]},
+    },
     "points.spec.json": {"space": {"kind": "points_l2", "points": POINTS}},
     "limit.spec.json": LIMIT,
     "unknown-kind.spec.json": {"space": {"kind": "hyperbolic", "n": 3}},
@@ -219,6 +245,14 @@ CASES = {
     "net-unknown-param": ["net", "unknown-param.spec.json", "--eps", "0.5"],
     "remetrize-unknown-oracle-id": ["remetrize", "unknown-oracle.spec.json"],
     "remetrize-indiscernible-at-tol": ["remetrize", "indiscernible-at-tol.spec.json"],
+    "check-metric-many-slots": ["check-metric", "many-slots.spec.json"],
+    "remetrize-many-slots": ["remetrize", "many-slots.spec.json"],
+    "atsuji-grid-wide": ["atsuji", "grid-wide.spec.json"],
+    # the flags echo in the report pins their order: fn, eps0, delta, tol, a, b
+    "witness-separator": ["witness", "sequence.spec.json", "--fn", "separator", "--a", "zero",
+                          "--b", "n1", "--eps0", "0.5", "--delta", "1"],
+    # an asymmetric base within tol: remetrize's topology check reads both entries
+    "remetrize-within-tol": ["remetrize", "within-tol-metric.spec.json"],
 }
 
 

@@ -56,3 +56,8 @@ def test_regen_refuses_to_pin_a_crash(tmp_path, monkeypatch, crash):
         regen.regenerate()
     assert exited.value.code not in (0, None)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_corpus_stays_under_one_megabyte():
+    size = sum(path.stat().st_size for path in GOLDEN.iterdir() if path.is_file())
+    assert size < 1_000_000, f"the golden corpus holds {size} bytes"
