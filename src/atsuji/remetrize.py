@@ -176,29 +176,26 @@ def verify_same_topology(r: RemetrizedSpace) -> TopologyReport:
     (a) the new distance dominates the base distance, (b) pairs touching the
     derived set are unchanged, and (c) every non-derived point stays isolated
     (it is at positive distance from every other point under both metrics).
-    The first failing check reports its lexicographically least offending
-    pair.
+    Each check reads both entries of a pair, and the first failing check
+    reports its lexicographically least offending pair.
     """
     base = r.base
     d_old, d_new, tol = base.dist, r.newdist, base.tol
     member = base.mask(r.derived.members)
 
-    def collapsed(rows):
-        # {i, j} offends when either point lies outside D at distance <= 0
-        # from the other: the predicate of the rows, or of the columns transposed
-        return (~member[rows, None] & ((d_old[rows] <= 0) | (d_new[rows] <= 0))) | (
-            ~member & ((d_old[:, rows] <= 0) | (d_new[:, rows] <= 0)).T
-        )
+    def either_entry(offends):
+        # {i, j} offends when its entry (i, j) or its entry (j, i) does
+        return lambda rows: offends(rows, slice(None)) | offends(slice(None), rows).T
 
-    checks = {
-        "domination": lambda rows: d_new[rows] < d_old[rows] - tol,
-        "derived_equality": lambda rows: (
-            (member[rows, None] | member) & (np.abs(d_new[rows] - d_old[rows]) > tol)
+    checks = {  # predicates on the entries (i, j) of rows i and columns j
+        "domination": lambda i, j: d_new[i, j] < d_old[i, j] - tol,
+        "derived_equality": lambda i, j: (
+            (member[i, None] | member[j]) & (np.abs(d_new[i, j] - d_old[i, j]) > tol)
         ),
-        "isolation": collapsed,
+        "isolation": lambda i, j: ~member[i, None] & ((d_old[i, j] <= 0) | (d_new[i, j] <= 0)),
     }
     for name, offends in checks.items():
-        pair = _least_pair(base.n, offends)
+        pair = _least_pair(base.n, either_entry(offends))
         if pair is not None:
             return TopologyReport(
                 passed=False, witness=tuple(base.ids[k] for k in pair), failed_check=name

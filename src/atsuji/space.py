@@ -231,34 +231,34 @@ def build_space(specs: Iterable[PointSpec]) -> FiniteSpace:
     """Build a space from sparse point specs under the l2 distance.
 
     Raises :class:`DuplicatePointError` on repeated ids, ValueError when the
-    distance of two points overflows a double, and
+    squared l2 distance of two points overflows a double, and
     :class:`IndiscerniblePointsError` when two specs land within
     ``DEFAULT_TOL`` of each other (identical coordinates included), which
     would break the identity-of-indiscernibles axiom.
     """
     specs = list(specs)
-    supports = [s.support() for s in specs]
+    entries: dict[int, list[tuple[int, float]]] = {}  # slot -> its (row, value) pairs
+    for row, spec in enumerate(specs):
+        for slot, value in spec.support():
+            entries.setdefault(slot, []).append((row, value))
     ids = _point_ids(s.id for s in specs)
-    slots = sorted({slot for sup in supports for slot, _ in sup})
-    slot_col = {slot: k for k, slot in enumerate(slots)}
-    coords = np.zeros((len(specs), max(len(slots), 1)))
-    for row, sup in enumerate(supports):
-        for slot, value in sup:
-            coords[row, slot_col[slot]] = value
 
     # Squares summed slot by slot, in slot order for every pair, into the one
     # n x n buffer.  A pair that is zero in a slot would only add +0.0, so a
     # slot adds (c[i] - c[j])^2 to the rows i nonzero there, a block of rows at
-    # a time.  Their columns j in the rows that are zero there need c[i]^2,
-    # which row i now holds at j: the matrix is symmetric after every slot, so
-    # when the slot has zero rows the updated rows are copied into their
-    # columns.
+    # a time, c being the slot's column, set at those rows and zeroed after.
+    # Their columns j in the rows zero there need c[i]^2, which row i now
+    # holds at j: the matrix is symmetric after every slot, so when the slot
+    # has zero rows the updated rows are copied into their columns.  The
+    # diagonal only ever gains (c[i] - c[i])^2 = +0.0, so it stays +0.0.
     n = len(specs)
     sq = np.zeros((n, n))
+    col = np.zeros(n)
     diff = np.empty((min(_PAIR_BLOCK, n), n))
     with np.errstate(over="ignore"):  # an overflow is reported below
-        for col in coords.T:
-            nz = np.flatnonzero(col)
+        for slot in sorted(entries):
+            nz, values = map(np.array, zip(*entries[slot]))
+            col[nz] = values
             blocks = [nz[k : k + _PAIR_BLOCK] for k in range(0, len(nz), _PAIR_BLOCK)]
             for block in blocks:
                 part = np.subtract(col[block, None], col, out=diff[: len(block)])
@@ -266,15 +266,15 @@ def build_space(specs: Iterable[PointSpec]) -> FiniteSpace:
             if len(nz) < n:
                 for rows in map(_run, blocks):
                     sq[:, rows] = sq[rows].T
+            col[nz] = 0.0
     dist = np.sqrt(sq, out=sq)
-    np.fill_diagonal(dist, 0.0)
 
     try:
         space = FiniteSpace._adopt(ids, dist)
     except ValueError:  # the ids are checked, so an entry is not finite: inf
         i, j = _least_pair(n, lambda rows: dist[rows] == math.inf)
         raise ValueError(
-            f"points {ids[i]!r} and {ids[j]!r}: their l2 distance overflows a double"
+            f"points {ids[i]!r} and {ids[j]!r}: their squared l2 distance overflows a double"
         ) from None
     _require_discernible(space, DEFAULT_TOL)
     return space

@@ -87,13 +87,14 @@ def test_blocked_slot_pass_is_bitwise_the_unblocked_one(n, layout):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: positive_integers(1500, "d2"), lambda: sequence_grid(15, 100, False)],
-    ids=["integers-d2", "grid"],
+    [lambda: positive_integers(1500, "d2"), lambda: sequence_grid(15, 100, False),
+     lambda: sequence_grid(1500, 1, False)],
+    ids=["integers-d2", "grid", "one-slot-per-point"],
 )
 def test_building_a_space_holds_one_n_by_n_buffer(build):
     # numpy reports its buffers to tracemalloc, so the peak is deterministic:
     # the matrix itself, block buffers (128 rows, under 0.15 of it at 1500
-    # points) and the point specs
+    # points) and the point specs, however many slots the points use
     tracemalloc.start()
     try:
         space, _ = build()
@@ -137,14 +138,15 @@ def test_non_finite_entries_are_rejected_wherever_they_are(bad, where):
 
 def test_an_overflowing_distance_names_the_least_pair():
     # (a, b) is indiscernible, but a non-finite distance is reported first:
-    # the least pair whose distance overflows, not a matrix index
+    # the least pair whose squared distance overflows, not a matrix index; the
+    # distance of (a, c) is about 1e200, a finite double, but its square is not
     specs = [PointSpec("a", {1: 1.0}), PointSpec("b", {1: 1.0}), PointSpec("c", {1: 1e200}),
              PointSpec("d", {2: -1e200})]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an error, not a numpy warning
         with pytest.raises(ValueError) as raised:
             build_space(specs)
-    assert str(raised.value) == "points 'a' and 'c': their l2 distance overflows a double"
+    assert str(raised.value) == "points 'a' and 'c': their squared l2 distance overflows a double"
 
 
 def test_duplicates_are_reported_before_an_overflow():

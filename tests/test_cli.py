@@ -1015,7 +1015,7 @@ def test_an_overflowing_l2_distance_names_its_points(tmp_path, capsys):
     spec = write_spec(tmp_path, {"space": {"kind": "points_l2", "points": points}})
     assert main(["check-metric", spec]) == 2
     assert capsys.readouterr().err == (
-        "error: space.points: points 'a' and 'b': their l2 distance overflows a double\n"
+        "error: space.points: points 'a' and 'b': their squared l2 distance overflows a double\n"
     )
 
 

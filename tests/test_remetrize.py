@@ -186,6 +186,21 @@ def test_same_topology_catches_changed_derived_pairs():
     assert report.failed_check == "derived_equality"
 
 
+@pytest.mark.parametrize(
+    "entry, value, failed",
+    [((4, 2), "half", ("domination", ("n2", "n4"))),
+     ((3, 0), 7.0, ("derived_equality", ("zero", "n3")))],
+    ids=["domination", "derived-equality"],
+)
+def test_same_topology_reads_the_lower_triangle(entry, value, failed):
+    # a result built by hand with one entry broken below the diagonal only
+    space, view = convergent_sequence(6)
+    tampered = np.array(remetrize(space, view).newdist)
+    tampered[entry] = space.dist[entry] / 2 if value == "half" else value
+    report = verify_same_topology(RemetrizedSpace(base=space, derived=view, newdist=tampered))
+    assert (report.passed, report.failed_check, report.witness) == (False, *failed)
+
+
 # --- verify_isolation_bound --------------------------------------------------------
 
 
@@ -428,8 +443,8 @@ def reference_topology(base: FiniteSpace, member: np.ndarray, d_new: np.ndarray)
     the isolation check a pair loop; (None, None) on a pass."""
     d_old, tol, n = base.dist, base.tol, base.n
 
-    def least(mask):
-        hits = np.argwhere(np.triu(mask, k=1))
+    def least(mask):  # a pair offends when either of its entries does
+        hits = np.argwhere(np.triu(mask | mask.T, k=1))
         return tuple(base.ids[k] for k in hits[0]) if hits.size else None
 
     below = least(d_new < d_old - tol)
