@@ -188,7 +188,8 @@ def test_same_topology_catches_changed_derived_pairs():
 
 @pytest.mark.parametrize(
     "entry, value, failed",
-    [((4, 2), "half", ("domination", ("n2", "n4"))),
+    # n4 to n2 at half their base distance 1/4; n3 to zero (in D) changed
+    [((4, 2), 0.125, ("domination", ("n2", "n4"))),
      ((3, 0), 7.0, ("derived_equality", ("zero", "n3")))],
     ids=["domination", "derived-equality"],
 )
@@ -196,7 +197,7 @@ def test_same_topology_reads_the_lower_triangle(entry, value, failed):
     # a result built by hand with one entry broken below the diagonal only
     space, view = convergent_sequence(6)
     tampered = np.array(remetrize(space, view).newdist)
-    tampered[entry] = space.dist[entry] / 2 if value == "half" else value
+    tampered[entry] = value
     report = verify_same_topology(RemetrizedSpace(base=space, derived=view, newdist=tampered))
     assert (report.passed, report.failed_check, report.witness) == (False, *failed)
 
