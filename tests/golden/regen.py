@@ -88,6 +88,14 @@ def _within_tol_metric() -> np.ndarray:
     return d
 
 
+def _within_tol_closest() -> np.ndarray:
+    """The same table with only the upper entry of its closest pair,
+    (4, 10), raised by 5e-13: the pair is as close as its lower entry."""
+    d = _table(12, 6)
+    d[4, 10] += 5e-13
+    return d
+
+
 OVERFLOW = [
     [0, -1.7e308, 1, 1.7e308],
     [-1.7e308, 0, -1.7e308, 1],
@@ -191,6 +199,7 @@ SPECS = {
         **_matrix([f"w{k}" for k in range(12)], _within_tol_metric()),
         "derived_set": {"kind": "oracle", "ids": ["w0"]},
     },
+    "within-tol-closest.spec.json": _matrix([f"w{k}" for k in range(12)], _within_tol_closest()),
     "points.spec.json": {"space": {"kind": "points_l2", "points": POINTS}},
     "limit.spec.json": LIMIT,
     "unknown-kind.spec.json": {"space": {"kind": "hyperbolic", "n": 3}},
@@ -253,6 +262,10 @@ CASES = {
                           "--b", "n1", "--eps0", "0.5", "--delta", "1"],
     # an asymmetric base within tol: remetrize's topology check reads both entries
     "remetrize-within-tol": ["remetrize", "within-tol-metric.spec.json"],
+    # the closest pair's entries differ by 5e-13: both read the smaller one
+    "atsuji-within-tol-closest": ["atsuji", "within-tol-closest.spec.json"],
+    "witness-within-tol-closest": ["witness", "within-tol-closest.spec.json", "--fn", "identity",
+                                   "--eps0", "0.5", "--delta", "0.0524542655819311"],
 }
 
 
