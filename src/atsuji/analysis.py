@@ -99,23 +99,22 @@ def detect_limit_points(space: FiniteSpace, r: float) -> DerivedSetView:
         raise ValueError(f"resolution must be positive, got {r!r}")
     close = space.dist < r
     np.fill_diagonal(close, False)
-    members = frozenset(space.ids[k] for k in np.flatnonzero(close.any(axis=1)))
+    members = frozenset(space.ids[k] for k in np.flatnonzero(close.any(0) | close.any(1)))
     return DerivedSetView(kind="detected", members=members, resolution=float(r))
 
 
 def _prefix_sweep(space: FiniteSpace, order: np.ndarray) -> list[IsolationReport]:
     """Isolation of every prefix of ``order`` (canonical indices): entry m is
-    :func:`min_pairwise_distance` of ``order[:m]``, same upper-triangle entries
-    and tie-break.  Each step scans one row, O(len(order)^2) in total.
+    :func:`min_pairwise_distance` of ``order[:m]``.  Each step reads the pairs
+    of one point with the earlier ones, from both entries: O(len(order)^2).
     """
-    dist = space.dist
     best = (math.inf, -1, -1)  # (eta, i, j); every finite distance beats it
     report = IsolationReport(eta=math.inf, witness=None)
     reports = [report]
     for k, p in enumerate(order.tolist()):
         if k:
             prev = order[:k]
-            vals = np.where(prev < p, dist[prev, p], dist[p, prev])
+            vals = np.minimum(space.dist[prev, p], space.dist[p, prev])
             v = float(vals.min())
             if v <= best[0]:
                 # among tied partners the least index closes the least pair
@@ -144,8 +143,8 @@ class _IsolationProfile:
 
 
 def min_pairwise_distance(space: FiniteSpace, S: Iterable[PointId]) -> IsolationReport:
-    """Minimum distance over unordered pairs of S, with the lexicographically
-    least achieving pair; inf/no witness when |S| <= 1."""
+    """Minimum over unordered pairs of S of the smaller entry, with the
+    lexicographically least achieving pair; inf/no witness when |S| <= 1."""
     return _prefix_sweep(space, space.indices(S))[-1]
 
 
@@ -163,7 +162,7 @@ def greedy_epsilon_net(
     idx = space.indices(S)
     net: list[int] = []
     for k in idx:
-        if not net or not (space.dist[k, net] < eps).any():
+        if not (np.minimum(space.dist[k, net], space.dist[net, k]) < eps).any():
             net.append(int(k))
     return [space.ids[k] for k in net]
 

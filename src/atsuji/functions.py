@@ -87,7 +87,8 @@ def separator(
 
 
 def modulus_of_continuity(space: FiniteSpace, f: SampledFunction, eta: float) -> float:
-    """Minimum distance among pairs whose value gap is at least eta.
+    """Minimum distance among pairs whose value gap is at least eta, each
+    pair as close as its smaller entry.
 
     This is the largest valid delta for the gap threshold eta: every pair
     closer than the returned value has gap < eta.  ``math.inf`` when no pair
@@ -95,29 +96,31 @@ def modulus_of_continuity(space: FiniteSpace, f: SampledFunction, eta: float) ->
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta!r}")
-    v, n = f.array(space), space.n
+    v, n, d = f.array(space), space.n, space.dist
     buffer = np.empty((min(_PAIR_BLOCK, n), n))  # one row block's gaps: no n x n temporary
     least = math.inf
     for start in range(0, n, _PAIR_BLOCK):
-        dist = space.dist[start : start + _PAIR_BLOCK]
-        gap = np.subtract(v[start : start + len(dist), None], v, out=buffer[: len(dist)])
-        reaches = np.triu(np.abs(gap, out=gap) >= eta, k=start + 1)  # pairs i < j
-        least = min(least, float(np.min(dist, initial=math.inf, where=reaches)))
+        # columns from the block's start: its own pairs twice, its diagonal (gap 0) never
+        rows, columns = slice(start, start + _PAIR_BLOCK), slice(start, n)
+        gap = np.subtract(v[rows, None], v[columns], out=buffer[: n - start, : n - start])
+        reaches = np.abs(gap, out=gap) >= eta
+        least = float(np.min(d[rows, columns], initial=least, where=reaches))
+        least = float(np.min(d[columns, rows].T, initial=least, where=reaches))  # entries (j, i)
     return least
 
 
 def uc_witness_search(
     space: FiniteSpace, f: SampledFunction, eps0: float, delta: float
 ) -> WitnessPair | None:
-    """Lexicographically least pair with distance < delta and gap >= eps0,
-    or None when every delta-close pair has a small gap."""
+    """Lexicographically least pair with distance (its smaller entry) < delta
+    and gap >= eps0, or None when every delta-close pair has a small gap."""
     if not eps0 > 0:
         raise ValueError(f"eps0 must be positive, got {eps0!r}")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta!r}")
-    v = f.array(space)
+    v, d = f.array(space), space.dist
     pair = _least_pair(
-        space.n, lambda rows: (space.dist[rows] < delta) & (np.abs(v[rows, None] - v) >= eps0)
+        space.n, lambda i, j: (d[i, j] < delta) & (np.abs(g := v[i, None] - v[j], out=g) >= eps0)
     )
     if pair is None:
         return None
@@ -125,7 +128,7 @@ def uc_witness_search(
     return WitnessPair(
         x=space.ids[i],
         y=space.ids[j],
-        distance=float(space.dist[i, j]),
+        distance=float(min(d[i, j], d[j, i])),
         gap=float(abs(v[i] - v[j])),
     )
 

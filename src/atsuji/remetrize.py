@@ -176,16 +176,11 @@ def verify_same_topology(r: RemetrizedSpace) -> TopologyReport:
     (a) the new distance dominates the base distance, (b) pairs touching the
     derived set are unchanged, and (c) every non-derived point stays isolated
     (it is at positive distance from every other point under both metrics).
-    Each check reads both entries of a pair, and the first failing check
-    reports its lexicographically least offending pair.
+    The first failing check reports its least offending pair (:func:`_least_pair`).
     """
     base = r.base
     d_old, d_new, tol = base.dist, r.newdist, base.tol
     member = base.mask(r.derived.members)
-
-    def either_entry(offends):
-        # {i, j} offends when its entry (i, j) or its entry (j, i) does
-        return lambda rows: offends(rows, slice(None)) | offends(slice(None), rows).T
 
     checks = {  # predicates on the entries (i, j) of rows i and columns j
         "domination": lambda i, j: d_new[i, j] < d_old[i, j] - tol,
@@ -195,7 +190,7 @@ def verify_same_topology(r: RemetrizedSpace) -> TopologyReport:
         "isolation": lambda i, j: ~member[i, None] & ((d_old[i, j] <= 0) | (d_new[i, j] <= 0)),
     }
     for name, offends in checks.items():
-        pair = _least_pair(base.n, either_entry(offends))
+        pair = _least_pair(base.n, offends)
         if pair is not None:
             return TopologyReport(
                 passed=False, witness=tuple(base.ids[k] for k in pair), failed_check=name

@@ -6,6 +6,8 @@ Conventions used throughout the package:
   position in ``FiniteSpace.ids``; every tie-break (witness pairs, minimizers)
   picks the lexicographically least index pair, so results are deterministic
   regardless of how the caller orders its input sets.
+- A pair search takes a pair as close as its smaller entry; only a point's
+  distance to a set (its row, ``dist[y, a]``) and the axiom scan read one entry.
 - Balls are open: ``y`` belongs to ``B(A, eps)`` iff ``dist(y, a) < eps`` for
   some ``a`` in ``A``.
 - The distance to the empty set is ``math.inf``, which propagates correctly
@@ -204,19 +206,20 @@ class MaxTriple(NamedTuple):
 _PAIR_BLOCK = 128
 
 
-def _least_pair(n: int, test: Callable[[slice], np.ndarray]) -> tuple[int, int] | None:
-    """The lexicographically least ``(i, j)`` with ``i < j`` for which the
-    predicate holds, or None: the tie-break of every witness pair.
-
-    ``test(rows)`` returns the predicate for a slice of rows against all n
-    columns.  Blocks of rows are tested in row order and the search stops at
-    the first block with a hit, so no caller holds an n x n predicate."""
+def _least_pair(n: int, offends: Callable[[slice, slice], np.ndarray]) -> tuple[int, int] | None:
+    """The lexicographically least ``(i, j)`` with ``i < j`` at which
+    ``offends(rows, columns)``, a predicate on a slice of rows against a slice
+    of columns, holds at ``(i, j)`` or at ``(j, i)``; None if there is none.
+    Row blocks are tested in order against the columns from their start, up
+    to the first block with a hit, so no caller holds an n x n predicate."""
     for start in range(0, n, _PAIR_BLOCK):
-        upper = np.triu(test(slice(start, start + _PAIR_BLOCK)), k=start + 1)
-        first = int(upper.argmax())  # the first True in row-major order
-        if upper.flat[first]:
-            i, j = divmod(first, n)
-            return start + i, j
+        rows, columns = slice(start, start + _PAIR_BLOCK), slice(start, n)
+        hit = offends(rows, columns) | offends(columns, rows).T  # (i, j) is (start + i, start + j)
+        hit[:, : len(hit)] &= ~np.tri(len(hit), dtype=bool)  # only j > i in the leading square
+        first = int(hit.argmax())  # the first True in row-major order
+        if hit.flat[first]:
+            i, j = divmod(first, n - start)
+            return start + i, start + j
     return None
 
 
@@ -272,7 +275,7 @@ def build_space(specs: Iterable[PointSpec]) -> FiniteSpace:
     try:
         space = FiniteSpace._adopt(ids, dist)
     except ValueError:  # the ids are checked, so an entry is not finite: inf
-        i, j = _least_pair(n, lambda rows: dist[rows] == math.inf)
+        i, j = _least_pair(n, lambda i, j: dist[i, j] == math.inf)
         raise ValueError(
             f"points {ids[i]!r} and {ids[j]!r}: their squared l2 distance overflows a double"
         ) from None
@@ -283,12 +286,12 @@ def build_space(specs: Iterable[PointSpec]) -> FiniteSpace:
 def _require_discernible(space: FiniteSpace, tol: float) -> None:
     """Raise :class:`IndiscerniblePointsError` naming the least pair of
     distinct points within ``tol`` of each other, if there is one."""
-    close = _least_pair(space.n, lambda rows: space.dist[rows] <= tol)
+    close = _least_pair(space.n, lambda i, j: space.dist[i, j] <= tol)
     if close is not None:
         i, j = close
         raise IndiscerniblePointsError(
             f"points {space.ids[i]!r} and {space.ids[j]!r} are indiscernible "
-            f"(distance {float(space.dist[i, j])!r} <= tol {tol!r})"
+            f"(distance {float(min(space.dist[i, j], space.dist[j, i]))!r} <= tol {tol!r})"
         )
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,16 +8,24 @@ from hypothesis import strategies as st
 from atsuji import (
     DerivedSetView,
     FiniteSpace,
+    IndiscerniblePointsError,
+    IsolationReport,
+    RemetrizedSpace,
+    SampledFunction,
     atsuji_check,
     convergent_sequence,
     detect_limit_points,
     greedy_epsilon_net,
     min_pairwise_distance,
+    modulus_of_continuity,
     neighborhood,
     positive_integers,
     sequence_grid,
+    uc_witness_search,
+    verify_same_topology,
 )
 from atsuji.analysis import FINITE_EVIDENCE_NOTE
+from atsuji.space import _require_discernible
 
 from test_space import small_spaces
 
@@ -26,7 +35,7 @@ def brute_min_pair(space, S):
     best, pair = math.inf, None
     for a in range(len(idx)):
         for b in range(a + 1, len(idx)):
-            d = float(space.dist[idx[a], idx[b]])
+            d = float(min(space.dist[idx[a], idx[b]], space.dist[idx[b], idx[a]]))
             if d < best:
                 best, pair = d, (space.ids[idx[a]], space.ids[idx[b]])
     return best, pair
@@ -199,10 +208,10 @@ def test_atsuji_fail_witness_is_consistent():
 
 
 @st.composite
-def small_matrices(draw):
+def small_matrices(draw, sizes=st.integers(1, 7)):
     """Integer-valued matrices, so ties are common; half of them asymmetric,
     with arbitrary diagonals."""
-    n = draw(st.integers(1, 7))
+    n = draw(sizes)
     entries = st.integers(0, 4).map(float)
     rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
     if draw(st.booleans()):
@@ -267,3 +276,55 @@ def test_derived_set_view_validation():
         DerivedSetView("oracle", frozenset(), resolution=0.1)
     with pytest.raises(ValueError):
         DerivedSetView("detected", frozenset())
+
+
+# --- one pair rule: a pair is as close as its smaller entry ------------------
+
+# its pair (a, b) is 1 apart above the diagonal and 0.25 below it
+ONE_SIDED = [[0.0, 1.0, 3.0], [0.25, 0.0, 3.0], [3.0, 3.0, 0.0]]
+
+
+@pytest.mark.parametrize("dist", [ONE_SIDED, np.transpose(ONE_SIDED)], ids=["lower", "upper"])
+def test_limit_points_and_nets_read_both_entries_of_a_pair(dist):
+    space = FiniteSpace(ids=("a", "b", "c"), dist=dist)
+    assert detect_limit_points(space, 0.5).members == {"a", "b"}
+    assert greedy_epsilon_net(space, space.ids, 0.5) == ["a", "c"]
+    assert min_pairwise_distance(space, space.ids) == IsolationReport(0.25, ("a", "b"))
+
+
+def _raised(check, *args):
+    """The message that ``check(*args)`` raises, or None."""
+    try:
+        check(*args)
+    except IndiscerniblePointsError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_pair_search_is_the_same_on_the_transposed_matrix(data):
+    space = data.draw(small_matrices())
+    flipped = FiniteSpace(space.ids, space.dist.T)
+    ids = space.ids
+    subset = data.draw(st.frozensets(st.sampled_from(ids)))
+    values = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=space.n,
+                                max_size=space.n))
+    f = SampledFunction(dict(zip(ids, values)), label="drawn")
+    scale = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.5]))
+    tol = data.draw(st.sampled_from([1e-12, 0.5, 1.0, 2.0]))
+    for call in [
+        lambda s: min_pairwise_distance(s, subset),
+        lambda s: uc_witness_search(s, f, 0.5, scale),
+        lambda s: modulus_of_continuity(s, f, scale),
+        lambda s: greedy_epsilon_net(s, subset, scale),
+        lambda s: detect_limit_points(s, scale),
+        lambda s: _raised(_require_discernible, s, tol),
+    ]:
+        assert call(space) == call(flipped)
+
+    new = data.draw(small_matrices(st.just(space.n))).dist
+    derived = DerivedSetView("oracle", subset)
+    r = RemetrizedSpace(base=space, derived=derived, newdist=new)
+    r_flipped = RemetrizedSpace(base=flipped, derived=derived, newdist=new.T)
+    assert verify_same_topology(r) == verify_same_topology(r_flipped)

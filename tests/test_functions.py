@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from atsuji import (
     FiniteSpace,
+    WitnessPair,
     SampledFunction,
     convergent_sequence,
     modulus_of_continuity,
@@ -25,7 +26,7 @@ def brute_modulus(space, f, eta):
     for i in range(space.n):
         for j in range(i + 1, space.n):
             if abs(f.values[space.ids[i]] - f.values[space.ids[j]]) >= eta:
-                best = min(best, float(space.dist[i, j]))
+                best = min(best, float(space.dist[i, j]), float(space.dist[j, i]))
     return best
 
 
@@ -185,6 +186,16 @@ def test_witness_rejects_bad_params():
         uc_witness_search(space, f, 0.0, 1e-3)
     with pytest.raises(ValueError):
         uc_witness_search(space, f, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+def test_witness_distance_is_the_entry_that_is_delta_close(lower):
+    # the pair (a, b) is 1 apart at one entry and 0.25 at the other
+    dist = np.array([[0.0, 1.0, 3.0], [0.25, 0.0, 3.0], [3.0, 3.0, 0.0]])
+    space = FiniteSpace(ids=("a", "b", "c"), dist=dist if lower else dist.T)
+    f = SampledFunction({"a": 0.0, "b": 1.0, "c": 2.0}, label="identity")
+    assert uc_witness_search(space, f, 0.5, 0.5) == WitnessPair("a", "b", 0.25, 1.0)
+    assert modulus_of_continuity(space, f, 0.5) == 0.25
 
 
 

@@ -205,6 +205,17 @@ def test_same_topology_reads_the_lower_triangle(entry, value, failed):
 # --- verify_isolation_bound --------------------------------------------------------
 
 
+@pytest.mark.parametrize("entry", [(4, 5), (5, 4)], ids=["upper", "lower"])
+def test_isolation_bound_reads_both_entries_of_a_pair(entry):
+    # a result built by hand with one entry of the pair (n4, n5) made 1e-3
+    space, view = convergent_sequence(6)
+    tampered = np.array(remetrize(space, view).newdist)
+    tampered[entry] = 1e-3
+    r = RemetrizedSpace(base=space, derived=view, newdist=tampered)
+    report = verify_isolation_bound(r, 0.1)
+    assert (report.passed, report.witness, report.observed_eta) == (False, ("n4", "n5"), 1e-3)
+
+
 def test_isolation_bound_convergent():
     space, view = convergent_sequence(200)
     r = remetrize(space, view)

@@ -29,7 +29,13 @@ from atsuji import (
     verify_metric_axioms,
 )
 from atsuji import space as space_module
-from atsuji.space import _MID_BLOCK, _PAIR_BLOCK, _ROW_BLOCK, _least_pair
+from atsuji.space import (
+    _MID_BLOCK,
+    _PAIR_BLOCK,
+    _ROW_BLOCK,
+    _least_pair,
+    _require_discernible,
+)
 
 
 def brute_axiom_violations(dist, tol):
@@ -715,9 +721,9 @@ def test_an_integer_coordinate_beyond_the_doubles_is_not_finite():
 @settings(max_examples=300)
 @given(st.integers(1, 12).flatmap(lambda n: arrays(np.bool_, (n, n))))
 def test_least_pair_is_the_first_upper_triangle_hit(mask):
-    hits = np.argwhere(np.triu(mask, k=1))
+    hits = np.argwhere(np.triu(mask | mask.T, k=1))
     want = tuple(int(k) for k in hits[0]) if hits.size else None
-    got = _least_pair(len(mask), lambda rows: mask[rows])
+    got = _least_pair(len(mask), lambda i, j: mask[i, j])
     assert got == want
     assert got is None or all(type(k) is int for k in got)
 
@@ -734,19 +740,31 @@ def test_least_pair_tests_row_blocks_in_order_up_to_the_first_hit(n, data):
     mask = np.zeros((n, n), dtype=bool)
     for i, j in planted:
         mask[i, j] = True
-    hits = np.argwhere(np.triu(mask, k=1))
+    hits = np.argwhere(np.triu(mask | mask.T, k=1))
     want = tuple(int(k) for k in hits[0]) if hits.size else None
 
     tested = []
 
-    def test(rows):
-        tested.append(rows)
-        return mask[rows]
+    def offends(rows, columns):
+        tested.append((rows, columns))
+        return mask[rows, columns]
 
-    assert _least_pair(n, test) == want
-    # blocks in row order, none past the block of the first hit
+    assert _least_pair(n, offends) == want
+    # blocks in row order, none past the block of the first hit; each block
+    # reads its rows against the columns from its start, then the mirror
     last = (want[0] if want else n - 1) // _PAIR_BLOCK
-    assert [rows.start for rows in tested] == list(range(0, (last + 1) * _PAIR_BLOCK, _PAIR_BLOCK))
+    starts = range(0, (last + 1) * _PAIR_BLOCK, _PAIR_BLOCK)
+    block = [(slice(s, s + _PAIR_BLOCK), slice(s, n)) for s in starts]
+    assert tested == [call for rows, columns in block for call in [(rows, columns), (columns, rows)]]
+
+
+@pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+def test_indiscernible_points_name_the_entry_within_tol(lower):
+    dist = np.array([[0.0, 1.0], [1e-13, 0.0]])
+    space = FiniteSpace(ids=("a", "b"), dist=dist if lower else dist.T)
+    message = r"^points 'a' and 'b' are indiscernible \(distance 1e-13 <= tol 1e-12\)$"
+    with pytest.raises(IndiscerniblePointsError, match=message):
+        _require_discernible(space, 1e-12)
 
 
 def test_build_space_reports_duplicates_before_indiscernible_points():
