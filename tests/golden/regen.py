@@ -96,6 +96,15 @@ def _within_tol_closest() -> np.ndarray:
     return d
 
 
+def _signed_zeros() -> np.ndarray:
+    """40 points in the unit square with -0.0 on every third diagonal
+    entry: the diagonal zero of a set's point keeps its sign in a set
+    distance."""
+    d = _table(40, 3)
+    d[np.arange(0, 40, 3), np.arange(0, 40, 3)] = -0.0
+    return d
+
+
 OVERFLOW = [
     [0, -1.7e308, 1, 1.7e308],
     [-1.7e308, 0, -1.7e308, 1],
@@ -201,6 +210,11 @@ SPECS = {
     },
     "within-tol-closest.spec.json": _matrix([f"w{k}" for k in range(12)], _within_tol_closest()),
     "points.spec.json": {"space": {"kind": "points_l2", "points": POINTS}},
+    # radius 0.08 puts 20 of the 40 points in the detected derived set
+    "signed-zeros.spec.json": {
+        **_matrix([f"x{k}" for k in range(40)], _signed_zeros()),
+        "derived_set": {"kind": "detect", "radius": 0.08},
+    },
     "limit.spec.json": LIMIT,
     "unknown-kind.spec.json": {"space": {"kind": "hyperbolic", "n": 3}},
     "repeated-slot.spec.json": {"space": {"kind": "points_l2", "points": [
@@ -266,6 +280,11 @@ CASES = {
     "atsuji-within-tol-closest": ["atsuji", "within-tol-closest.spec.json"],
     "witness-within-tol-closest": ["witness", "within-tol-closest.spec.json", "--fn", "identity",
                                    "--eps0", "0.5", "--delta", "0.0524542655819311"],
+    # set distances over a detected D of 20 points, with signed diagonal zeros
+    "separator-signed-zeros": ["separator", "signed-zeros.spec.json", "--a", "x0,x3,x6,x9",
+                               "--b", "x1,x2"],
+    "atsuji-signed-zeros": ["atsuji", "signed-zeros.spec.json"],
+    "remetrize-signed-zeros": ["remetrize", "signed-zeros.spec.json"],
 }
 
 
