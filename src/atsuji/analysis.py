@@ -18,7 +18,7 @@ import numpy as np
 
 from .functions import WitnessPair
 # neighborhood is unused here; perfbench/trace_child.py wraps it by this name
-from .space import FiniteSpace, PointId, neighborhood  # noqa: F401
+from .space import _PAIR_BLOCK, FiniteSpace, PointId, neighborhood  # noqa: F401
 
 __all__ = [
     "DerivedSetView",
@@ -97,9 +97,13 @@ def detect_limit_points(space: FiniteSpace, r: float) -> DerivedSetView:
     """
     if not r > 0:
         raise ValueError(f"resolution must be positive, got {r!r}")
-    close = space.dist < r
-    np.fill_diagonal(close, False)
-    members = frozenset(space.ids[k] for k in np.flatnonzero(close.any(0) | close.any(1)))
+    flagged = np.zeros(space.n, dtype=bool)
+    for start in range(0, space.n, _PAIR_BLOCK):  # one row block's predicate at a time
+        close = space.dist[start : start + _PAIR_BLOCK] < r  # (i, j) is (start + i, j)
+        np.fill_diagonal(close[:, start:], False)
+        flagged[start : start + _PAIR_BLOCK] |= close.any(1)  # entries (x, y)
+        flagged |= close.any(0)  # entries (y, x)
+    members = frozenset(space.ids[k] for k in np.flatnonzero(flagged))
     return DerivedSetView(kind="detected", members=members, resolution=float(r))
 
 

@@ -71,13 +71,13 @@ def separator(
     requires A and B nonempty and disjoint (which on a finite space with a
     valid metric keeps the denominator positive).
     """
-    a, b = space.mask(A), space.mask(B)
+    a, b = space.mask(A := tuple(A)), space.mask(B := tuple(B))  # read by mask, then by reach
     if not a.any() or not b.any():
         raise ValueError("A and B must both be nonempty")
     if (a & b).any():
         shared = sorted(space.ids[k] for k in np.flatnonzero(a & b))
         raise ValueError(f"A and B must be disjoint; shared points: {shared}")
-    da, db = space.dist[:, a].min(axis=1), space.dist[:, b].min(axis=1)
+    da, db = space.reach(A), space.reach(B)
     vanishing = np.flatnonzero(~(da + db > 0))
     if vanishing.size:
         p = space.ids[vanishing[0]]

@@ -146,8 +146,8 @@ def remetrize(base: FiniteSpace, derived: DerivedSetView) -> RemetrizedSpace:
     newdist = np.maximum.outer(floor, floor)
     np.maximum(newdist, base.dist, out=newdist)
     # pairs touching the derived set keep the base distance, x = y stays 0
-    newdist[member_mask, :] = base.dist[member_mask, :]
-    newdist[:, member_mask] = base.dist[:, member_mask]
+    np.copyto(newdist, base.dist, where=member_mask[:, None])  # rows, in place
+    np.copyto(newdist, base.dist, where=member_mask)  # columns
     np.fill_diagonal(newdist, 0.0)
     return RemetrizedSpace._adopt(base, derived, newdist, levels)
 

@@ -132,7 +132,9 @@ class FiniteSpace:
         return space
 
     def _settle(self, ids: Iterable[PointId], d: np.ndarray, tol: float) -> None:
-        ids = _point_ids(ids)
+        ids, tol = _point_ids(ids), float(tol)
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
         if d.shape != (len(ids), len(ids)):
             raise ValueError(f"distance matrix shape {d.shape} does not match {len(ids)} points")
         # min and max propagate NaN and +-inf, so no n x n mask is needed
@@ -142,7 +144,7 @@ class FiniteSpace:
         d.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "dist", d)
-        object.__setattr__(self, "tol", float(tol))
+        object.__setattr__(self, "tol", tol)
 
     @cached_property
     def _index(self) -> dict[PointId, int]:
@@ -170,9 +172,9 @@ class FiniteSpace:
         return np.flatnonzero(self.mask(points))
 
     def reach(self, points: Iterable[PointId]) -> np.ndarray:
-        """Distance from every point to the set ``points`` (``dist[y, a]``
-        minimized over a); ``math.inf`` everywhere when the set is empty."""
-        return self.dist[:, self.mask(points)].min(axis=1, initial=math.inf)
+        """Distance from every point to the set ``points``: ``dist[y, a]`` minimized
+        over a in place, under the set's mask; ``math.inf`` everywhere when it is empty."""
+        return np.min(self.dist, axis=1, where=self.mask(points), initial=math.inf)
 
     def distance(self, x: PointId, y: PointId) -> float:
         return float(self.dist[self.index(x), self.index(y)])
@@ -198,7 +200,7 @@ class MaxTriple(NamedTuple):
     satisfies: bool
 
 
-# Rows per block of the least-pair search and of build_space's slot pass,
+# Rows per block of the pair searches, limit-point detection and build_space's slot pass,
 # chosen by measurement on a 2-core Xeon: at 3000 points a full
 # indiscernibility scan took 23 ms in blocks of 128 or 256 rows, 30 ms in
 # blocks of 32 or 64, and 29 ms as one n x n mask; the slot pass took the same

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,20 @@ def test_detect_rejects_bad_resolution():
     space, _ = convergent_sequence(5)
     with pytest.raises(ValueError):
         detect_limit_points(space, 0.0)
+
+
+def test_detect_holds_one_row_block_of_its_predicate():
+    # row blocks of dist < r, rows and columns both read: no n x n bool
+    space, _ = convergent_sequence(1000)
+    n = space.n
+    tracemalloc.start()
+    try:
+        members = detect_limit_points(space, 1e-4).members
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert members == {f"n{k}" for k in range(100, n)}
+    assert peak < 0.05 * 8 * n * n
 
 
 def test_detect_monotone_in_resolution():

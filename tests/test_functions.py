@@ -61,6 +61,28 @@ def test_separator_preconditions():
         separator(space, {"zero", "n1"}, {"n1"})
 
 
+def test_separator_reads_set_distances_in_place():
+    # d(x, A) and d(x, B) are masked reductions over the matrix: no column copies
+    space, _ = convergent_sequence(1000)
+    n = space.n
+    A, B = space.ids[: n // 2], space.ids[n // 2 :]
+    tracemalloc.start()
+    try:
+        f = separator(space, A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.values[A[0]] == 0.0 and f.values[B[0]] == 1.0
+    assert peak < 0.25 * 8 * n * n
+
+
+def test_separator_reads_each_set_once_from_the_caller():
+    space, _ = convergent_sequence(10)
+    f = separator(space, iter(["zero", "n3"]), (p for p in ["n1"]))
+    assert f.values == separator(space, ["zero", "n3"], ["n1"]).values
+    assert f.label == "separator(|A|=2,|B|=1)"
+
+
 @pytest.mark.parametrize(
     "make,a,b",
     [

@@ -3,13 +3,21 @@
 matrices (not only metrics) and arbitrary subsets, the empty one included."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atsuji import FiniteSpace, neighborhood, separator, set_distance
+from atsuji import (
+    FiniteSpace,
+    convergent_sequence,
+    detect_limit_points,
+    neighborhood,
+    separator,
+    set_distance,
+)
 
 # small integers give ties; the halves give inexact sums and quotients
 ENTRIES = st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 8.0).map(lambda v: v / 3))
@@ -66,6 +74,46 @@ def test_separator_matches_per_point_quotient_bit_for_bit(case, data):
     got = separator(space, A, B).values
     assert list(got) == list(space.ids)
     assert {p: v.hex() for p, v in got.items()} == {p: v.hex() for p, v in want.items()}
+
+
+@settings(max_examples=200)
+@given(case=spaces_and_sets(), data=st.data(), r=ENTRIES.filter(lambda v: v > 0))
+def test_set_distances_and_detection_match_the_copying_formulas(case, data, r):
+    # the masked reductions in place equal reductions over copied columns and
+    # an n x n predicate (a row with several signed zeros may differ in the
+    # sign of its zero only, and zeros of either sign compare equal)
+    space, A, _ = case
+    d = space.dist
+    assert np.array_equal(space.reach(A), d[:, space.mask(A)].min(axis=1, initial=math.inf))
+    close = d < r
+    np.fill_diagonal(close, False)
+    flagged = {space.ids[k] for k in np.flatnonzero(close.any(0) | close.any(1))}
+    assert detect_limit_points(space, r).members == flagged
+
+    side = data.draw(st.lists(st.sampled_from("-AB"), min_size=space.n, max_size=space.n))
+    a, b = (np.array([s == t for s in side]) for t in "AB")
+    if not a.any() or not b.any():
+        return
+    da, db = d[:, a].min(axis=1), d[:, b].min(axis=1)
+    A, B = ([p for p, s in zip(space.ids, side) if s == t] for t in "AB")
+    if not (da + db > 0).all():
+        with pytest.raises(ValueError, match="vanishes"):
+            separator(space, A, B)
+        return
+    assert list(separator(space, A, B).values.values()) == (da / (da + db)).tolist()
+
+
+def test_reach_holds_no_n_squared_buffer():
+    space, _ = convergent_sequence(1000)
+    n = space.n
+    tracemalloc.start()
+    try:
+        reach = space.reach(space.ids[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reach[0] == space.dist[0, 1:].min() and not reach[1:].any()
+    assert peak < 0.25 * 8 * n * n
 
 
 def test_mask_of_unknown_point_names_it():

@@ -16,6 +16,7 @@ from atsuji import (
     atsuji_check,
     build_space,
     convergent_sequence,
+    detect_limit_points,
     dyadic_level,
     positive_integers,
     remetrize,
@@ -515,17 +516,20 @@ def test_remetrized_space_rejects_a_matrix_that_is_not_a_finite_space(newdist):
 
 
 def test_remetrize_holds_one_n_squared_buffer():
-    # the fresh newdist becomes the space's matrix without a copy
-    space, view = convergent_sequence(1000)
+    # the fresh newdist becomes the space's matrix without a copy, and D's rows
+    # and columns are restored in place: the oracle's one point, then a
+    # detected D of 900 points
+    space, oracle = convergent_sequence(1000)
     n = space.n
-    tracemalloc.start()
-    try:
-        r = remetrize(space, view)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert r.space.dist is r.newdist and not r.newdist.flags.writeable
-    assert peak < 1.2 * 8 * n * n
+    for view in (oracle, detect_limit_points(space, 1e-4)):
+        tracemalloc.start()
+        try:
+            r = remetrize(space, view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.space.dist is r.newdist and not r.newdist.flags.writeable
+        assert peak < 1.2 * 8 * n * n
 
 
 def test_remetrized_space_copies_a_writable_matrix():

@@ -108,16 +108,23 @@ coordinates = st.builds(
     )
 )
 def test_build_space_matches_cdist_bitwise(points):
-    cdist = pytest.importorskip("scipy.spatial.distance").cdist
     specs = [PointSpec(f"q{k}", coords) for k, coords in enumerate(points)]
     try:
         space = build_space(specs)
     except IndiscerniblePointsError:
         assume(False)
     slots = sorted({slot for spec in specs for slot, _ in spec.support()})
-    coords = np.array([[spec.coords.get(slot, 0.0) for slot in slots] or [0.0] for spec in specs])
-    want = cdist(coords, coords)
-    np.fill_diagonal(want, 0.0)
+    coords = [[spec.coords.get(slot, 0.0) for slot in slots] for spec in specs]
+    want = np.zeros((len(specs), len(specs)))
+    for i, x in enumerate(coords):
+        for j, y in enumerate(coords):
+            if i != j:
+                # a plain loop in slot order: sum() compensates float sums from Python 3.12 on
+                total = 0.0
+                for a, b in zip(x, y):
+                    diff = a - b
+                    total += diff * diff
+                want[i, j] = math.sqrt(total)
     assert space.dist.tobytes() == want.tobytes()
 
 
@@ -126,6 +133,19 @@ def test_import_does_not_load_scipy():
     code = "import sys, atsuji.cli; print('scipy' in sys.modules, '_hashlib' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False False"
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+def test_space_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # with tol=nan every comparison is false, so a broken triangle passed the scan
+    dist = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
+    with pytest.raises(ValueError, match=f"tol must be a finite number >= 0, got {tol!r}"):
+        FiniteSpace(ids=("a", "b", "c"), dist=dist, tol=tol)
+    with pytest.raises(ValueError, match="tol must be"):
+        FiniteSpace._adopt(("a", "b", "c"), np.array(dist), tol)
+    exact = FiniteSpace(ids=("a", "b", "c"), dist=dist, tol=0.0)
+    assert exact.tol == 0.0
+    assert [v.kind for v in verify_metric_axioms(exact).violations] == ["triangle", "triangle"]
 
 
 def test_build_space_duplicate_id():
