@@ -101,8 +101,8 @@ def detect_limit_points(space: FiniteSpace, r: float) -> DerivedSetView:
     for start in range(0, space.n, _PAIR_BLOCK):  # one row block's predicate at a time
         close = space.dist[start : start + _PAIR_BLOCK] < r  # (i, j) is (start + i, j)
         np.fill_diagonal(close[:, start:], False)
-        flagged[start : start + _PAIR_BLOCK] |= close.any(1)  # entries (x, y)
-        flagged |= close.any(0)  # entries (y, x)
+        flagged[start : start + _PAIR_BLOCK] |= close.any(1)  # the block's points, by row
+        flagged |= close.any(0)  # every point, by its column: the pair's other entry
     members = frozenset(space.ids[k] for k in np.flatnonzero(flagged))
     return DerivedSetView(kind="detected", members=members, resolution=float(r))
 

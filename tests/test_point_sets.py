@@ -82,9 +82,9 @@ def test_set_distances_and_detection_match_the_copying_formulas(case, data, r):
     # the masked reductions in place equal reductions over copied columns and
     # an n x n predicate (a row with several signed zeros may differ in the
     # sign of its zero only, and zeros of either sign compare equal)
-    space, A, _ = case
+    space, S, _ = case
     d = space.dist
-    assert np.array_equal(space.reach(A), d[:, space.mask(A)].min(axis=1, initial=math.inf))
+    assert np.array_equal(space.reach(S), d[:, space.mask(S)].min(axis=1, initial=math.inf))
     close = d < r
     np.fill_diagonal(close, False)
     flagged = {space.ids[k] for k in np.flatnonzero(close.any(0) | close.any(1))}

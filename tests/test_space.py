@@ -115,11 +115,12 @@ def test_build_space_matches_cdist_bitwise(points):
         assume(False)
     slots = sorted({slot for spec in specs for slot, _ in spec.support()})
     coords = [[spec.coords.get(slot, 0.0) for slot in slots] for spec in specs]
+    # the definition, as cdist computes it: squared differences added in slot
+    # order in a plain loop (sum() compensates float sums from Python 3.12 on)
     want = np.zeros((len(specs), len(specs)))
     for i, x in enumerate(coords):
         for j, y in enumerate(coords):
             if i != j:
-                # a plain loop in slot order: sum() compensates float sums from Python 3.12 on
                 total = 0.0
                 for a, b in zip(x, y):
                     diff = a - b
