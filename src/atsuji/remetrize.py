@@ -187,7 +187,9 @@ def verify_same_topology(r: RemetrizedSpace) -> TopologyReport:
         "derived_equality": lambda i, j: (
             (member[i, None] | member[j]) & (np.abs(d_new[i, j] - d_old[i, j]) > tol)
         ),
-        "isolation": lambda i, j: ~member[i, None] & ((d_old[i, j] <= 0) | (d_new[i, j] <= 0)),
+        "isolation": lambda i, j: (
+            (~member[i, None] | ~member[j]) & ((d_old[i, j] <= 0) | (d_new[i, j] <= 0))
+        ),
     }
     for name, offends in checks.items():
         pair = _least_pair(base.n, offends)

@@ -6,8 +6,8 @@ Conventions used throughout the package:
   position in ``FiniteSpace.ids``; every tie-break (witness pairs, minimizers)
   picks the lexicographically least index pair, so results are deterministic
   regardless of how the caller orders its input sets.
-- A pair search takes a pair as close as its smaller entry; only a point's
-  distance to a set (its row, ``dist[y, a]``) and the axiom scan read one entry.
+- A pair search takes a pair as close as its smaller entry; only a point's distance
+  to a set (its row, ``dist[y, a]``) and the axiom scan's entry checks read one entry.
 - Balls are open: ``y`` belongs to ``B(A, eps)`` iff ``dist(y, a) < eps`` for
   some ``a`` in ``A``.
 - The distance to the empty set is ``math.inf``, which propagates correctly
@@ -208,16 +208,25 @@ class MaxTriple(NamedTuple):
 _PAIR_BLOCK = 128
 
 
-def _least_pair(n: int, offends: Callable[[slice, slice], np.ndarray]) -> tuple[int, int] | None:
-    """The lexicographically least ``(i, j)`` with ``i < j`` at which
-    ``offends(rows, columns)``, a predicate on a slice of rows against a slice
-    of columns, holds at ``(i, j)`` or at ``(j, i)``; None if there is none.
-    Row blocks are tested in order against the columns from their start, up
-    to the first block with a hit, so no caller holds an n x n predicate."""
+def _pair_blocks(
+    n: int, offends: Callable[[slice, slice], np.ndarray]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The one pair walk: per block of rows, in order and when asked, ``(start,
+    hit)``; ``hit[i, j]`` holds for ``j > i`` when ``offends(rows, columns)``,
+    a predicate on a slice of rows against a slice of columns, holds at
+    ``(start + i, start + j)`` or at its mirror.  No n x n predicate is held."""
     for start in range(0, n, _PAIR_BLOCK):
         rows, columns = slice(start, start + _PAIR_BLOCK), slice(start, n)
-        hit = offends(rows, columns) | offends(columns, rows).T  # (i, j) is (start + i, start + j)
+        hit = offends(rows, columns) | offends(columns, rows).T
         hit[:, : len(hit)] &= ~np.tri(len(hit), dtype=bool)  # only j > i in the leading square
+        yield start, hit
+
+
+def _least_pair(n: int, offends: Callable[[slice, slice], np.ndarray]) -> tuple[int, int] | None:
+    """The lexicographically least ``(i, j)`` with ``i < j`` at which
+    ``offends`` holds at ``(i, j)`` or at ``(j, i)``; None if there is none.
+    Walks :func:`_pair_blocks` up to the first block with a hit."""
+    for start, hit in _pair_blocks(n, offends):
         first = int(hit.argmax())  # the first True in row-major order
         if hit.flat[first]:
             i, j = divmod(first, n - start)
@@ -318,23 +327,6 @@ def _listed(kind: str, magnitudes: np.ndarray, *where: np.ndarray) -> Iterator[V
     return map(Violation, repeat(kind), zip(*(w.tolist() for w in where)), magnitudes.tolist())
 
 
-def _symmetry(d: np.ndarray, tol: float):
-    """Yield the symmetry violations in row order and return whether ``d``
-    equals ``d.T`` entrywise.  A row block compares its entries from the
-    diagonal on with their mirrors, which covers every pair once."""
-    symmetric = True
-    buffer = np.empty(min(_PAIR_BLOCK, len(d)) * len(d))
-    for start in range(0, len(d), _PAIR_BLOCK):
-        upper = d[start : start + _PAIR_BLOCK, start:]  # local (i, j) is (start + i, start + j)
-        gap = buffer[: upper.size].reshape(upper.shape)
-        np.subtract(upper, d[start:, start : start + len(upper)].T, out=gap)
-        np.abs(gap, out=gap)
-        symmetric = symmetric and not gap.any()
-        i, j = np.nonzero(np.triu(gap > tol, k=1))
-        yield from _listed("symmetry", gap[i, j], start + i, start + j)
-    return symmetric
-
-
 def _triangle_block(
     d: np.ndarray, tol: float, free: list, symmetric: bool, start: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -421,22 +413,28 @@ def _triangles(d: np.ndarray, tol: float, symmetric: bool):
 
 def _violations(d: np.ndarray, tol: float):
     """Yield every axiom violation of ``d`` in report order, each computed
-    only when the consumer asks for it: one pass over row blocks per pair
-    kind (nonneg, symmetry, diagonal identity, off-diagonal identity), so no
-    n x n temporary is held, and then the triangle scan."""
+    only when the consumer asks for it: nonneg over row blocks, symmetry and
+    off-diagonal identity through :func:`_pair_blocks` (the symmetry walk's
+    exact inequality also decides ``d == d.T`` entrywise), and then the
+    triangle scan, so no n x n temporary is held."""
     n = len(d)
     for start in range(0, n, _PAIR_BLOCK):
         rows = d[start : start + _PAIR_BLOCK]
         i, j = np.nonzero(rows < -tol)
         yield from _listed("nonneg", -rows[i, j], start + i, j)
-    symmetric = yield from _symmetry(d, tol)
+    symmetric = True
+    for start, hit in _pair_blocks(n, lambda i, j: d[i, j] != d[j, i].T):
+        i, j = (start + k for k in np.nonzero(hit))
+        symmetric = symmetric and not i.size
+        gap = np.abs(d[i, j] - d[j, i])
+        above = gap > tol
+        yield from _listed("symmetry", gap[above], i[above], j[above])
     diag = np.abs(np.diagonal(d))
     i = np.flatnonzero(diag > tol)
     yield from _listed("identity", diag[i], i, i)
-    for start in range(0, n, _PAIR_BLOCK):
-        upper = d[start : start + _PAIR_BLOCK, start:]
-        i, j = np.nonzero(np.triu(upper <= tol, k=1))
-        yield from _listed("identity", tol - upper[i, j], start + i, start + j)
+    for start, hit in _pair_blocks(n, lambda i, j: d[i, j] <= tol):
+        i, j = (start + k for k in np.nonzero(hit))
+        yield from _listed("identity", tol - np.minimum(d[i, j], d[j, i]), i, j)
     yield from _triangles(d, tol, symmetric)
 
 
@@ -450,11 +448,11 @@ def verify_metric_axioms(space: FiniteSpace, limit: int | None = None) -> AxiomR
     with ``i < j``: on 6 points, ``(5, 5)`` comes before ``(0, 1)``.  A
     positive ``limit`` lists the first ``limit`` and stops the scan once it
     holds them.  ``passed`` stays exact, since a failing matrix always lists
-    at least one violation.  Unlimited calls decide every triple.  The pair
-    checks run in row blocks, and the symmetry pass also finds whether the
-    matrix equals its transpose entrywise.  Every kind is listed one pair
-    block or listing chunk at a time, from one ``np.nonzero`` of its mask,
-    and its indices and magnitudes become Python ints and floats in bulk.
+    at least one violation.  Unlimited calls decide every triple.  Symmetry
+    and off-diagonal identity read a pair from both entries, in the row
+    blocks of every least-pair search; the symmetry walk's exact inequality
+    test also finds whether the matrix equals its transpose entrywise.  Every
+    kind is listed in bulk, one pair block or listing chunk at a time.
 
     The triangle inequality is decided row by row with min-plus tiles: for a
     block of rows ``i`` the scan accumulates ``min_j (d[i, j] + d[j, k])``
@@ -538,4 +536,4 @@ def uniform_interior_radius(
         raise ValueError(
             f"K must be a subset of U; outside points: {sorted(space.ids[k] for k in outside)}"
         )
-    return float(space.dist[np.ix_(k_mask, ~u_mask)].min(initial=math.inf))
+    return float(np.min(space.dist, axis=1, where=~u_mask, initial=math.inf)[k_mask].min())

@@ -168,6 +168,10 @@ def _many_slots_point(k: int) -> dict:
 
 MANY_SLOTS = {"space": {"kind": "points_l2", "points": [_many_slots_point(k) for k in range(40)]}}
 
+# a and b within the default tol in the lower entry only, 7e-13 apart: not
+# symmetric entrywise, symmetric within tol, and indiscernible
+LOWER_WITHIN_TOL = [[0, 1.5e-12, 5], [8e-13, 0, 5], [5, 5, 0]]
+
 # a and b closer than the spec's tol, though build_space keeps them apart
 INDISCERNIBLE_AT_TOL = {
     "space": {
@@ -225,6 +229,7 @@ SPECS = {
     "unknown-oracle.spec.json": _builtin("convergent_sequence",
                                          {"kind": "oracle", "ids": ["zero", "omega"]}, n_max=5),
     "indiscernible-at-tol.spec.json": INDISCERNIBLE_AT_TOL,
+    "lower-within-tol.spec.json": _matrix(["a", "b", "c"], LOWER_WITHIN_TOL),
     # the text as written, not a JSON value: the closing brace is missing
     "malformed.spec.json": '{"space": {"kind": "matrix", "ids": ["a"], "matrix": [[0]]}\n',
 }
@@ -285,6 +290,9 @@ CASES = {
                                "--b", "x1,x2"],
     "atsuji-signed-zeros": ["atsuji", "signed-zeros.spec.json"],
     "remetrize-signed-zeros": ["remetrize", "signed-zeros.spec.json"],
+    # the identity check reads a pair from both entries, at load and in check-metric alike
+    "check-metric-lower-within-tol": ["check-metric", "lower-within-tol.spec.json"],
+    "atsuji-lower-within-tol": ["atsuji", "lower-within-tol.spec.json"],
 }
 
 

@@ -23,6 +23,7 @@ from atsuji import (
     positive_integers,
     sequence_grid,
     uc_witness_search,
+    verify_metric_axioms,
     verify_same_topology,
 )
 from atsuji.analysis import FINITE_EVIDENCE_NOTE
@@ -335,6 +336,8 @@ def test_every_pair_search_is_the_same_on_the_transposed_matrix(data):
         lambda s: greedy_epsilon_net(s, subset, scale),
         lambda s: detect_limit_points(s, scale),
         lambda s: _raised(_require_discernible, s, tol),
+        lambda s: [v for v in verify_metric_axioms(FiniteSpace(s.ids, s.dist, tol)).violations
+                   if v.kind in ("symmetry", "identity")],
     ]:
         assert call(space) == call(flipped)
 

@@ -442,6 +442,20 @@ def test_isolation_check_names_a_pair_at_base_distance_zero():
 
 
 
+@pytest.mark.parametrize("transposed", [False, True], ids=["lower", "upper"])
+def test_isolation_check_reads_a_pair_from_both_entries(transposed):
+    # m1 is outside D = {m0} and its pair with m0 has a zero entry: in m0's
+    # row or in m1's, the pair is not isolated either way
+    dist = np.array([[0.0, 0.0], [1.0, 0.0]])
+    dist = dist.T if transposed else dist
+    base = FiniteSpace(ids=("m0", "m1"), dist=dist)
+    r = RemetrizedSpace(base=base, derived=DerivedSetView("oracle", frozenset({"m0"})),
+                        newdist=dist)
+    report = verify_same_topology(r)
+    assert (report.passed, report.failed_check, report.witness) == (
+        False, "isolation", ("m0", "m1"))
+
+
 def test_isolation_check_names_the_least_offending_pair():
     # b fails isolation twice (c at 0, d at -1): the witness is the least pair
     # (b, c), not b's nearest point d
@@ -453,7 +467,8 @@ def test_isolation_check_names_the_least_offending_pair():
 
 def reference_topology(base: FiniteSpace, member: np.ndarray, d_new: np.ndarray):
     """(failed_check, witness) of the three checks on full n x n masks, with
-    the isolation check a pair loop; (None, None) on a pass."""
+    the isolation check a pair loop: a pair with a point outside D offends
+    when any of its four entries is <= 0; (None, None) on a pass."""
     d_old, tol, n = base.dist, base.tol, base.n
 
     def least(mask):  # a pair offends when either of its entries does
@@ -468,9 +483,9 @@ def reference_topology(base: FiniteSpace, member: np.ndarray, d_new: np.ndarray)
         return "derived_equality", changed
     for i in range(n):
         for j in range(i + 1, n):
-            for k, other in ((i, j), (j, i)):
-                if not member[k] and (d_old[k, other] <= 0 or d_new[k, other] <= 0):
-                    return "isolation", (base.ids[i], base.ids[j])
+            entries = (d[k, other] for d in (d_old, d_new) for k, other in ((i, j), (j, i)))
+            if not (member[i] and member[j]) and any(e <= 0 for e in entries):
+                return "isolation", (base.ids[i], base.ids[j])
     return None, None
 
 

@@ -50,7 +50,7 @@ def brute_axiom_violations(dist, tol):
                 kinds.add("nonneg")
             if abs(dist[i][j] - dist[j][i]) > tol:
                 kinds.add("symmetry")
-            if i < j and dist[i][j] <= tol:
+            if i != j and dist[i][j] <= tol:
                 kinds.add("identity")
             for k in range(n):
                 if dist[i][k] - dist[i][j] - dist[j][k] > tol:
@@ -399,6 +399,22 @@ def test_uniform_interior_radius_cross_check(data):
         assert any(space.distance(z, w) == r for z in K for w in complement)
 
 
+def test_uniform_interior_radius_holds_no_copy_of_the_matrix():
+    # K = U = the first half of the points: a gather of K's rows at the
+    # columns outside U would copy a quarter of the matrix
+    space, _ = convergent_sequence(2000)
+    n = space.n
+    half = space.ids[: n // 2]
+    tracemalloc.start()
+    try:
+        r = uniform_interior_radius(space, half, half)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r == space.dist[: n // 2, n // 2 :].min()
+    assert peak < 0.05 * 8 * n * n
+
+
 # --- the tiled triangle scan against the per-middle-point scan -------------
 
 
@@ -415,8 +431,9 @@ def per_j_axiom_violations(d, tol):
     diag = np.abs(np.diagonal(d))
     for (i,) in np.argwhere(diag > tol):
         found.append(("identity", (int(i), int(i)), float(diag[i])))
-    for i, j in np.argwhere(np.triu(d <= tol, k=1)):
-        found.append(("identity", (int(i), int(j)), float(tol - d[i, j])))
+    closest = np.minimum(d, d.T)  # a pair is as close as its smaller entry
+    for i, j in np.argwhere(np.triu(closest <= tol, k=1)):
+        found.append(("identity", (int(i), int(j)), float(tol - closest[i, j])))
 
     excess = np.empty_like(d)
     triangle = []
@@ -786,6 +803,31 @@ def test_indiscernible_points_name_the_entry_within_tol(lower):
     message = r"^points 'a' and 'b' are indiscernible \(distance 1e-13 <= tol 1e-12\)$"
     with pytest.raises(IndiscerniblePointsError, match=message):
         _require_discernible(space, 1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=st.sampled_from([0.0, -0.0, 5e-13, 0.5, 2.0]))
+    ),
+    st.sampled_from([1e-12, 0.5, 1.0]),
+    st.sampled_from([3, 5, _PAIR_BLOCK]),
+)
+def test_indiscernibility_is_one_rule_for_the_load_gate_and_the_scan(d, tol, pair_block):
+    # _require_discernible raises exactly when the scan lists an off-diagonal
+    # identity violation, and then names the first one's pair; small pair
+    # blocks make both walks cross row blocks
+    space = FiniteSpace(ids=tuple(f"p{k}" for k in range(len(d))), dist=d, tol=tol)
+    with mock.patch.object(space_module, "_PAIR_BLOCK", pair_block):
+        pairs = [v.where for v in verify_metric_axioms(space).violations
+                 if v.kind == "identity" and v.where[0] != v.where[1]]
+        try:
+            _require_discernible(space, tol)
+        except IndiscerniblePointsError as exc:
+            i, j = pairs[0]
+            assert str(exc).startswith(f"points 'p{i}' and 'p{j}' are indiscernible")
+        else:
+            assert pairs == []
 
 
 def test_build_space_reports_duplicates_before_indiscernible_points():
