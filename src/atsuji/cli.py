@@ -276,7 +276,7 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
 
     if "tol" in data:
         tol = _finite(_typed(data["tol"], "tol", int, float), "tol", positive=True)
-        space = FiniteSpace._adopt(space.ids, space.dist, tol)
+        space = FiniteSpace._adopt(space.ids, space.dist, tol, space._excess)
 
     if "derived_set" not in data:
         derived = oracle if oracle is not None else DerivedSetView("oracle", frozenset())
@@ -527,24 +527,30 @@ def _make_function(space: FiniteSpace, fn: str, a: str | None, b: str | None) ->
         raise SpecError("--b", str(exc)) from None
 
 
-def _validate_matrix_arm(command: str, kind: str, space: FiniteSpace, tol_field: str) -> None:
+def _validate_matrix_arm(
+    command: str, kind: str, space: FiniteSpace, tol_field: str
+) -> FiniteSpace:
     """Every spec must satisfy the axioms at the run's tol, at load; check-metric
     is itself the validator.  builtin and points_l2 spaces are metrics whose
     points build_space keeps more than DEFAULT_TOL apart: a larger tol, set by
-    ``tol_field``, relaxes every other axiom, but can make two points identical."""
+    ``tol_field``, relaxes every other axiom, but can make two points identical.
+    Returns the space, a matrix arm's with its excess bound set to ``tol``:
+    a passing scan has decided every triple."""
     if command == "check-metric":
-        return
+        return space
     if kind == "matrix":
         report = verify_metric_axioms(space, limit=1)
         if not report.passed:
             v = report.violations[0]
             raise SpecError("space.matrix", f"violates the {v.kind} axiom at indices "
                             f"{tuple(v.where)} (magnitude {v.magnitude!r})")
-    elif space.tol > DEFAULT_TOL:
+        return FiniteSpace._adopt(space.ids, space.dist, space.tol, space.tol)
+    if space.tol > DEFAULT_TOL:
         try:
             _require_discernible(space, space.tol)
         except ValueError as exc:
             raise SpecError(tol_field, str(exc)) from None
+    return space
 
 
 def _cmd_check_metric(space, derived, args) -> tuple:
@@ -740,9 +746,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise SpecError("--out-matrix", "names the same file as --out")
             space, derived, spec_echo, kind = load_spec(args.spec)
             if args.tol is not None:
-                space = FiniteSpace._adopt(space.ids, space.dist, args.tol)
+                space = FiniteSpace._adopt(space.ids, space.dist, args.tol, space._excess)
             tol_field = "tol" if args.tol is None else "--tol"
-            _validate_matrix_arm(args.command, kind, space, tol_field)
+            space = _validate_matrix_arm(args.command, kind, space, tol_field)
             flags, result, witnesses, notes, code, *outputs = _COMMANDS[args.command](
                 space, derived, args
             )

@@ -78,8 +78,9 @@ class RemetrizedSpace:
                levels: dict[PointId, int]) -> RemetrizedSpace:
         """A result over ``newdist`` itself, not a copy: the path for a matrix
         that the package has just built and that nothing else holds.
-        ``levels`` is ``_levels(base, derived.members)[2]``, already computed."""
-        space = FiniteSpace._adopt(base.ids, newdist, base.tol)
+        ``levels`` is ``_levels(base, derived.members)[2]``, already computed.
+        The space's excess bound is the base's, or 0 (see :func:`remetrize`)."""
+        space = FiniteSpace._adopt(base.ids, newdist, base.tol, max(base._excess, 0.0))
         r = object.__new__(cls)
         vars(r).update(base=base, derived=derived, newdist=space.dist, levels=levels,
                        space=space)
@@ -136,6 +137,36 @@ def remetrize(base: FiniteSpace, derived: DerivedSetView) -> RemetrizedSpace:
     view that leaves some outside point at distance 0 from it (impossible for
     a true derived set, which is closed, but a sloppy oracle over an invalid
     matrix could do it and the dyadic level would be undefined).
+
+    The result's space bounds its computed triangle excess by ``max(B, 0)``,
+    ``B`` the base's bound (see :class:`~atsuji.space.FiniteSpace`): the
+    paper's metric lemma, which holds in floating point too.  The bound is
+    claimed only where the new matrix ``N`` equals its transpose entrywise;
+    take an ordered triple ``(x, y, z)`` with excess
+    ``e = fl(N[x, z] - fl(N[x, y] + N[y, z]))``, and ``f_x = 2^m`` the floor
+    of a point x outside D, so ``f_x < reach(x)``, x's row minimum over D.
+
+    - ``y = x`` or ``y = z``: the zero leg adds exactly, so ``e`` is 0.
+    - ``x = z != y``: ``e = -fl(2 N[x, y]) <= 0``, since no entry of ``N`` off
+      the diagonal is negative: it is a floor, or an entry of a base with a
+      finite ``B``, which has none.
+    - distinct, with ``N[x, z] = delta[x, z]``: off the diagonal ``N`` is
+      ``delta`` or ``max(delta, floor)``, so the two legs only grow, and a
+      rounded sum and difference are monotone in each argument: ``e`` is at
+      most the base's excess at ``(x, y, z)``, at most ``B``.
+    - distinct, with ``N[x, z]`` the floor ``F = max(f_x, f_z)`` of x and z
+      outside D: both legs are positive, so if one is at least ``F``, their
+      rounded sum is too (``F`` is a double) and ``e <= fl(F - F) = 0``.
+      Through y outside D, ``N[x, y] >= f_x`` and ``N[y, z] >= f_z``.
+      Through y in D, the legs are base entries: ``N[x, y] >= reach(x) > f_x``
+      from row x, and ``N[y, z] = N[z, y] >= reach(z) > f_z`` by the
+      symmetry of ``N``, which supplies the column entry.  Either way the
+      leg at the point whose floor is ``F`` is at least ``F``.
+
+    So the output's excess is at most ``max(B, 0)`` on every triple: when
+    ``B <= tol``, :func:`~atsuji.space.verify_metric_axioms` decides its
+    triangle inequality with no O(n^3) scan.  A base symmetric only within
+    ``tol`` gives an ``N`` that is not exactly symmetric, which is scanned.
     """
     member_mask, leveled, levels = _levels(base, derived.members)
     # a point outside D has the floor 2^level, and a pair the larger floor of

@@ -111,6 +111,16 @@ class FiniteSpace:
     properties are enforced here (shape, unique ids, finite entries); the
     metric axioms are checked by :func:`verify_metric_axioms` so that invalid
     matrices can be loaded, diagnosed, and reported.
+
+    A space also carries a private ``_excess``: a proven upper bound on the
+    computed triangle excess ``fl(d[i, k] - fl(d[i, j] + d[j, k]))`` over
+    every ordered triple, which holds whenever ``dist`` equals its transpose
+    entrywise.  It is ``math.inf`` (unknown) for every space made through the
+    constructor, and only the package sets it: :func:`build_space` from its
+    rounding analysis, the CLI's load gate of a matrix spec once its scan
+    passes (``tol``), and :func:`~atsuji.remetrize.remetrize` from its
+    base's.  A space with a finite bound has no negative entry off the
+    diagonal, which each of the three ensures.
     """
 
     ids: tuple[PointId, ...]
@@ -122,29 +132,43 @@ class FiniteSpace:
 
     @classmethod
     def _adopt(
-        cls, ids: Iterable[PointId], dist: np.ndarray, tol: float = DEFAULT_TOL
+        cls,
+        ids: Iterable[PointId],
+        dist: np.ndarray,
+        tol: float = DEFAULT_TOL,
+        excess: float | Callable[[float], float] = math.inf,
     ) -> FiniteSpace:
         """A space over ``dist`` itself, not a copy: the package's path for a
         float64 matrix that it has just built, or that is already read-only,
-        so that no code writes it afterwards.  Same checks as the constructor."""
+        so that no code writes it afterwards.  Same checks as the constructor.
+        ``excess`` is the space's ``_excess``, or a function that gives it
+        from the largest entry, which the finiteness check takes anyway."""
         space = object.__new__(cls)
-        space._settle(ids, dist, tol)
+        space._settle(ids, dist, tol, excess)
         return space
 
-    def _settle(self, ids: Iterable[PointId], d: np.ndarray, tol: float) -> None:
+    def _settle(
+        self,
+        ids: Iterable[PointId],
+        d: np.ndarray,
+        tol: float,
+        excess: float | Callable[[float], float] = math.inf,
+    ) -> None:
         ids, tol = _point_ids(ids), float(tol)
         if not (math.isfinite(tol) and tol >= 0):
             raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
         if d.shape != (len(ids), len(ids)):
             raise ValueError(f"distance matrix shape {d.shape} does not match {len(ids)} points")
         # min and max propagate NaN and +-inf, so no n x n mask is needed
-        if not (math.isfinite(d.min()) and math.isfinite(d.max())):
+        largest = float(d.max())
+        if not (math.isfinite(d.min()) and math.isfinite(largest)):
             bad = np.argwhere(~np.isfinite(d))[0]
             raise ValueError(f"distance matrix entry {tuple(int(k) for k in bad)} is not finite")
         d.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "dist", d)
         object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "_excess", float(excess(largest) if callable(excess) else excess))
 
     @cached_property
     def _index(self) -> dict[PointId, int]:
@@ -241,6 +265,13 @@ def _run(indices: np.ndarray) -> slice | np.ndarray:
     return slice(first, last + 1) if last - first == len(indices) - 1 else indices
 
 
+def _l2_excess(terms: int, largest: float) -> float:
+    """:func:`build_space`'s bound on the computed triangle excess, when a
+    pair sums at most ``terms`` squares and the largest entry is ``largest``."""
+    k = (terms + 5) * 2.0**-53
+    return 2 * largest * (k / (1 - k)) + 4 * math.sqrt(terms) * 2.0**-537
+
+
 def build_space(specs: Iterable[PointSpec]) -> FiniteSpace:
     """Build a space from sparse point specs under the l2 distance.
 
@@ -249,11 +280,36 @@ def build_space(specs: Iterable[PointSpec]) -> FiniteSpace:
     :class:`IndiscerniblePointsError` when two specs land within
     ``DEFAULT_TOL`` of each other (identical coordinates included), which
     would break the identity-of-indiscernibles axiom.
+
+    The space's ``_excess`` comes from a forward rounding analysis.  Let
+    ``u = 2^-53``, ``g(k) = k u / (1 - k u)``, ``M`` the largest computed
+    entry, and ``m`` the number of slots one pair sums: those where either
+    point is nonzero, so at most twice the largest support and at most the
+    number of distinct slots.  Without underflow, each term
+    ``fl(fl(a - b)^2)`` carries three roundings and the running sum of ``m``
+    nonnegative terms from 0 at most ``m - 1`` more, so the computed sum of
+    squares is within ``g(m + 2)`` of the true one, relatively; ``sqrt``
+    rounds once more, so every computed distance ``d^`` is within
+    ``r = g(m + 3)`` of the true ``d``.  The true distances are a metric,
+    ``d[i, k] <= d[i, j] + d[j, k]``, and the computed sum of the two legs
+    rounds once, so the computed excess ``x`` before its own rounding is at
+    most ``d^[i, k] (1 - (1 - u)(1 - r) / (1 + r)) <= M (2r + u)``, and
+    ``fl(x) <= M (2r + u)(1 + u) <= 2 M g(m + 4)``.  Gradual underflow costs
+    at most ``2^-1075`` per square and none in the differences and sums
+    (those are exact when subnormal), so the sum of squares may be off by
+    ``m 2^-1074`` more.  That moves a distance by at most
+    ``(1 + u) sqrt(m) 2^-537``, and the excess by at most
+    ``3 (1 + u)^2 sqrt(m) 2^-537 < 4 sqrt(m) 2^-537``.  The bound is
+    evaluated at ``g(m + 5)``: the step from ``m + 4`` is far larger than the
+    three roundings of evaluating it.
     """
     specs = list(specs)
     entries: dict[int, list[tuple[int, float]]] = {}  # slot -> its (row, value) pairs
+    widest = 0  # the largest support
     for row, spec in enumerate(specs):
-        for slot, value in spec.support():
+        support = spec.support()
+        widest = max(widest, len(support))
+        for slot, value in support:
             entries.setdefault(slot, []).append((row, value))
     ids = _point_ids(s.id for s in specs)
 
@@ -283,8 +339,9 @@ def build_space(specs: Iterable[PointSpec]) -> FiniteSpace:
             col[nz] = 0.0
     dist = np.sqrt(sq, out=sq)
 
+    terms = min(2 * widest, len(entries))
     try:
-        space = FiniteSpace._adopt(ids, dist)
+        space = FiniteSpace._adopt(ids, dist, excess=partial(_l2_excess, terms))
     except ValueError:  # the ids are checked, so an entry is not finite: inf
         i, j = _least_pair(n, lambda i, j: dist[i, j] == math.inf)
         raise ValueError(
@@ -411,12 +468,14 @@ def _triangles(d: np.ndarray, tol: float, symmetric: bool):
             pool.shutdown(cancel_futures=True)
 
 
-def _violations(d: np.ndarray, tol: float):
+def _violations(d: np.ndarray, tol: float, excess: float = math.inf):
     """Yield every axiom violation of ``d`` in report order, each computed
     only when the consumer asks for it: nonneg over row blocks, symmetry and
     off-diagonal identity through :func:`_pair_blocks` (the symmetry walk's
     exact inequality also decides ``d == d.T`` entrywise), and then the
-    triangle scan, so no n x n temporary is held."""
+    triangle scan, so no n x n temporary is held.  The scan is skipped when
+    ``d == d.T`` and ``excess``, a bound on every triple's computed excess
+    that holds on such a matrix, is at most ``tol``: it would list nothing."""
     n = len(d)
     for start in range(0, n, _PAIR_BLOCK):
         rows = d[start : start + _PAIR_BLOCK]
@@ -435,7 +494,8 @@ def _violations(d: np.ndarray, tol: float):
     for start, hit in _pair_blocks(n, lambda i, j: d[i, j] <= tol):
         i, j = (start + k for k in np.nonzero(hit))
         yield from _listed("identity", tol - np.minimum(d[i, j], d[j, i]), i, j)
-    yield from _triangles(d, tol, symmetric)
+    if not (symmetric and excess <= tol):
+        yield from _triangles(d, tol, symmetric)
 
 
 def verify_metric_axioms(space: FiniteSpace, limit: int | None = None) -> AxiomReport:
@@ -448,7 +508,12 @@ def verify_metric_axioms(space: FiniteSpace, limit: int | None = None) -> AxiomR
     with ``i < j``: on 6 points, ``(5, 5)`` comes before ``(0, 1)``.  A
     positive ``limit`` lists the first ``limit`` and stops the scan once it
     holds them.  ``passed`` stays exact, since a failing matrix always lists
-    at least one violation.  Unlimited calls decide every triple.  Symmetry
+    at least one violation.  Unlimited calls decide every pair and every
+    triple: a triple either in the triangle scan, or all at once by the
+    space's proven bound on the computed excess (see :class:`FiniteSpace`),
+    which the scan uses only on a matrix that equals its transpose entrywise
+    and only when the bound is at most ``tol``.  Then no triple can violate,
+    so the scan would list nothing, and the report is the same.  Symmetry
     and off-diagonal identity read a pair from both entries, in the row
     blocks of every least-pair search; the symmetry walk's exact inequality
     test also finds whether the matrix equals its transpose entrywise.  Every
@@ -483,7 +548,7 @@ def verify_metric_axioms(space: FiniteSpace, limit: int | None = None) -> AxiomR
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be a positive integer or None, got {limit!r}")
-    with closing(_violations(space.dist, space.tol)) as stream:
+    with closing(_violations(space.dist, space.tol, space._excess)) as stream:
         violations = list(islice(stream, limit))
     return AxiomReport(passed=not violations, violations=violations)
 

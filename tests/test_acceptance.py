@@ -8,6 +8,7 @@ import time
 import numpy as np
 
 from atsuji import (
+    FiniteSpace,
     atsuji_check,
     convergent_sequence,
     neighborhood,
@@ -39,8 +40,11 @@ def test_criterion_01_metric_axioms_at_scale():
     space, _ = sequence_grid(20, 20, True)
     if space.n != 401:
         problems.append(f"expected 401 points, got {space.n}")
+    if not verify_metric_axioms(space).passed:  # by build_space's excess bound
+        problems.append("the excess bound does not certify the grid")
+    # the constructor's copy has no excess bound, so the scan decides every triple
     start = time.perf_counter()
-    report = verify_metric_axioms(space)
+    report = verify_metric_axioms(FiniteSpace(space.ids, space.dist))
     elapsed = time.perf_counter() - start
     if not report.passed or report.violations:
         problems.append(f"violations: {report.violations[:3]}")

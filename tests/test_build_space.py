@@ -1,5 +1,5 @@
-"""build_space's blocked slot pass, its one n x n buffer, and which paths of
-FiniteSpace copy a matrix."""
+"""build_space's blocked slot pass, its one n x n buffer, its bound on the
+computed triangle excess, and which paths of FiniteSpace copy a matrix."""
 
 import math
 import tracemalloc
@@ -7,10 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from atsuji import (
     DuplicatePointError,
     FiniteSpace,
+    IndiscerniblePointsError,
     PointSpec,
     build_space,
     positive_integers,
@@ -152,3 +155,68 @@ def test_an_overflowing_distance_names_the_least_pair():
 def test_duplicates_are_reported_before_an_overflow():
     with pytest.raises(DuplicatePointError):
         build_space([PointSpec("a", {1: 1e200}), PointSpec("a", {1: -1e200})])
+
+
+# --- the proven bound on the computed triangle excess --------------------------
+
+
+@st.composite
+def sparse_specs(draw):
+    """2 to 12 points over 1 to 6 slots with arbitrary slot numbers, each
+    point zero in a random share of them, at one coordinate scale from 1e-9
+    to 1e12.  Integer coordinates put many triples on a line, where the
+    triangle inequality is tight and only rounding decides the excess."""
+    n = draw(st.integers(2, 12))
+    width = draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.integers(-9, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slots = np.sort(rng.choice(10**6, width, replace=False)) + 1
+    if draw(st.booleans()):
+        coords = rng.integers(-20, 21, (n, width)).astype(float)
+    else:
+        coords = rng.uniform(-1.0, 1.0, (n, width))
+    coords[rng.random((n, width)) < draw(st.sampled_from([0.0, 0.5, 0.8]))] = 0.0
+    coords *= scale
+    return [PointSpec(f"q{k}", {int(slot): float(c) for slot, c in zip(slots, row) if c})
+            for k, row in enumerate(coords)]
+
+
+def build_or_skip(specs):
+    try:
+        return build_space(specs)
+    except IndiscerniblePointsError:  # repeated rows
+        assume(False)
+
+
+def largest_excess(d: np.ndarray) -> float:
+    """The largest computed d[i, k] - (d[i, j] + d[j, k]) over every ordered
+    triple, by brute force."""
+    return float((d[:, None, :] - (d[:, :, None] + d[None, :, :])).max())
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_specs())
+def test_the_excess_bound_holds_on_every_triple(specs):
+    space = build_or_skip(specs)
+    assert largest_excess(space.dist) <= space._excess
+    # and it is a few dozen ulps of the largest entry, not a vacuous bound
+    assert space._excess <= 1e-14 * space.dist.max() + 1e-150
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # the ROADMAP's large-coordinate repros: one slot, uniform on [0, 1e5];
+        # 40 collinear points in two slots, spread out to ~1.4e6
+        lambda: [PointSpec(f"p{k}", {1: float(x)})
+                 for k, x in enumerate(np.random.default_rng(1).uniform(0.0, 1e5, 60))],
+        lambda: [PointSpec(f"p{k}", {1: 25000.0 * k, 2: 25000.0 * k}) for k in range(40)],
+    ],
+    ids=["one-slot", "collinear"],
+)
+def test_a_large_coordinate_space_has_a_bound_above_tol(make):
+    # the bound does not certify these, so their false triangle violations
+    # are still listed by the full scan
+    space = build_space(make())
+    assert space._excess > space.tol
+    assert largest_excess(space.dist) > space.tol

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -11,11 +12,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from atsuji import FiniteSpace, convergent_sequence, remetrize, verify_metric_axioms
 from atsuji import cli
 from atsuji import space as space_module
 from atsuji.cli import main
+from atsuji.space import _ROW_BLOCK
+from test_remetrize import full_listing, shortest_path_metric
 
 
 def write_spec(tmp_path, payload, name="spec.json"):
@@ -1120,3 +1125,114 @@ def test_load_spec_keeps_only_the_matrix_of_a_matrix_spec(tmp_path):
     # while building, as before, peaked at 7.59 matrices and held 5.07
     assert held < 1.5 * 8 * n * n
     assert peak < 7.0 * 8 * n * n
+
+
+# --- a matrix spec's triangle inequality, decided at load once ---------------
+
+
+@st.composite
+def passing_matrix_specs(draw):
+    """A matrix spec at tol 1e-12 or 1e-3, with a random derived set (empty
+    included): an l2 table or a shortest-path metric, exactly symmetric, or
+    with a few upper entries moved by up to a quarter of tol, so symmetric
+    only within tol.  Not every one passes the load gate."""
+    n = draw(st.integers(2, 3 * _ROW_BLOCK + 3))
+    tol = draw(st.sampled_from([1e-12, 1e-3]))
+    scale = 10.0 ** draw(st.integers(-1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pts = rng.uniform(-1.0, 1.0, (n, draw(st.integers(1, 3)))) * scale
+        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    else:
+        weights = np.full((n, n), math.inf)
+        np.fill_diagonal(weights, 0.0)
+        for k in range(1, n):
+            j = int(rng.integers(0, k))
+            weights[k, j] = weights[j, k] = rng.uniform(0.01, 1.0) * scale
+        d = shortest_path_metric(weights)
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 4))):
+            i, j = sorted(int(v) for v in rng.choice(n, 2, replace=False))
+            d[i, j] += rng.uniform(-0.25, 0.25) * tol
+    ids = [f"p{k}" for k in range(n)]
+    members = [p for p in ids if rng.random() < draw(st.sampled_from([0.0, 0.2, 0.6]))]
+    spec = {"space": {"kind": "matrix", "ids": ids, "matrix": d.tolist()},
+            "derived_set": {"kind": "oracle", "ids": members}, "tol": tol}
+    return spec
+
+
+def report_bytes(argv, out):
+    code = main([*argv, "--out", out])
+    with open(out, "rb") as report:
+        return code, report.read()
+
+
+@settings(max_examples=100, deadline=None)
+@given(passing_matrix_specs())
+def test_a_certified_matrix_spec_reports_what_the_full_scan_lists(spec):
+    scan = space_module._violations
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(spec, f)
+        space, derived, _, kind = cli.load_spec(path)
+        try:
+            gated = cli._validate_matrix_arm("remetrize", kind, space, "tol")
+        except cli.SpecError:
+            assume(False)
+        assert gated._excess == gated.tol == spec["tol"]
+        for checked in (gated, remetrize(gated, derived).space):
+            assert verify_metric_axioms(checked) == full_listing(checked)
+        # the command's report, with and without every bound ignored
+        out = os.path.join(tmp, "report.json")
+        certified = report_bytes(["remetrize", path], out)
+        with mock.patch.object(space_module, "_violations", lambda d, tol, excess: scan(d, tol)):
+            scanned = report_bytes(["remetrize", path], out)
+    assert certified == scanned
+
+
+def run_counting_blocks(argv):
+    with mock.patch.object(
+        space_module, "_triangle_block", wraps=space_module._triangle_block
+    ) as block:
+        code = main(argv)
+    return code, block.call_count
+
+
+def test_remetrize_on_a_symmetric_matrix_scans_only_at_load(tmp_path):
+    n = 3 * _ROW_BLOCK + 3
+    pts = np.random.default_rng(5).uniform(0.0, 1.0, (n, 2))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    ids = [f"p{k}" for k in range(n)]
+    spec = write_spec(tmp_path, {**matrix_spec(ids, d.tolist()),
+                                 "derived_set": {"kind": "oracle", "ids": ["p0"]}})
+    out = tmp_path / "report.json"
+    # every block is decided once, by the load gate; none for the output
+    assert run_counting_blocks(["remetrize", spec, "--out", str(out)]) == (
+        0, math.ceil(n / _ROW_BLOCK))
+    assert json.loads(out.read_text())["result"]["axioms"] == {"passed": True, "violations": []}
+
+
+def test_remetrize_on_a_matrix_symmetric_within_tol_scans_its_output(tmp_path):
+    spec = str(Path(__file__).parent / "golden" / "within-tol-metric.spec.json")
+    out = str(tmp_path / "report.json")
+    blocks = math.ceil(len(json.loads(Path(spec).read_text())["space"]["ids"]) / _ROW_BLOCK)
+    assert run_counting_blocks(["remetrize", spec, "--out", out]) == (0, 2 * blocks)
+
+
+def test_large_coordinates_take_the_full_scan(tmp_path):
+    # the two large-coordinate repros: their bounds are above tol, so their
+    # false triangle violations are still found and listed
+    xs = np.random.default_rng(1).uniform(0.0, 1e5, 60)
+    one_slot = write_spec(tmp_path, points_spec(
+        [{"id": f"p{k}", "coords": {"1": float(x)}} for k, x in enumerate(xs)]), "one-slot.json")
+    collinear = write_spec(tmp_path, {**points_spec(
+        [{"id": f"p{k}", "coords": {"1": 25000.0 * k, "2": 25000.0 * k}} for k in range(40)]),
+        "derived_set": {"kind": "empty"}}, "collinear.json")
+    out = str(tmp_path / "report.json")
+    assert run_counting_blocks(["check-metric", one_slot, "--out", out]) == (
+        1, math.ceil(60 / _ROW_BLOCK))
+    assert run_counting_blocks(["remetrize", collinear, "--out", out]) == (
+        1, math.ceil(40 / _ROW_BLOCK))
+    axioms = json.loads(Path(out).read_text())["result"]["axioms"]
+    assert not axioms["passed"] and {v["kind"] for v in axioms["violations"]} == {"triangle"}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from atsuji import (
+    FiniteSpace,
     convergent_sequence,
     positive_integers,
     sequence_grid,
@@ -99,7 +100,9 @@ def test_convergent_rejects_small():
     ],
 )
 def test_generated_spaces_satisfy_axioms(make):
-    assert verify_metric_axioms(make()).passed
+    space = make()
+    assert verify_metric_axioms(space).passed  # by build_space's excess bound
+    assert verify_metric_axioms(FiniteSpace(space.ids, space.dist)).passed  # by the full scan
 
 
 @pytest.mark.parametrize(

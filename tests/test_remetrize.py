@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from atsuji import (
     DEFAULT_EPS_GRID,
+    AxiomReport,
     DerivedSetView,
     FiniteSpace,
     IndiscerniblePointsError,
@@ -25,7 +28,9 @@ from atsuji import (
     verify_metric_axioms,
     verify_same_topology,
 )
-from atsuji.space import _PAIR_BLOCK
+from atsuji.space import _PAIR_BLOCK, _ROW_BLOCK, _violations
+from test_build_space import build_or_skip, sparse_specs
+from test_space import scan_counting_blocks
 
 
 def brute_isolation_ok(r, eta):
@@ -110,10 +115,11 @@ def test_remetrize_dominates_base():
 
 
 def test_remetrized_space_is_a_metric():
-    space, view = convergent_sequence(200)
-    assert verify_metric_axioms(remetrize(space, view).space).passed
-    space, view = sequence_grid(10, 10, True)
-    assert verify_metric_axioms(remetrize(space, view).space).passed
+    # by the output's excess bound, and by the full scan of a bound-free copy
+    for space, view in (convergent_sequence(200), sequence_grid(10, 10, True)):
+        out = remetrize(space, view).space
+        assert verify_metric_axioms(out).passed
+        assert verify_metric_axioms(FiniteSpace(out.ids, out.dist)).passed
 
 
 def test_remetrize_rejects_unknown_members():
@@ -567,3 +573,57 @@ def test_remetrized_space_copies_a_read_only_view_of_a_writable_matrix():
     before = float(a[1, 2])
     a[1, 2] = -5.0
     assert r.space.dist[1, 2] == before and r.newdist is r.space.dist
+
+
+# --- the output's triangle inequality, proved from the base's ----------------
+
+
+def full_listing(space):
+    """The axiom report of the full scan, which ignores the excess bound."""
+    violations = list(_violations(space.dist, space.tol))
+    return AxiomReport(passed=not violations, violations=violations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_specs(), st.sampled_from([1e-12, 1e-3]), st.data())
+def test_a_certified_report_is_the_full_listing(specs, tol, data):
+    # a spec's tol keeps build_space's bound, as when a spec file sets it
+    built = build_or_skip(specs)
+    base = FiniteSpace._adopt(built.ids, built.dist, tol, built._excess)
+    members = data.draw(st.sets(st.sampled_from(base.ids)))  # empty included
+    r = remetrize(base, DerivedSetView("oracle", frozenset(members)))
+    assert r.space._excess == max(base._excess, 0.0)
+    for space in (base, r.space):
+        assert verify_metric_axioms(space) == full_listing(space)
+
+
+def test_a_certified_space_decides_no_triangle_tile():
+    space, view = sequence_grid(6, 6, True)
+    out = remetrize(space, view).space
+    blocks = math.ceil(space.n / _ROW_BLOCK)
+    assert scan_counting_blocks(space)[1] == scan_counting_blocks(out)[1] == 0
+    assert scan_counting_blocks(FiniteSpace(out.ids, out.dist))[1] == blocks
+    # an output that is not exactly symmetric is scanned in full
+    tampered = np.array(out.dist)
+    tampered[1, 2] = np.nextafter(tampered[1, 2], math.inf)
+    asymmetric = FiniteSpace._adopt(out.ids, tampered, out.tol, out._excess)
+    assert scan_counting_blocks(asymmetric)[1] == blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=st.floats(-1e3, 1e3))
+    ),
+    st.sampled_from([0.0, 1e-12, 0.5]),
+    sparse_specs(),
+)
+def test_a_space_or_result_built_by_hand_has_no_excess_bound(d, tol, specs):
+    ids = tuple(f"p{k}" for k in range(len(d)))
+    assert FiniteSpace(ids, d, tol)._excess == math.inf
+    built = build_or_skip(specs)
+    for copy in (FiniteSpace(built.ids, built.dist), dataclasses.replace(built, tol=tol)):
+        assert copy._excess == math.inf
+    view = DerivedSetView("oracle", frozenset(built.ids[:1]))
+    for newdist in (remetrize(built, view).newdist, np.zeros((built.n, built.n))):
+        assert RemetrizedSpace(base=built, derived=view, newdist=newdist).space._excess == math.inf

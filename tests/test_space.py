@@ -624,23 +624,26 @@ def test_a_limit_below_one_is_rejected(limit):
         verify_metric_axioms(space, limit=limit)
 
 
-def test_scan_holds_no_n_squared_buffer(monkeypatch):
-    # inline, so one buffer set of the triangle scan is alive; a single n^2
-    # temporary, such as |d - d.T|, would add 8n^2 bytes on its own
-    monkeypatch.setattr(space_module, "_usable_cpus", lambda: 1)
+def test_scan_holds_no_n_squared_buffer():
+    # inline (scan_counting_blocks runs on one CPU), so one buffer set of the
+    # triangle scan is alive; a single n^2 temporary, such as |d - d.T|,
+    # would add 8n^2 bytes on its own
     n = 1001
     pts = np.random.default_rng(0).uniform(0.0, 1.0, (n, 3))
-    space = build_space(
+    built = build_space(
         PointSpec(f"p{k}", {1: float(a), 2: float(b), 3: float(c)})
         for k, (a, b, c) in enumerate(pts)
     )
+    # the constructor's copy has no excess bound, so the scan runs its tiles
+    space = FiniteSpace(built.ids, built.dist)
     tracemalloc.start()
     try:
-        report = verify_metric_axioms(space)
+        report, decided = scan_counting_blocks(space)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.passed
+    assert decided == math.ceil(n / _ROW_BLOCK)
     assert peak < 0.25 * 8 * n * n
 
 
