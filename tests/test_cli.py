@@ -1131,7 +1131,7 @@ def test_load_spec_keeps_only_the_matrix_of_a_matrix_spec(tmp_path):
 
 
 @st.composite
-def passing_matrix_specs(draw):
+def metric_matrix_specs(draw):
     """A matrix spec at tol 1e-12 or 1e-3, with a random derived set (empty
     included): an l2 table or a shortest-path metric, exactly symmetric, or
     with a few upper entries moved by up to a quarter of tol, so symmetric
@@ -1155,10 +1155,10 @@ def passing_matrix_specs(draw):
             i, j = sorted(int(v) for v in rng.choice(n, 2, replace=False))
             d[i, j] += rng.uniform(-0.25, 0.25) * tol
     ids = [f"p{k}" for k in range(n)]
-    members = [p for p in ids if rng.random() < draw(st.sampled_from([0.0, 0.2, 0.6]))]
-    spec = {"space": {"kind": "matrix", "ids": ids, "matrix": d.tolist()},
+    share = draw(st.sampled_from([0.0, 0.2, 0.6]))
+    members = [p for p in ids if rng.random() < share]
+    return {"space": {"kind": "matrix", "ids": ids, "matrix": d.tolist()},
             "derived_set": {"kind": "oracle", "ids": members}, "tol": tol}
-    return spec
 
 
 def report_bytes(argv, out):
@@ -1168,7 +1168,7 @@ def report_bytes(argv, out):
 
 
 @settings(max_examples=100, deadline=None)
-@given(passing_matrix_specs())
+@given(metric_matrix_specs())
 def test_a_certified_matrix_spec_reports_what_the_full_scan_lists(spec):
     scan = space_module._violations
     with tempfile.TemporaryDirectory() as tmp:
