@@ -250,9 +250,18 @@ def _echo(data: dict, space: FiniteSpace, key: str, kind: str, payload) -> dict:
     return {**data, "space": {**data["space"], key: digest}}
 
 
-def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
-    """Parse and validate a spec file; returns (space, derived, echo, kind), the
-    echo holding an inline ``space.points`` or ``space.matrix`` as its digest."""
+def load_spec(
+    path: str, tol: float | None = None, gate: bool = True
+) -> tuple[FiniteSpace, DerivedSetView, dict]:
+    """Parse and validate a spec file; returns (space, derived, echo), the
+    echo holding an inline ``space.points`` or ``space.matrix`` as its digest.
+    The space is at the run's tol: ``tol`` (the ``--tol`` flag), else the
+    spec's, else the default.  With ``gate`` (every command but check-metric,
+    the validator itself) it must satisfy the axioms at that tol.  A matrix
+    arm is scanned, and on a pass carries ``tol`` as its excess bound: the
+    scan decided every triple.  builtin and points_l2 spaces are metrics whose
+    points build_space keeps more than DEFAULT_TOL apart: a larger tol relaxes
+    every other axiom, but can make two points identical."""
     data = _typed(_parse(path), "spec", dict)
 
     space_spec = _get(data, "space", "spec", dict)
@@ -274,8 +283,11 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
         raise SpecError("space.kind", f"unknown kind {kind!r}; "
                         "expected 'builtin', 'points_l2', or 'matrix'")
 
-    if "tol" in data:
-        tol = _finite(_typed(data["tol"], "tol", int, float), "tol", positive=True)
+    tol_field = "tol" if tol is None else "--tol"
+    if "tol" in data:  # validated even when the flag overrides it
+        spec_tol = _finite(_typed(data["tol"], "tol", int, float), "tol", positive=True)
+        tol = spec_tol if tol is None else tol
+    if tol is not None:
         space = FiniteSpace._adopt(space.ids, space.dist, tol, space._excess)
 
     if "derived_set" not in data:
@@ -299,7 +311,20 @@ def load_spec(path: str) -> tuple[FiniteSpace, DerivedSetView, dict, str]:
 
     for key, value in echo.items():  # the report must encode, so fail here, not after the run
         _compact(value, key)
-    return space, derived, echo, kind
+
+    if gate and kind == "matrix":
+        report = verify_metric_axioms(space, limit=1)
+        if not report.passed:
+            v = report.violations[0]
+            raise SpecError("space.matrix", f"violates the {v.kind} axiom at indices "
+                            f"{tuple(v.where)} (magnitude {v.magnitude!r})")
+        space = FiniteSpace._adopt(space.ids, space.dist, space.tol, space.tol)
+    elif gate and space.tol > DEFAULT_TOL:
+        try:
+            _require_discernible(space, space.tol)
+        except ValueError as exc:
+            raise SpecError(tol_field, str(exc)) from None
+    return space, derived, echo
 
 
 # --- report serialization ------------------------------------------------
@@ -377,9 +402,9 @@ class _Matrix:
         entry's index into the texts, in the matrix's shape."""
         if not self._entries:
             values = self.values
-            bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+            bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).ravel()
             distinct, inverse = np.unique(bits, return_inverse=True)
-            inverse = inverse.reshape(values.shape)  # its shape varies across numpy 2.x releases
+            inverse = inverse.reshape(values.shape)
             distinct = distinct.view(np.float64)
             if not np.isfinite(distinct).all():  # the first non-finite entry in row order
                 raise _out_of_range(float(values.flat[np.argmin(np.isfinite(values))]))
@@ -525,32 +550,6 @@ def _make_function(space: FiniteSpace, fn: str, a: str | None, b: str | None) ->
         return separator(space, zero_set, one_set)
     except ValueError as exc:
         raise SpecError("--b", str(exc)) from None
-
-
-def _validate_matrix_arm(
-    command: str, kind: str, space: FiniteSpace, tol_field: str
-) -> FiniteSpace:
-    """Every spec must satisfy the axioms at the run's tol, at load; check-metric
-    is itself the validator.  builtin and points_l2 spaces are metrics whose
-    points build_space keeps more than DEFAULT_TOL apart: a larger tol, set by
-    ``tol_field``, relaxes every other axiom, but can make two points identical.
-    Returns the space, a matrix arm's with its excess bound set to ``tol``:
-    a passing scan has decided every triple."""
-    if command == "check-metric":
-        return space
-    if kind == "matrix":
-        report = verify_metric_axioms(space, limit=1)
-        if not report.passed:
-            v = report.violations[0]
-            raise SpecError("space.matrix", f"violates the {v.kind} axiom at indices "
-                            f"{tuple(v.where)} (magnitude {v.magnitude!r})")
-        return FiniteSpace._adopt(space.ids, space.dist, space.tol, space.tol)
-    if space.tol > DEFAULT_TOL:
-        try:
-            _require_discernible(space, space.tol)
-        except ValueError as exc:
-            raise SpecError(tol_field, str(exc)) from None
-    return space
 
 
 def _cmd_check_metric(space, derived, args) -> tuple:
@@ -744,11 +743,8 @@ def main(argv: list[str] | None = None) -> int:
             out_matrix = getattr(args, "out_matrix", None)
             if out_matrix is not None and args.out is not None and _same_file(out_matrix, args.out):
                 raise SpecError("--out-matrix", "names the same file as --out")
-            space, derived, spec_echo, kind = load_spec(args.spec)
-            if args.tol is not None:
-                space = FiniteSpace._adopt(space.ids, space.dist, args.tol, space._excess)
-            tol_field = "tol" if args.tol is None else "--tol"
-            space = _validate_matrix_arm(args.command, kind, space, tol_field)
+            gate = args.command != "check-metric"
+            space, derived, spec_echo = load_spec(args.spec, args.tol, gate)
             flags, result, witnesses, notes, code, *outputs = _COMMANDS[args.command](
                 space, derived, args
             )

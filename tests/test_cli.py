@@ -93,24 +93,24 @@ def test_grossly_non_metric_matrix_exits_2_without_listing_every_violation(
 ):
     # about a sixth of the 120^3 ordered triples violate: listing them all
     # took some 49 MB, where the message needs only the first.  Traced is the
-    # validation alone, since parsing the spec already peaks near 1 MB.
+    # load gate's scan alone, since parsing the spec already peaks near 1 MB.
     n = 120
     rng = np.random.default_rng(3)
     d = np.triu(rng.uniform(0.0, 1.0, (n, n)), k=1)
     d = d + d.T
     ids = [f"p{k}" for k in range(n)]
     spec = write_spec(tmp_path, {"space": {"kind": "matrix", "ids": ids, "matrix": d.tolist()}})
-    validate, peaks = cli._validate_matrix_arm, []
+    validate, peaks = cli.verify_metric_axioms, []
 
-    def traced_validate(*args):
+    def traced_validate(*args, **kwargs):
         tracemalloc.start()
         try:
-            return validate(*args)
+            return validate(*args, **kwargs)
         finally:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    monkeypatch.setattr(cli, "_validate_matrix_arm", traced_validate)
+    monkeypatch.setattr(cli, "verify_metric_axioms", traced_validate)
     assert main(["atsuji", spec]) == 2
     first = verify_metric_axioms(FiniteSpace(ids=tuple(ids), dist=d)).violations[0]
     assert capsys.readouterr().err == (
@@ -291,6 +291,21 @@ def test_every_arm_is_held_to_identity_at_the_run_tol(tmp_path, capsys, payload,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_points_l2_below_the_default_tol_are_held_to_the_default(tmp_path, capsys):
+    # build_space keeps points more than DEFAULT_TOL apart, whatever the run's
+    # tol: two points 5e-13 apart exit 2 at --tol 1e-15, naming a tol that the
+    # run does not use, while the same distances as a matrix spec load
+    points = [{"id": "a", "coords": {}}, {"id": "b", "coords": {"1": 5e-13}}]
+    spec = write_spec(tmp_path, points_spec(points))
+    assert main(["net", spec, "--eps", "1", "--tol", "1e-15"]) == 2
+    assert capsys.readouterr().err == (
+        "error: space.points: points 'a' and 'b' are indiscernible (distance 5e-13 <= tol 1e-12)\n"
+    )
+    spec = write_spec(tmp_path, matrix_spec(["a", "b"], [[0, 5e-13], [5e-13, 0]]))
+    code, report = run_to_file(tmp_path, ["net", spec, "--eps", "1", "--tol", "1e-15"])
+    assert code == 0 and report["result"]["size"] == 1
+
+
 def test_check_metric_lists_points_within_the_run_tol(tmp_path):
     payload = {**points_spec(TOL_POINTS), "tol": 1e-3}
     code, report = run_to_file(tmp_path, ["check-metric", write_spec(tmp_path, payload)])
@@ -345,6 +360,25 @@ def test_remetrize_report_spot_value(tmp_path):
     assert report["result"]["axioms"]["passed"] is True
     assert report["result"]["same_topology"]["passed"] is True
     assert all(v["passed"] for v in report["result"]["isolation_bounds"].values())
+
+
+def test_remetrize_lists_the_witness_of_each_failed_guarantee(tmp_path, monkeypatch):
+    # remetrize's output satisfies every guarantee, so the checks are made to fail
+    from atsuji.remetrize import IsolationBoundReport, TopologyReport
+
+    monkeypatch.setattr(cli, "verify_same_topology", lambda result: TopologyReport(
+        passed=False, witness=("n1", "n2"), failed_check="domination"))
+    monkeypatch.setattr(cli, "verify_isolation_bound", lambda result, eta: IsolationBoundReport(
+        passed=eta != 0.5, n=2, witness=None if eta != 0.5 else ("n2", "n3"), observed_eta=eta))
+    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
+    code, report = run_to_file(tmp_path, ["remetrize", spec])
+    assert code == 1
+    assert report["witnesses"] == [
+        {"check": "same_topology", "pair": ["n1", "n2"]},
+        {"check": "isolation_bound(0.5)", "pair": ["n2", "n3"]},
+    ]
+    assert report["result"]["same_topology"]["failed_check"] == "domination"
+    assert report["result"]["isolation_bounds"]["0.5"]["passed"] is False
 
 
 def test_remetrize_fallback_flag_and_note(tmp_path):
@@ -814,7 +848,8 @@ def test_a_bad_flag_exits_2_before_the_spec_is_read(tmp_path, capsys, monkeypatc
     # spec load, build or validation
     spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
     loaded, load = [], cli.load_spec
-    monkeypatch.setattr(cli, "load_spec", lambda path: loaded.append(path) or load(path))
+    monkeypatch.setattr(cli, "load_spec",
+                        lambda path, *rest: loaded.append(path) or load(path, *rest))
     assert main([spec if a == "{spec}" else a for a in argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert loaded == []
@@ -903,7 +938,8 @@ def test_out_matrix_must_not_name_the_out_file(tmp_path, capsys, monkeypatch, ma
     out = tmp_path / "report.json"
     matrix_path = matrix_path.format(out=out, dir=tmp_path)
     loaded, load = [], cli.load_spec
-    monkeypatch.setattr(cli, "load_spec", lambda path: loaded.append(path) or load(path))
+    monkeypatch.setattr(cli, "load_spec",
+                        lambda path, *rest: loaded.append(path) or load(path, *rest))
     assert main(["remetrize", spec, "--out", str(out), "--out-matrix", matrix_path]) == 2
     assert capsys.readouterr().err == "error: --out-matrix: names the same file as --out\n"
     assert not out.exists() and loaded == []
@@ -1040,7 +1076,11 @@ def test_a_tol_flag_shares_the_loaded_matrix(tmp_path, monkeypatch, capsys):
     from atsuji import cli
 
     loaded, load = [], cli.load_spec
-    monkeypatch.setattr(cli, "load_spec", lambda path: loaded.append(load(path)) or loaded[0])
+    monkeypatch.setattr(cli, "load_spec",
+                        lambda *args: loaded.append(load(*args)) or loaded[0])
+    built, build = [], cli.convergent_sequence
+    monkeypatch.setattr(cli, "convergent_sequence",
+                        lambda n_max: built.append(build(n_max)) or built[0])
     seen, net = [], cli._COMMANDS["net"]
     monkeypatch.setitem(cli._COMMANDS, "net",
                         lambda space, *rest: seen.append(space) or net(space, *rest))
@@ -1049,6 +1089,31 @@ def test_a_tol_flag_shares_the_loaded_matrix(tmp_path, monkeypatch, capsys):
     assert main(["net", spec, "--eps", "0.5", "--tol", "0.0078125"]) == 0
     assert seen[0].tol == 0.0078125
     assert seen[0].dist is loaded[0][0].dist
+    assert seen[0].dist is built[0][0].dist
+
+
+def test_a_spec_tol_and_a_tol_flag_adopt_the_matrix_for_the_run_tol_once(
+    tmp_path, monkeypatch, capsys
+):
+    # the flag overrides the spec's tol, which is still validated: the loaded
+    # matrix is adopted at the default tol, once at the flag's, and once more
+    # by the load gate with its excess bound
+    adopted, adopt = [], FiniteSpace._adopt
+
+    def traced_adopt(ids, dist, *rest):
+        adopted.append((dist, *rest))
+        return adopt(ids, dist, *rest)
+
+    monkeypatch.setattr(FiniteSpace, "_adopt", staticmethod(traced_adopt))
+    matrix = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    spec = write_spec(tmp_path, {**matrix_spec(["a", "b", "c"], matrix), "tol": 0.125})
+    code, report = run_to_file(tmp_path, ["net", spec, "--eps", "0.5", "--tol", "0.25"])
+    assert code == 0 and report["inputs"]["flags"]["tol"] == 0.25
+    assert [rest for _, *rest in adopted] == [[], [0.25, math.inf], [0.25, 0.25]]
+    assert all(dist is adopted[0][0] for dist, *_ in adopted)
+    spec = write_spec(tmp_path, {**matrix_spec(["a", "b", "c"], matrix), "tol": -1})
+    assert main(["net", spec, "--eps", "0.5", "--tol", "0.25"]) == 2
+    assert capsys.readouterr().err == "error: tol: must be positive, got -1.0\n"
 
 
 # --- schema 2: an inline payload is echoed as the sha256 of its canonical bytes
@@ -1106,7 +1171,9 @@ def test_out_matrix_echo_is_the_digest_of_the_reports_newdist(tmp_path):
 
 def test_load_spec_keeps_only_the_matrix_of_a_matrix_spec(tmp_path):
     """Neither the spec's text nor its parsed lists outlive load_spec: the
-    text is freed before the space is built, and the echo holds a digest."""
+    text is freed before the space is built, and the echo holds a digest.
+    Measured is the parse, ungated: the gate's first threaded scan imports
+    concurrent.futures, which ``held`` would count, depending on test order."""
     n = 300
     coords = np.random.default_rng(0).random((n, 3))
     matrix = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(axis=2))
@@ -1116,7 +1183,7 @@ def test_load_spec_keeps_only_the_matrix_of_a_matrix_spec(tmp_path):
     del coords, matrix
     tracemalloc.start()
     try:
-        loaded = cli.load_spec(str(spec))
+        loaded = cli.load_spec(str(spec), gate=False)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1175,9 +1242,8 @@ def test_a_certified_matrix_spec_reports_what_the_full_scan_lists(spec):
         path = os.path.join(tmp, "spec.json")
         with open(path, "w", encoding="utf-8") as f:
             json.dump(spec, f)
-        space, derived, _, kind = cli.load_spec(path)
         try:
-            gated = cli._validate_matrix_arm("remetrize", kind, space, "tol")
+            gated, derived, _ = cli.load_spec(path)
         except cli.SpecError:
             assume(False)
         assert gated._excess == gated.tol == spec["tol"]

@@ -110,3 +110,12 @@ def test_inline_and_pooled_scans_agree(monkeypatch, symmetric):
     rows = {v.where[0] for v in inline.violations if v.kind == "triangle"}
     assert {2, 5, n - 4, n - 1} <= rows
     assert any(v.kind == "symmetry" for v in inline.violations) == (not symmetric)
+
+
+def test_usable_cpus_without_cpu_affinity_is_the_cpu_count(monkeypatch):
+    # a platform without os.sched_getaffinity, such as macOS or Windows
+    monkeypatch.delattr(space_module.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(space_module.os, "cpu_count", lambda: 3)
+    assert space_module._usable_cpus() == 3
+    monkeypatch.setattr(space_module.os, "cpu_count", lambda: None)  # undetermined
+    assert space_module._usable_cpus() == 1

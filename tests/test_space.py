@@ -259,6 +259,11 @@ def test_triple_max_negative_input():
         triple_max_triangle((1, -1, 1), (1, 1, 1))
 
 
+def test_triple_max_rejects_a_non_triple():
+    with pytest.raises(ValueError, match="expected two triples"):
+        triple_max_triangle((1, 1), (1, 1, 1))
+
+
 triangle_triples = st.tuples(
     st.floats(min_value=0.001, max_value=10, allow_nan=False),
     st.floats(min_value=0.001, max_value=10, allow_nan=False),
