@@ -66,11 +66,10 @@ _BUILTIN_PARAMS = {
 
 
 class SpecError(Exception):
-    """A malformed spec file or flag; ``field`` names the offending entry."""
+    """A malformed spec file or flag, as ``"<field>: <message>"``."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 _MISSING = object()
@@ -126,6 +125,7 @@ def _id_list(ids: list, field: str) -> list[str]:
 
 
 def _known_ids(space: FiniteSpace, ids: list[str], field: str) -> list[str]:
+    """``ids`` when each is a point of ``space`` exactly as written."""
     known = set(space.ids)
     missing = sorted(i for i in ids if i not in known)
     if missing:
@@ -518,13 +518,6 @@ def _emit(report: dict, out: str | None) -> None:
 # the report's flags echo, result, witnesses and notes, the exit code, and any
 # further (document, path, flag) outputs, written only after the report.
 
-def _parse_id_list(raw: str, space: FiniteSpace, flag: str) -> list[str]:
-    ids = [s for s in (part.strip() for part in raw.split(",")) if s]
-    if not ids:
-        raise SpecError(flag, "expected a comma-separated list of point ids")
-    return _known_ids(space, ids, flag)
-
-
 def _make_function(space: FiniteSpace, fn: str, a: str | None, b: str | None) -> SampledFunction:
     """The function ``fn`` on ``space``; a ValueError of its construction is
     an input error of the flag that chose what it is built from."""
@@ -545,7 +538,8 @@ def _make_function(space: FiniteSpace, fn: str, a: str | None, b: str | None) ->
     # separator
     if a is None or b is None:
         raise SpecError("--fn", "separator requires --a and --b")
-    zero_set, one_set = _parse_id_list(a, space, "--a"), _parse_id_list(b, space, "--b")
+    zero_set = _known_ids(space, a.split(","), "--a")
+    one_set = _known_ids(space, b.split(","), "--b")
     try:
         return separator(space, zero_set, one_set)
     except ValueError as exc:
@@ -770,7 +764,7 @@ def main(argv: list[str] | None = None) -> int:
                     devnull = os.open(os.devnull, os.O_WRONLY)
                     os.dup2(devnull, sys.stdout.fileno())
                     os.close(devnull)
-        except (SpecError, KeyError, ValueError) as exc:
+        except (SpecError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     return code

@@ -172,6 +172,9 @@ MANY_SLOTS = {"space": {"kind": "points_l2", "points": [_many_slots_point(k) for
 # symmetric entrywise, symmetric within tol, and indiscernible
 LOWER_WITHIN_TOL = [[0, 1.5e-12, 5], [8e-13, 0, 5], [5, 5, 0]]
 
+# " a" is a point of its own, as far from "b" as "a" is
+PADDED_IDS = [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
+
 # a and b closer than the spec's tol, though build_space keeps them apart
 INDISCERNIBLE_AT_TOL = {
     "space": {
@@ -230,6 +233,7 @@ SPECS = {
                                          {"kind": "oracle", "ids": ["zero", "omega"]}, n_max=5),
     "indiscernible-at-tol.spec.json": INDISCERNIBLE_AT_TOL,
     "lower-within-tol.spec.json": _matrix(["a", "b", "c"], LOWER_WITHIN_TOL),
+    "padded-ids.spec.json": _matrix(["a", " a", "b"], PADDED_IDS),
     # the text as written, not a JSON value: the closing brace is missing
     "malformed.spec.json": '{"space": {"kind": "matrix", "ids": ["a"], "matrix": [[0]]}\n',
 }
@@ -293,6 +297,8 @@ CASES = {
     # the identity check reads a pair from both entries, at load and in check-metric alike
     "check-metric-lower-within-tol": ["check-metric", "lower-within-tol.spec.json"],
     "atsuji-lower-within-tol": ["atsuji", "lower-within-tol.spec.json"],
+    # a point id is read as written: --a " a" names " a", not "a"
+    "separator-padded-id": ["separator", "padded-ids.spec.json", "--a", " a", "--b", "b"],
 }
 
 

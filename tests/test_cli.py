@@ -530,16 +530,24 @@ def test_separator_command(tmp_path):
     assert values["n2"] == 0.5
 
 
-def test_separator_unknown_id(tmp_path, capsys):
-    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
-    assert main(["separator", spec, "--a", "ghost", "--b", "n1"]) == 2
-    assert "--a" in capsys.readouterr().err
+def test_separator_reads_point_ids_exactly_as_written(tmp_path):
+    # " a" is a point of its own; trimming the flag would name "a" instead
+    spec = write_spec(tmp_path, {"space": {"kind": "matrix", "ids": ["a", " a", "b"],
+                                           "matrix": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]}})
+    code, report = run_to_file(tmp_path, ["separator", spec, "--a", " a", "--b", "b"])
+    assert code == 0
+    assert report["result"]["values"] == {"a": 1 / 3, " a": 0.0, "b": 1.0}
 
 
-def test_separator_empty_id_list_names_flag(tmp_path, capsys):
-    spec = write_spec(tmp_path, builtin("convergent_sequence", n_max=10))
-    assert main(["separator", spec, "--a", "", "--b", "n1"]) == 2
-    assert "--a" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "raw, missing",
+    [("ghost", ["ghost"]), ("zero, n1", [" n1"]), ("zero,", [""]), ("", [""])],
+    ids=["unknown", "padded", "trailing-comma", "empty"],
+)
+def test_separator_id_entries_that_are_not_points_exit_2(capsys, raw, missing):
+    spec = str(Path(__file__).parent / "golden" / "sequence.spec.json")
+    assert main(["separator", spec, "--a", raw, "--b", "n2"]) == 2
+    assert capsys.readouterr().err == f"error: --a: not points of the space: {missing!r}\n"
 
 
 def test_net_command_frozen(tmp_path):
@@ -594,6 +602,18 @@ def test_a_closed_stdout_pipe_keeps_the_exit_code(tmp_path):
         proc.stdout.close()
         stderr = proc.stderr.read()
         assert (proc.wait(timeout=120), stderr) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_stdout_write_error_other_than_a_closed_pipe_is_not_handled():
+    spec = str(Path(__file__).parent / "golden" / "sequence.spec.json")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "atsuji", "net", spec, "--eps", "0.5"],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 1
+    assert "OSError: [Errno 28]" in proc.stderr
 
 
 # --- non-finite and wrongly typed inputs exit 2 --------------------------------

@@ -223,6 +223,21 @@ def test_isolation_bound_reads_both_entries_of_a_pair(entry):
     assert (report.passed, report.witness, report.observed_eta) == (False, ("n4", "n5"), 1e-3)
 
 
+def test_a_hand_built_result_can_pass_every_default_scale_and_fail_between_them():
+    # README's example: the eleven default scales miss the fault at eta = 0.6
+    ids = ["p0", "p1", "p2", "p3"]
+    x = np.array([0.0, 0.7, 0.8, 2.0])
+    space = FiniteSpace(ids, np.abs(x[:, None] - x[None, :]))
+    view = DerivedSetView("oracle", frozenset({"p0"}))
+    newdist = np.array(remetrize(space, view).newdist)
+    newdist[1, 2] = newdist[2, 1] = 0.3
+    r = RemetrizedSpace(base=space, derived=view, newdist=newdist)
+    assert all(verify_isolation_bound(r, eta).passed for eta in DEFAULT_EPS_GRID)
+    assert len(DEFAULT_EPS_GRID) == 11
+    report = verify_isolation_bound(r, 0.6)
+    assert (report.passed, report.witness, report.observed_eta) == (False, ("p1", "p2"), 0.3)
+
+
 def test_isolation_bound_convergent():
     space, view = convergent_sequence(200)
     r = remetrize(space, view)
