@@ -182,8 +182,9 @@ def atsuji_check(
     For each eps in the grid the complement of B(derived, eps) is measured for
     uniform isolation; eps-net sizes of the derived set are recorded as
     total-boundedness evidence.  FAIL carries the globally minimizing pair
-    (first grid entry achieving it) as a witness; INCONCLUSIVE means every
-    grid complement had at most one point, so there was no pair to measure.
+    (at the largest grid eps achieving it, whatever the grid's order) as a
+    witness; INCONCLUSIVE means every grid complement had at most one point,
+    so there was no pair to measure.
 
     The complement at eps is {x : dist(x, derived) >= eps}: a prefix of the
     points ordered by distance to the derived set, descending.  One sweep over
@@ -200,7 +201,7 @@ def atsuji_check(
     profile = _IsolationProfile(space, derived.members)
     net_sizes = {eps: len(greedy_epsilon_net(space, derived.members, eps)) for eps in grid}
     isolation = {eps: profile.at(eps) for eps in grid}
-    worst_eps = min(grid, key=lambda eps: isolation[eps].eta)
+    worst_eps = min(grid, key=lambda eps: (isolation[eps].eta, -eps))
 
     notes = [FINITE_EVIDENCE_NOTE]
     if derived.kind == "detected":

@@ -58,13 +58,6 @@ from .space import (
 
 SCHEMA_VERSION = 2
 
-_BUILTIN_PARAMS = {
-    "sequence_grid_E": ("i_max", "j_max", "include_origin"),
-    "positive_integers": ("n_max", "metric"),
-    "convergent_sequence": ("n_max",),
-}
-
-
 class SpecError(Exception):
     """A malformed spec file or flag, as ``"<field>: <message>"``."""
 
@@ -134,27 +127,28 @@ def _known_ids(space: FiniteSpace, ids: list[str], field: str) -> list[str]:
 
 
 def _build_builtin(spec: dict) -> tuple[FiniteSpace, DerivedSetView]:
+    # each builtin's generator and its parameters in call order, as (name,
+    # JSON type, default); built per call, so a generator replaced on this
+    # module (a tracing wrapper, a test's patch) is the one called
+    builtins = {
+        "sequence_grid_E": (sequence_grid, (("i_max", int, _MISSING), ("j_max", int, _MISSING),
+                                            ("include_origin", bool, _MISSING))),
+        "positive_integers": (positive_integers, (("n_max", int, _MISSING), ("metric", str, "d1"))),
+        "convergent_sequence": (convergent_sequence, (("n_max", int, _MISSING),)),
+    }
     name = _get(spec, "name", "space", str)
-    if name not in _BUILTIN_PARAMS:
+    if name not in builtins:
         raise SpecError("space.name", f"unknown builtin {name!r}; "
-                        f"expected one of {sorted(_BUILTIN_PARAMS)}")
+                        f"expected one of {sorted(builtins)}")
+    generator, fields = builtins[name]
     params = _get(spec, "params", "space", dict, default={})
-    unknown = sorted(set(params) - set(_BUILTIN_PARAMS[name]))
+    unknown = sorted(set(params) - {key for key, _, _ in fields})
     if unknown:
         raise SpecError("space.params", f"unknown parameters {unknown} for {name!r}")
+    args = [_get(params, key, "space.params", kind, default=default)
+            for key, kind, default in fields]
     try:
-        if name == "sequence_grid_E":
-            return sequence_grid(
-                _get(params, "i_max", "space.params", int),
-                _get(params, "j_max", "space.params", int),
-                _get(params, "include_origin", "space.params", bool),
-            )
-        if name == "positive_integers":
-            return positive_integers(
-                _get(params, "n_max", "space.params", int),
-                _get(params, "metric", "space.params", str, default="d1"),
-            )
-        return convergent_sequence(_get(params, "n_max", "space.params", int))
+        return generator(*args)
     except (ValueError, TypeError) as exc:
         raise SpecError("space.params", str(exc)) from exc
 

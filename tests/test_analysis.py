@@ -11,9 +11,12 @@ from atsuji import (
     FiniteSpace,
     IndiscerniblePointsError,
     IsolationReport,
+    PointSpec,
     RemetrizedSpace,
     SampledFunction,
+    WitnessPair,
     atsuji_check,
+    build_space,
     convergent_sequence,
     detect_limit_points,
     greedy_epsilon_net,
@@ -256,6 +259,37 @@ def test_atsuji_isolation_matches_complement_reference(data):
         assert (verdict.isolation[eps].eta, verdict.isolation[eps].witness) == brute_min_pair(
             space, complement
         )
+
+
+# two pairs 0.125 apart: (c, d) only in the complement at eps 0.5, (a, b) at
+# both scales, so both grid entries reach the least isolation
+TIED_SCALES = build_space([PointSpec("c", {1: 0.5}), PointSpec("d", {1: 0.625}),
+                           PointSpec("a", {1: 4.0}), PointSpec("b", {1: 4.125}),
+                           PointSpec("z", {})])
+
+
+@pytest.mark.parametrize("grid", [[1.0, 0.5], [0.5, 1.0]], ids=["descending", "ascending"])
+def test_atsuji_fail_witness_is_taken_at_the_largest_least_isolated_scale(grid):
+    verdict = atsuji_check(TIED_SCALES, DerivedSetView("oracle", frozenset({"z"})), grid, 0.2)
+    assert verdict.status == "FAIL"
+    assert verdict.fail_witness == WitnessPair("a", "b", distance=0.125, gap=0.0)
+    assert verdict.notes[-1] == "isolation 0.125 at eps 1.0 fell below threshold 0.2"
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_atsuji_verdict_does_not_depend_on_the_grid_order(data):
+    space = data.draw(small_matrices())
+    members = data.draw(st.frozensets(st.sampled_from(space.ids)))
+    grid = data.draw(
+        st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5]), min_size=1, max_size=6)
+    )
+    shuffled = data.draw(st.permutations(grid))
+    threshold = data.draw(st.sampled_from([0.5, 1.0, 2.0, 5.0]))
+    derived = DerivedSetView("oracle", members)
+    one, other = (atsuji_check(space, derived, g, threshold) for g in (grid, shuffled))
+    assert (one.status, one.fail_witness, one.notes) == (
+        other.status, other.fail_witness, other.notes)
 
 
 def test_atsuji_inconclusive_when_every_complement_is_tiny():

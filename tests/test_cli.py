@@ -306,6 +306,25 @@ def test_points_l2_below_the_default_tol_are_held_to_the_default(tmp_path, capsy
     assert code == 0 and report["result"]["size"] == 1
 
 
+def test_a_points_l2_spec_loads_on_its_excess_bound_not_on_a_scan(tmp_path):
+    # the load gate holds points_l2 and builtin arms to identity only; their
+    # triangle inequality rests on build_space's excess bound, which the
+    # absolute tol cannot cover at large coordinates.  check-metric and
+    # remetrize scan and list false violations, while atsuji loads and passes
+    # (README's caveat; the ROADMAP item "Axiom comparisons at the matrix's
+    # scale" flips the first two)
+    xs = np.random.default_rng(1).uniform(0, 1e5, 60)
+    points = [{"id": f"x{k}", "coords": {"1": float(x)}} for k, x in enumerate(xs)]
+    spec = write_spec(tmp_path, {**points_spec(points), "derived_set": {"kind": "empty"}})
+    code, report = run_to_file(tmp_path, ["check-metric", spec])
+    assert code == 1
+    assert {v["kind"] for v in report["result"]["violations"]} == {"triangle"}
+    assert len(report["result"]["violations"]) == 2014
+    assert run_to_file(tmp_path, ["remetrize", spec])[0] == 1
+    code, report = run_to_file(tmp_path, ["atsuji", spec])
+    assert (code, report["result"]["status"]) == (0, "PASS")
+
+
 def test_check_metric_lists_points_within_the_run_tol(tmp_path):
     payload = {**points_spec(TOL_POINTS), "tol": 1e-3}
     code, report = run_to_file(tmp_path, ["check-metric", write_spec(tmp_path, payload)])
@@ -333,6 +352,24 @@ def test_atsuji_d1_passes_with_exit_0(tmp_path):
     assert code == 0
     assert report["result"]["status"] == "PASS"
     assert report["result"]["isolation"]["1.0"]["eta"] == 1.0
+
+
+# two pairs 0.125 apart: (c, d) only in the complement at eps 0.5, (a, b) at
+# both scales, so both grid entries reach the least isolation
+TIED_SCALES = [{"id": "c", "coords": {"1": 0.5}}, {"id": "d", "coords": {"1": 0.625}},
+               {"id": "a", "coords": {"1": 4.0}}, {"id": "b", "coords": {"1": 4.125}},
+               {"id": "z"}]
+
+
+@pytest.mark.parametrize("grid", ["1,0.5", "0.5,1"], ids=["descending", "ascending"])
+def test_atsuji_fail_witness_does_not_depend_on_the_eps_grid_order(tmp_path, grid):
+    payload = {**points_spec(TIED_SCALES), "derived_set": {"kind": "oracle", "ids": ["z"]}}
+    spec = write_spec(tmp_path, payload)
+    code, report = run_to_file(tmp_path, ["atsuji", spec, "--eps-grid", grid,
+                                          "--threshold", "0.2"])
+    assert code == 1
+    assert report["result"]["fail_witness"] == {"x": "a", "y": "b", "distance": 0.125, "gap": 0.0}
+    assert report["notes"][1:] == ["isolation 0.125 at eps 1.0 fell below threshold 0.2"]
 
 
 def test_atsuji_derived_set_detect_arm(tmp_path):
@@ -677,6 +714,47 @@ def test_builtin_params_are_not_coerced(tmp_path, capsys, payload, field):
     spec = write_spec(tmp_path, payload)
     assert main(["check-metric", spec]) == 2
     assert f"{field}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "space, line",
+    [
+        ({"name": "sequence_grid_E", "params": {"j_max": 3}},
+         "space.params.i_max: missing required field"),
+        ({"name": "sequence_grid_E", "params": {"i_max": 3, "j_max": 3}},
+         "space.params.include_origin: missing required field"),
+        ({"name": "convergent_sequence"}, "space.params.n_max: missing required field"),
+        ({"name": "sequence_grid_E", "params": {"i_max": 3, "j_max": "3", "include_origin": True}},
+         "space.params.j_max: must be a JSON int, got '3'"),
+        # unknown keys first, then each parameter in call order, then the
+        # generator's own range checks
+        ({"name": "sequence_grid_E", "params": {"k": 1, "i_max": "3"}},
+         "space.params: unknown parameters ['k'] for 'sequence_grid_E'"),
+        ({"name": "sequence_grid_E", "params": {"i_max": 0, "j_max": "3"}},
+         "space.params.j_max: must be a JSON int, got '3'"),
+        ({"name": "sequence_grid_E", "params": {"i_max": 0, "j_max": 3, "include_origin": True}},
+         "space.params: i_max and j_max must be >= 1, got (0, 3)"),
+        ({"name": "positive_integers", "params": {"n_max": 10, "metric": "d3"}},
+         "space.params: metric must be 'd1' or 'd2', got 'd3'"),
+    ],
+    ids=["i_max-missing", "include_origin-missing", "no-params", "j_max-string",
+         "unknown-before-types", "types-before-ranges", "range", "metric-range"],
+)
+def test_builtin_param_errors_name_the_field(tmp_path, capsys, space, line):
+    spec = write_spec(tmp_path, {"space": {"kind": "builtin", **space}})
+    assert main(["check-metric", spec]) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+def test_positive_integers_metric_defaults_to_d1(tmp_path):
+    reports = []
+    for payload in (builtin("positive_integers", n_max=20),
+                    builtin("positive_integers", n_max=20, metric="d1")):
+        code, report = run_to_file(tmp_path, ["atsuji", write_spec(tmp_path, payload)])
+        assert code == 0
+        reports.append(report["result"])
+    assert reports[0] == reports[1]
+    assert reports[0]["isolation"]["1.0"]["eta"] == 1.0
 
 
 def matrix_spec(ids, matrix):
