@@ -17,8 +17,9 @@ from typing import Iterable
 import numpy as np
 
 from .functions import WitnessPair
+from .space import _PAIR_BLOCK, FiniteSpace, PointId, _pair_distance
 # neighborhood is unused here; perfbench/trace_child.py wraps it by this name
-from .space import _PAIR_BLOCK, FiniteSpace, PointId, neighborhood  # noqa: F401
+from .space import neighborhood  # noqa: F401
 
 __all__ = [
     "DerivedSetView",
@@ -93,12 +94,13 @@ class AtsujiVerdict:
 def detect_limit_points(space: FiniteSpace, r: float) -> DerivedSetView:
     """Points having another point strictly within r: a resolution-r surrogate
     for the derived set.  Over-approximates near accumulation (whole tails get
-    flagged, not just the limit); oracle views are authoritative when known.
-    """
+    flagged, not just the limit); oracle views are authoritative when known.  It holds
+    one row block's predicate: :func:`_pair_blocks` also holds the previous one and a
+    mirror, over 420 kB at 1001 points against the 400,800 B its test allows."""
     if not r > 0:
         raise ValueError(f"resolution must be positive, got {r!r}")
     flagged = np.zeros(space.n, dtype=bool)
-    for start in range(0, space.n, _PAIR_BLOCK):  # one row block's predicate at a time
+    for start in range(0, space.n, _PAIR_BLOCK):
         close = space.dist[start : start + _PAIR_BLOCK] < r  # (i, j) is (start + i, j)
         np.fill_diagonal(close[:, start:], False)
         flagged[start : start + _PAIR_BLOCK] |= close.any(1)  # the block's points, by row
@@ -117,8 +119,7 @@ def _prefix_sweep(space: FiniteSpace, order: np.ndarray) -> list[IsolationReport
     reports = [report]
     for k, p in enumerate(order.tolist()):
         if k:
-            prev = order[:k]
-            vals = np.minimum(space.dist[prev, p], space.dist[p, prev])
+            vals = _pair_distance(space.dist, prev := order[:k], p)
             v = float(vals.min())
             if v <= best[0]:
                 # among tied partners the least index closes the least pair
@@ -166,7 +167,7 @@ def greedy_epsilon_net(
     idx = space.indices(S)
     net: list[int] = []
     for k in idx:
-        if not (np.minimum(space.dist[k, net], space.dist[net, k]) < eps).any():
+        if not (_pair_distance(space.dist, k, net) < eps).any():
             net.append(int(k))
     return [space.ids[k] for k in net]
 

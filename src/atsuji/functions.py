@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .space import _PAIR_BLOCK, FiniteSpace, PointId, _least_pair
+from .space import FiniteSpace, PointId, _least_pair, _pair_blocks, _pair_distance
 
 __all__ = [
     "SampledFunction",
@@ -96,16 +96,10 @@ def modulus_of_continuity(space: FiniteSpace, f: SampledFunction, eta: float) ->
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta!r}")
-    v, n, d = f.array(space), space.n, space.dist
-    buffer = np.empty((min(_PAIR_BLOCK, n), n))  # one row block's gaps: no n x n temporary
-    least = math.inf
-    for start in range(0, n, _PAIR_BLOCK):
-        # columns from the block's start: its own pairs twice, its diagonal (gap 0) never
-        rows, columns = slice(start, start + _PAIR_BLOCK), slice(start, n)
-        gap = np.subtract(v[rows, None], v[columns], out=buffer[: n - start, : n - start])
-        reaches = np.abs(gap, out=gap) >= eta
-        least = float(np.min(d[rows, columns], initial=least, where=reaches))
-        least = float(np.min(d[columns, rows].T, initial=least, where=reaches))  # entries (j, i)
+    v, n, least = f.array(space), space.n, math.inf
+    for start, hit in _pair_blocks(n, lambda i, j: np.abs(g := v[i, None] - v[j], out=g) >= eta):
+        rows, columns = slice(start, start + len(hit)), slice(start, n)
+        least = float(np.min(_pair_distance(space.dist, rows, columns), initial=least, where=hit))
     return least
 
 
@@ -128,7 +122,7 @@ def uc_witness_search(
     return WitnessPair(
         x=space.ids[i],
         y=space.ids[j],
-        distance=float(min(d[i, j], d[j, i])),
+        distance=float(_pair_distance(d, i, j)),
         gap=float(abs(v[i] - v[j])),
     )
 

@@ -6,8 +6,10 @@ Conventions used throughout the package:
   position in ``FiniteSpace.ids``; every tie-break (witness pairs, minimizers)
   picks the lexicographically least index pair, so results are deterministic
   regardless of how the caller orders its input sets.
-- A pair search takes a pair as close as its smaller entry; only a point's distance
-  to a set (its row, ``dist[y, a]``) and the axiom scan's entry checks read one entry.
+- A pair search takes a pair as close as its smaller entry, +0.0 at a zero pair
+  (:func:`_pair_distance`), and walks all pairs by :func:`_pair_blocks`, but for
+  ``detect_limit_points`` (see why there); only a point's distance to a set (its
+  row, ``dist[y, a]``) and the axiom scan's entry checks read one entry.
 - Balls are open: ``y`` belongs to ``B(A, eps)`` iff ``dist(y, a) < eps`` for
   some ``a`` in ``A``.
 - The distance to the empty set is ``math.inf``, which propagates correctly
@@ -246,6 +248,14 @@ def _pair_blocks(
         yield start, hit
 
 
+def _pair_distance(d: np.ndarray, i, j):
+    """A pair's distance, index by index: the smaller of ``d[i, j]`` and its mirror
+    ``d.T[i, j]``, and +0.0 at a zero pair.  ``i`` and ``j`` index as in ``d[i, j]``."""
+    near = np.minimum(d[i, j], d.T[i, j])
+    near += 0.0  # -0.0 + 0.0 is +0.0, whichever entry held it; in place on an array
+    return near
+
+
 def _least_pair(n: int, offends: Callable[[slice, slice], np.ndarray]) -> tuple[int, int] | None:
     """The lexicographically least ``(i, j)`` with ``i < j`` at which
     ``offends`` holds at ``(i, j)`` or at ``(j, i)``; None if there is none.
@@ -359,7 +369,7 @@ def _require_discernible(space: FiniteSpace, tol: float) -> None:
         i, j = close
         raise IndiscerniblePointsError(
             f"points {space.ids[i]!r} and {space.ids[j]!r} are indiscernible "
-            f"(distance {float(min(space.dist[i, j], space.dist[j, i]))!r} <= tol {tol!r})"
+            f"(distance {float(_pair_distance(space.dist, i, j))!r} <= tol {tol!r})"
         )
 
 
@@ -493,7 +503,7 @@ def _violations(d: np.ndarray, tol: float, excess: float = math.inf):
     yield from _listed("identity", diag[i], i, i)
     for start, hit in _pair_blocks(n, lambda i, j: d[i, j] <= tol):
         i, j = (start + k for k in np.nonzero(hit))
-        yield from _listed("identity", tol - np.minimum(d[i, j], d[j, i]), i, j)
+        yield from _listed("identity", tol - _pair_distance(d, i, j), i, j)
     if not (symmetric and excess <= tol):
         yield from _triangles(d, tol, symmetric)
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atsuji import (
@@ -380,3 +380,47 @@ def test_every_pair_search_is_the_same_on_the_transposed_matrix(data):
     r = RemetrizedSpace(base=space, derived=derived, newdist=new)
     r_flipped = RemetrizedSpace(base=flipped, derived=derived, newdist=new.T)
     assert verify_same_topology(r) == verify_same_topology(r_flipped)
+
+
+# --- a zero pair reads +0.0, whichever entry holds -0.0 ---------------------
+
+
+def _reference_pair(d, i, j):
+    """The pair rule in pure Python: the smaller entry, a zero pair as +0.0."""
+    return min(float(d[i, j]), float(d[j, i])) + 0.0
+
+
+def _reference_discernible(space, tol):
+    """The message of ``_require_discernible``, from the pair rule."""
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            if (distance := _reference_pair(space.dist, i, j)) <= tol:
+                return (f"points {space.ids[i]!r} and {space.ids[j]!r} are indiscernible "
+                        f"(distance {distance!r} <= tol {tol!r})")
+    return None
+
+
+@st.composite
+def signed_zero_matrices(draw):
+    """2-8 points, each entry off the diagonal drawn on its own, so a pair at
+    distance zero may hold 0.0 and -0.0 in either order; diagonal 0.0 or -0.0."""
+    n = draw(st.integers(2, 8))
+    zero, entry = st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])
+    rows = [[draw(zero if i == j else entry) for j in range(n)] for i in range(n)]
+    return FiniteSpace(ids=tuple(f"z{k}" for k in range(n)), dist=rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(space=signed_zero_matrices())
+@example(space=FiniteSpace(("a", "b"), [[0.0, 0.0], [-0.0, 0.0]]))
+def test_every_pair_search_reads_a_zero_pair_as_positive_zero(space):
+    for s in (space, FiniteSpace(space.ids, space.dist.T)):
+        f = SampledFunction({p: float(k % 2) for k, p in enumerate(s.ids)}, label="alternating")
+        pairs = [(i, j) for i in range(s.n) for j in range(i + 1, s.n)]
+        eta = min(_reference_pair(s.dist, i, j) for i, j in pairs)
+        assert repr(min_pairwise_distance(s, s.ids).eta) == repr(eta)
+        # every entry is below delta 3, so (0, 1) is the least pair with a gap
+        assert repr(uc_witness_search(s, f, 0.5, 3.0).distance) == repr(_reference_pair(s.dist, 0, 1))
+        modulus = min(_reference_pair(s.dist, i, j) for i, j in pairs if (i + j) % 2)
+        assert repr(modulus_of_continuity(s, f, 0.5)) == repr(modulus)
+        assert _raised(_require_discernible, s, 1e-12) == _reference_discernible(s, 1e-12)

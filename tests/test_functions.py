@@ -156,8 +156,11 @@ def test_modulus_holds_no_n_squared_buffer():
 )
 def test_modulus_matches_brute_force_across_row_blocks(values, eta):
     space, _ = convergent_sequence(_PAIR_BLOCK + 11)
+    # the same matrix with its lower triangle scaled by 1.5: a pair's two entries differ
+    asymmetric = FiniteSpace(space.ids, np.triu(space.dist) + 1.5 * np.tril(space.dist, -1))
     f = SampledFunction(dict(zip(space.ids, values)), label="random")
-    assert modulus_of_continuity(space, f, eta) == brute_modulus(space, f, eta)
+    for s in (space, asymmetric):
+        assert modulus_of_continuity(s, f, eta) == brute_modulus(s, f, eta)
 
 
 def test_modulus_rejects_bad_eta():
