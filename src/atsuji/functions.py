@@ -78,11 +78,14 @@ def separator(
         shared = sorted(space.ids[k] for k in np.flatnonzero(a & b))
         raise ValueError(f"A and B must be disjoint; shared points: {shared}")
     da, db = space.reach(A), space.reach(B)
-    vanishing = np.flatnonzero(~(da + db > 0))
+    huge = np.maximum(da, db) >= 2.0**1022  # both halved there: the sum is finite, the ratio kept
+    da[huge], db[huge] = da[huge] / 2, db[huge] / 2
+    total = da + db
+    vanishing = np.flatnonzero(~(total > 0))
     if vanishing.size:
         p = space.ids[vanishing[0]]
         raise ValueError(f"d(x,A) + d(x,B) vanishes at {p!r}; matrix is degenerate")
-    values = dict(zip(space.ids, (da / (da + db)).tolist()))
+    values = dict(zip(space.ids, (da / total).tolist()))
     return SampledFunction(values=values, label=f"separator(|A|={a.sum()},|B|={b.sum()})")
 
 

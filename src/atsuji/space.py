@@ -324,12 +324,12 @@ def build_space(specs: Iterable[PointSpec]) -> FiniteSpace:
     ids = _point_ids(s.id for s in specs)
 
     # Squares summed slot by slot, in slot order for every pair, into the one
-    # n x n buffer.  A pair that is zero in a slot would only add +0.0, so a
+    # n x n buffer.  A pair that is zero in a slot would only add +0.0.  So a
     # slot adds (c[i] - c[j])^2 to the rows i nonzero there, a block of rows at
-    # a time, c being the slot's column, set at those rows and zeroed after.
-    # Their columns j in the rows zero there need c[i]^2, which row i now
-    # holds at j: the matrix is symmetric after every slot, so when the slot
-    # has zero rows the updated rows are copied into their columns.  The
+    # a time, c being the slot's column, set at those rows and zeroed after;
+    # and to each run of rows zero there it adds (0 - c[j])^2 = c[j]^2 at the
+    # columns j nonzero there, in steps of rows that hold at most as many
+    # entries as the block buffer.  So every entry gets its own terms, and the
     # diagonal only ever gains (c[i] - c[i])^2 = +0.0, so it stays +0.0.
     n = len(specs)
     sq = np.zeros((n, n))
@@ -339,13 +339,15 @@ def build_space(specs: Iterable[PointSpec]) -> FiniteSpace:
         for slot in sorted(entries):
             nz, values = map(np.array, zip(*entries[slot]))
             col[nz] = values
-            blocks = [nz[k : k + _PAIR_BLOCK] for k in range(0, len(nz), _PAIR_BLOCK)]
-            for block in blocks:
+            for k in range(0, len(nz), _PAIR_BLOCK):
+                block = nz[k : k + _PAIR_BLOCK]
                 part = np.subtract(col[block, None], col, out=diff[: len(block)])
                 sq[_run(block)] += np.square(part, out=part)
-            if len(nz) < n:
-                for rows in map(_run, blocks):
-                    sq[:, rows] = sq[rows].T
+            if len(nz) < n:  # the runs of rows zero in the slot lie between its rows
+                columns, squares, step = _run(nz), np.square(values), _PAIR_BLOCK * n // len(nz)
+                for start, stop in zip([0, *(nz + 1).tolist()], [*nz.tolist(), n]):
+                    for k in range(start, stop, step):
+                        sq[k : min(k + step, stop), columns] += squares
             col[nz] = 0.0
     dist = np.sqrt(sq, out=sq)
 

@@ -66,8 +66,8 @@ def _layout(name: str, n: int, rng: np.random.Generator) -> np.ndarray:
 def test_blocked_slot_pass_is_bitwise_the_unblocked_one(n, layout):
     # slot 1 is nonzero on the layout's rows and slot 2 on the others but row
     # 0, so slot 1 of the dense layout has no zero rows and the other slots
-    # copy slice or scattered blocks of rows into their columns; slots 3 to 12
-    # give every point 0 to 3 sparse coordinates
+    # add their squares at slice or scattered columns of their zero rows;
+    # slots 3 to 12 give every point 0 to 3 sparse coordinates
     rng = np.random.default_rng([n, len(layout)])
     main = _layout(layout, n, rng)
     coords = np.zeros((n, 12))
@@ -88,16 +88,25 @@ def test_blocked_slot_pass_is_bitwise_the_unblocked_one(n, layout):
     assert space.dist.tobytes() == unblocked_slot_pass(coords).tobytes()
 
 
+def _half_and_half() -> list[PointSpec]:
+    """1500 points: rows 0 to 749 but 375 in slot 1, so its columns are an
+    index array, not a slice, and the others in slot 2."""
+    return [PointSpec(f"q{k}", {1 if k < 750 and k != 375 else 2: float(k + 1)})
+            for k in range(1500)]
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: positive_integers(1500, "d2"), lambda: sequence_grid(15, 100, False),
-     lambda: sequence_grid(1500, 1, False)],
-    ids=["integers-d2", "grid", "one-slot-per-point"],
+     lambda: sequence_grid(1500, 1, False), lambda: (build_space(_half_and_half()), None)],
+    ids=["integers-d2", "grid", "one-slot-per-point", "scattered-columns"],
 )
 def test_building_a_space_holds_one_n_by_n_buffer(build):
     # numpy reports its buffers to tracemalloc, so the peak is deterministic:
     # the matrix itself, block buffers (128 rows, under 0.15 of it at 1500
-    # points) and the point specs, however many slots the points use
+    # points) and the point specs, however many slots the points use; the
+    # scattered columns take a copy in each add, so an add over the 750 rows
+    # zero in slot 1 at once would hold 0.25 of the matrix
     tracemalloc.start()
     try:
         space, _ = build()

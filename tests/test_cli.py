@@ -576,6 +576,16 @@ def test_separator_reads_point_ids_exactly_as_written(tmp_path):
     assert report["result"]["values"] == {"a": 1 / 3, " a": 0.0, "b": 1.0}
 
 
+def test_separator_at_the_top_of_the_double_range(tmp_path):
+    # d(c, A) + d(c, B) = 2e308 is beyond the largest double; the value is 1/2
+    big = 1e308
+    spec = write_spec(tmp_path, {"space": {"kind": "matrix", "ids": ["a", "b", "c"],
+                                           "matrix": [[0, big, big], [big, 0, big], [big, big, 0]]}})
+    code, report = run_to_file(tmp_path, ["separator", spec, "--a", "a", "--b", "b"])
+    assert code == 0
+    assert report["result"]["values"] == {"a": 0.0, "b": 1.0, "c": 0.5}
+
+
 @pytest.mark.parametrize(
     "raw, missing",
     [("ghost", ["ghost"]), ("zero, n1", [" n1"]), ("zero,", [""]), ("", [""])],

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,16 @@ def test_separator_preconditions():
         separator(space, {"zero"}, set())
     with pytest.raises(ValueError):
         separator(space, {"zero", "n1"}, {"n1"})
+
+
+def test_separator_sums_distances_at_the_top_of_the_double_range():
+    # 1e308 + 1e308 overflows a double; the separator halves both first
+    big = 1e308
+    space = FiniteSpace(ids=("a", "b", "c"), dist=[[0, big, big], [big, 0, big], [big, big, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        f = separator(space, ["a"], ["b"])
+    assert f.values == {"a": 0.0, "b": 1.0, "c": 0.5}
 
 
 def test_separator_reads_set_distances_in_place():
