@@ -5,7 +5,10 @@ Spec files are JSON with a ``space`` arm (``builtin``, ``points_l2``, or
 ``matrix``), an optional ``derived_set`` arm (``oracle``, ``detect``, or
 ``empty``; defaults to the builtin's bundled oracle, else empty), and an
 optional ``tol``.  Reports serialize with a fixed field order and full
-round-trip float precision, so identical invocations are byte-identical.
+round-trip float precision, so identical invocations are byte-identical.  A
+list or object whose members are all JSON scalars is written on one line, as
+``json.dumps`` writes it; every other one is indented two spaces a level, as
+``json.dumps(indent=2)`` writes it.
 Exit codes: 0 success/PASS, 1 FAIL verdict (or witness found), 2 input error
 (a malformed spec, a bad flag value, or an output path that cannot be opened).
 Number flags are read by the parser, every occurrence, before the spec is.
@@ -352,13 +355,14 @@ def _verdict_obj(verdict: AtsujiVerdict) -> dict:
     }
 
 
-def _heads(keys: tuple[str, ...] | None, opening: str, indent: str, count: int) -> list[str]:
-    """The text before each of ``count`` members of a container: the opening
-    bracket or a comma, the newline and indent, and the member's key if any."""
+def _heads(keys: tuple[str, ...] | None, first: str, sep: str, count: int) -> list[str]:
+    """The text before each of ``count`` members of a container: ``first``
+    (the opening bracket and what follows it) or ``sep``, then the member's
+    key if any."""
     if keys is None:
-        return [opening + indent] + ["," + indent] * (count - 1)
+        return [first] + [sep] * (count - 1)
     keys = [json.encoder.encode_basestring_ascii(key) + ": " for key in keys]
-    return [opening + indent + keys[0]] + ["," + indent + key for key in keys[1:]]
+    return [first + keys[0]] + [sep + key for key in keys[1:]]
 
 
 def _out_of_range(value: float) -> ValueError:
@@ -366,15 +370,42 @@ def _out_of_range(value: float) -> ValueError:
     return ValueError(f"Out of range float values are not JSON compliant: {value!r}")
 
 
+_ONE_LINE = json.JSONEncoder(allow_nan=False).encode
+
+
+def _one_line(value: Any) -> str:
+    """``json.dumps(value, allow_nan=False)``.  json's C encoder names no
+    value in its non-finite error, so on a ValueError the value is encoded
+    again by json.dumps(indent=2), which raises the error naming it."""
+    try:
+        return _ONE_LINE(value)
+    except ValueError:
+        json.dumps(value, indent=2, allow_nan=False)
+        raise
+
+
+def _is_scalar(value: Any) -> bool:
+    return value is None or isinstance(value, (str, int, float))
+
+
+def _key(key: Any) -> str:
+    """A member's key as json writes it: a string, or a number, bool or None
+    as the string of its JSON text."""
+    if not _is_scalar(key):
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return json.encoder.encode_basestring_ascii(key if isinstance(key, str) else _one_line(key))
+
+
 # A report leaf is an object with a method ``text(indent) -> list[str]``: the
-# pieces of the JSON text json.dumps(indent=2) would write for the value it
+# pieces of the JSON text that ``_report_text`` would write for the value it
 # stands for, whose members are indented by ``indent`` (a newline and spaces).
 
 
 class _Matrix:
-    """A report leaf: an n x n float64 matrix (n >= 1), written as json.dumps
-    writes ``{ids[i]: {ids[j]: values[i, j]}}``, or ``values.tolist()`` when
-    there are no ids, without building either."""
+    """A report leaf: an n x n float64 matrix (n >= 1), written as
+    ``{ids[i]: {ids[j]: values[i, j]}}``, or ``values.tolist()`` when there
+    are no ids, without building either: one row a line."""
 
     __slots__ = ("values", "ids", "_entries")
 
@@ -413,10 +444,10 @@ class _Matrix:
         opening, closing = "[]" if self.ids is None else "{}"
         rows, columns = self.values.shape
         parts: list[str] = [""] * (2 * columns + 1)  # heads and texts, interleaved
-        parts[0::2] = _heads(self.ids, opening, indent + "  ", columns) + [indent + closing]
+        parts[0::2] = _heads(self.ids, opening, ", ", columns) + [closing]
         first = parts[0]
         pieces = []
-        for head, row in zip(_heads(self.ids, opening, indent, rows), inverse):
+        for head, row in zip(_heads(self.ids, opening + indent, "," + indent, rows), inverse):
             parts[0] = head + first
             parts[1::2] = texts[row].tolist()
             pieces.append("".join(parts))
@@ -425,9 +456,9 @@ class _Matrix:
 
 
 class _Violations:
-    """A report leaf: the violations of an AxiomReport, written as json.dumps
-    writes ``[{"kind", "indices", "ids", "magnitude"}]``, an infinite
-    magnitude as null (as ``_num`` writes it), without building the dicts."""
+    """A report leaf: the violations of an AxiomReport, written as
+    ``[{"kind", "indices", "ids", "magnitude"}]``, an infinite magnitude as
+    null (as ``_num`` writes it), without building the dicts."""
 
     __slots__ = ("ids", "violations")
 
@@ -442,16 +473,16 @@ class _Violations:
         if not self.violations:
             return ["[]"]
         ids = list(map(json.encoder.encode_basestring_ascii, self.ids))
-        field, entry = indent + "  ", indent + "    "
+        field = indent + "  "
         templates: dict[int, str] = {}  # by the number of points of a violation
         pieces, head = [], "[" + indent
         for kind, where, magnitude in self.violations:
             template = templates.get(len(where))
             if template is None:
-                slots = ("," + entry).join(["%s"] * len(where))
+                slots = ", ".join(["%s"] * len(where))
                 template = templates[len(where)] = (
-                    f'{{{field}"kind": %s,{field}"indices": [{entry}{slots}{field}],'
-                    f'{field}"ids": [{entry}{slots}{field}],{field}"magnitude": %s{indent}}}'
+                    f'{{{field}"kind": %s,{field}"indices": [{slots}],'
+                    f'{field}"ids": [{slots}],{field}"magnitude": %s{indent}}}'
                 )
             magnitude = float.__repr__(magnitude)
             if magnitude == "nan":
@@ -466,30 +497,50 @@ class _Violations:
 
 
 def _report_text(report: Any) -> list[str]:
-    """The pieces of ``json.dumps(report, indent=2, allow_nan=False) + "\\n"``,
-    each report leaf written by its ``text`` method.
-
-    json's own encoder writes the report; for a leaf, ``default`` returns
-    None, and the ``null`` chunk that json yields next is replaced by the
-    leaf's text, indented one step past the line it starts on."""
-    leaves: list[Any] = []
-
-    def default(value: Any) -> Any:
-        if hasattr(value, "text"):
-            leaves.append(value)
-            return None
-        return json.JSONEncoder.default(encoder, value)
-
-    encoder = json.JSONEncoder(indent=2, allow_nan=False, default=default)
+    """The pieces of the report's JSON text and a closing newline.  A list
+    or object whose members are all JSON scalars (an empty one too) is one
+    line, as ``json.dumps(value, allow_nan=False)`` writes it; every other
+    one has a member a line, indented two spaces a level, as
+    ``json.dumps(indent=2)`` writes it.  A report leaf is written by its
+    ``text`` method.  json's errors are raised as json raises them."""
     pieces: list[str] = []
+    open_ids: set[int] = set()  # the containers being written, for json's cycle check
+
+    def write(value: Any, indent: str) -> None:
+        if isinstance(value, (list, tuple)):
+            members, (opening, closing) = value, "[]"
+        elif isinstance(value, dict):
+            members, (opening, closing) = value.values(), "{}"
+        elif hasattr(value, "text"):
+            pieces.extend(value.text(indent + "  "))
+            return
+        else:
+            pieces.append(_one_line(value))
+            return
+        if all(map(_is_scalar, members)):
+            pieces.append(_one_line(value))
+            return
+        if id(value) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(value))
+        inner = indent + "  "
+        head = opening + inner
+        if isinstance(value, dict):
+            for key, member in value.items():
+                pieces.append(head + _key(key) + ": ")
+                write(member, inner)
+                head = "," + inner
+        else:
+            for member in value:
+                pieces.append(head)
+                write(member, inner)
+                head = "," + inner
+        pieces.append(indent + closing)
+        open_ids.remove(id(value))
+
     try:
-        for chunk in encoder.iterencode(report):
-            if not leaves:
-                pieces.append(chunk)
-                continue
-            line = next((piece for piece in reversed(pieces) if "\n" in piece), "\n")
-            pieces += leaves.pop().text(line[line.rfind("\n"):] + "  ")
-    except RecursionError:  # json's encoder recurses once per nesting level
+        write(report, "\n")
+    except RecursionError:  # one Python frame, and json's, per nesting level
         raise ValueError("report: nested too deeply to encode") from None
     pieces.append("\n")
     return pieces

@@ -208,6 +208,9 @@ SPECS = {
     "sequence.spec.json": _builtin("convergent_sequence", n_max=30),
     "empty-derived.spec.json": _builtin("convergent_sequence", {"kind": "empty"}, n_max=40),
     "detect.spec.json": _builtin("convergent_sequence", {"kind": "detect", "radius": 2}, n_max=20),
+    # the radius is below every gap of the truncation: nothing is detected
+    "detect-fail.spec.json": _builtin("positive_integers", {"kind": "detect", "radius": 1e-6},
+                                      n_max=200, metric="d2"),
     "grid.spec.json": _builtin("sequence_grid_E", i_max=3, j_max=12, include_origin=False),
     "grid-wide.spec.json": _builtin("sequence_grid_E", i_max=12, j_max=3, include_origin=True),
     "many-slots.spec.json": MANY_SLOTS,
@@ -252,6 +255,8 @@ CASES = {
     "atsuji-pass": ["atsuji", "sequence.spec.json"],
     "atsuji-fail": ["atsuji", "empty-derived.spec.json", "--threshold", "1e-3"],
     "atsuji-inconclusive": ["atsuji", "detect.spec.json"],
+    # a detected derived set still FAILs when its radius is below the failing gap
+    "atsuji-detect-fail": ["atsuji", "detect-fail.spec.json"],
     "remetrize-empty-derived": ["remetrize", "empty-derived.spec.json"],
     "witness-found": ["witness", "grid.spec.json", "--fn", "parity", "--eps0", "0.5",
                       "--delta", "0.1"],

@@ -292,6 +292,17 @@ def test_atsuji_verdict_does_not_depend_on_the_grid_order(data):
         other.status, other.fail_witness, other.notes)
 
 
+def test_isolation_exactly_at_the_threshold_passes():
+    # only isolation below the threshold fails: the line 0, 1 - 2^-10, 1 has
+    # its closest pair exactly 2^-10 apart, outside B(D, eps) for D = {p0}
+    x = np.array([0.0, 1 - 2**-10, 1.0])
+    space = FiniteSpace(["p0", "p1", "p2"], np.abs(x[:, None] - x[None, :]))
+    derived = DerivedSetView("oracle", frozenset({"p0"}))
+    assert atsuji_check(space, derived, [0.5], 2**-10).status == "PASS"
+    verdict = atsuji_check(space, derived, [0.5], np.nextafter(2**-10, 1.0))
+    assert (verdict.status, verdict.fail_witness) == ("FAIL", WitnessPair("p1", "p2", 2**-10, 0.0))
+
+
 def test_atsuji_inconclusive_when_every_complement_is_tiny():
     space, _ = convergent_sequence(10)
     everything = DerivedSetView("oracle", frozenset(space.ids))

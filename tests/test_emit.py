@@ -1,12 +1,19 @@
-"""The report emitter writes exactly ``json.dumps(report, indent=2,
-allow_nan=False)`` plus a newline, for any JSON tree, and raises its errors."""
+"""The report emitter writes one layout, for any JSON tree, plus a newline:
+a list or object whose members are all JSON scalars (an empty one too) is one
+line, as ``json.dumps(value, allow_nan=False)`` writes it, and every other
+one is indented two spaces a level, as ``json.dumps(indent=2)`` writes it.
+It raises the errors ``json.dumps(report, indent=2, allow_nan=False)``
+raises, with their text."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
+import struct
 import subprocess
 import sys
+import uuid
 
 import numpy as np
 import pytest
@@ -53,13 +60,98 @@ def emitted(obj) -> str:
 
 
 def dumped(obj) -> str:
+    """json.dumps(indent=2), whose errors the emitter raises."""
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def reference(tree) -> str:
+    """The layout from json alone: ``json.dumps(indent=2)`` of the tree with
+    each all-scalar list or object swapped for a unique sentinel string, each
+    quoted sentinel then replaced by ``json.dumps`` of the container."""
+    token = uuid.uuid4().hex
+    lines = {}
+
+    def swap(value):
+        if not isinstance(value, (list, tuple, dict)):
+            return value
+        members = value.values() if isinstance(value, dict) else value
+        if all(m is None or isinstance(m, (str, int, float)) for m in members):
+            sentinel = f"{token}:{len(lines)}"
+            lines[json.dumps(sentinel)] = json.dumps(value, allow_nan=False)
+            return sentinel
+        if isinstance(value, dict):
+            return {key: swap(member) for key, member in value.items()}
+        return [swap(member) for member in value]
+
+    text = json.dumps(swap(tree), indent=2, allow_nan=False)
+    for quoted, line in lines.items():
+        text = text.replace(quoted, line)
+    return text + "\n"
+
+
+def exact(value):
+    """A parsed or unparsed JSON value as nested tuples that compare floats
+    bit for bit: objects as their (key, value) pairs in order, each key as
+    json writes it, and each scalar tagged with its JSON type.  A string is
+    taken as it reads back from JSON, where the escapes of a surrogate pair
+    read as the one character they encode."""
+    if isinstance(value, Pairs):
+        return ("object", tuple((exact(key), exact(member)) for key, member in value))
+    if isinstance(value, dict):
+        return ("object", tuple((exact(json_key(key)), exact(member))
+                                for key, member in value.items()))
+    if isinstance(value, (list, tuple)):
+        return ("array", tuple(map(exact, value)))
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    if isinstance(value, bool) or value is None:
+        return ("literal", value)
+    if isinstance(value, int):
+        return ("int", int(value))
+    return ("string", json.loads(json.dumps(value)))
+
+
+class Pairs(list):
+    """An object as json.loads read it: its (key, value) pairs, repeats kept."""
+
+
+def json_key(key) -> str:
+    """A key as json coerces it to a string."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, bool) or key is None:
+        return {True: "true", False: "false", None: "null"}[key]
+    return float.__repr__(key) if isinstance(key, float) else int.__repr__(key)
+
+
+def parsed(text: str):
+    return json.loads(text, object_pairs_hook=Pairs)
 
 
 @settings(max_examples=400, deadline=None)
 @given(trees)
-def test_emit_is_json_dumps_with_indent_2(tree):
-    assert emitted(tree) == dumped(tree)
+def test_emit_writes_scalar_containers_on_one_line_and_the_rest_indented(tree):
+    assert emitted(tree) == reference(tree)
+
+
+@settings(max_examples=400, deadline=None)
+@given(trees)
+def test_emit_reads_back_as_the_tree_with_floats_bit_for_bit(tree):
+    assert exact(parsed(emitted(tree))) == exact(tree)
+
+
+@pytest.mark.parametrize(
+    "obj, text",
+    [
+        ([], "[]"),
+        ({"a": [1, 2.5], "b": {}}, '{\n  "a": [1, 2.5],\n  "b": {}\n}'),
+        ([{"x": None, "y": "s"}, [[]]], '[\n  {"x": null, "y": "s"},\n  [\n    []\n  ]\n]'),
+        ({1: {True: -0.0}}, '{\n  "1": {"true": -0.0}\n}'),
+    ],
+    ids=["empty", "rows", "nested-empty", "coerced-keys"],
+)
+def test_emit_writes_the_layout_as_stated(obj, text):
+    assert emitted(obj) == text + "\n" == reference(obj)
 
 
 @pytest.mark.parametrize(
@@ -72,7 +164,7 @@ def test_emit_is_json_dumps_with_indent_2(tree):
     ],
 )
 def test_emit_matches_json_dumps_on_shapes(obj):
-    assert emitted(obj) == dumped(obj)
+    assert emitted(obj) == reference(obj)
 
 
 @pytest.mark.parametrize(
@@ -127,7 +219,7 @@ def test_emit_to_file_matches_stdout(tmp_path):
     report = {"rows": [[0.5, 1.0], [1.0, 0.5]], "ids": ["a", "b"], "nested": {"x": [{}]}}
     out = tmp_path / "report.json"
     _emit(report, str(out))
-    assert out.read_text(encoding="utf-8") == emitted(report) == dumped(report)
+    assert out.read_text(encoding="utf-8") == emitted(report) == reference(report)
 
 
 # --- matrix leaves ------------------------------------------------------------
@@ -137,7 +229,7 @@ MATRIX_FLOATS = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -2.5, 0.1]
 
 def plain(tree):
     """``tree`` with each report leaf replaced by the nested dicts or lists
-    that json.dumps would write for it."""
+    it stands for."""
     if isinstance(tree, _Matrix):
         rows = tree.values.tolist()
         if tree.ids is None:
@@ -204,13 +296,17 @@ def trees_with_a_leaf(draw, leaves):
 @settings(max_examples=400, deadline=None)
 @given(trees_with_a_leaf(matrices()))
 def test_a_matrix_is_written_as_json_dumps_writes_its_rows(tree):
-    assert "".join(_report_text(tree)) == dumped(plain(tree))
+    text = "".join(_report_text(tree))
+    assert text == reference(plain(tree))
+    assert exact(parsed(text)) == exact(plain(tree))
 
 
 @settings(max_examples=400, deadline=None)
 @given(trees_with_a_leaf(violation_lists()))
 def test_violations_are_written_as_json_dumps_writes_their_dicts(tree):
-    assert "".join(_report_text(tree)) == dumped(plain(tree))
+    text = "".join(_report_text(tree))
+    assert text == reference(plain(tree))
+    assert exact(parsed(text)) == exact(plain(tree))
 
 
 @pytest.mark.parametrize(
@@ -239,17 +335,19 @@ NO_ACCELERATOR = """
 import sys
 sys.modules["_json"] = None  # json falls back to its pure-Python encoder
 import json
+import uuid
 from json import encoder
 assert encoder.c_make_encoder is None
 import numpy as np
 from atsuji.cli import _Matrix, _report_text, _Violations
 from atsuji.space import Violation
+# reference
 trees = [
     {"newdist": {"a": {"a": 0.0, "b": 0.1}, "b": {"a": 0.1, "b": 0.0}}, "ids": ["a", "\\ud800,\\x00"]},
     [[], {}, [[1, 2.5e-300, None, True]], {"k": (), 1: [-0.0], None: {"x": "\\u00e9"}}],
 ]
 for tree in trees:
-    assert "".join(_report_text(tree)) == json.dumps(tree, indent=2, allow_nan=False) + "\\n"
+    assert "".join(_report_text(tree)) == reference(tree)
 values = np.array([[0.0, -0.0], [0.1, 0.1]])
 ids = ("\\ud800,\\x00", "%\\u00e9")
 rows = values.tolist()
@@ -257,7 +355,7 @@ for tree, expected in [
     ({"m": _Matrix(values, ids)}, {"m": {x: dict(zip(ids, row)) for x, row in zip(ids, rows)}}),
     ([_Matrix(values)], [rows]),
 ]:
-    assert "".join(_report_text(tree)) == json.dumps(expected, indent=2, allow_nan=False) + "\\n"
+    assert "".join(_report_text(tree)) == reference(expected)
 violations = [Violation("triangle", (0, 1, 0), 2.5), Violation("nonneg", (1, 0), float("inf"))]
 expected = {"result": {"passed": False, "violations": [
     {"kind": "triangle", "indices": [0, 1, 0], "ids": [ids[0], ids[1], ids[0]], "magnitude": 2.5},
@@ -265,18 +363,21 @@ expected = {"result": {"passed": False, "violations": [
 ]}, "empty": []}
 tree = {"result": {"passed": False, "violations": _Violations(ids, violations)},
         "empty": _Violations(ids, [])}
-assert "".join(_report_text(tree)) == json.dumps(expected, indent=2, allow_nan=False) + "\\n"
-try:
-    _report_text({"row": [1.0, float("nan")]})
-except ValueError as exc:
-    assert str(exc) == "Out of range float values are not JSON compliant: nan", exc
-else:
-    raise AssertionError("nan was encoded")
+assert "".join(_report_text(tree)) == reference(expected)
+for tree, value in [({"row": [1.0, float("nan")]}, "nan"), ({"rows": [[1]], float("-inf"): 2}, "-inf")]:
+    try:
+        _report_text(tree)
+    except ValueError as exc:
+        assert str(exc) == "Out of range float values are not JSON compliant: " + value, exc
+    else:
+        raise AssertionError("a non-finite float was encoded")
 """
 
 
 def test_emit_without_json_accelerator_matches_json_dumps():
-    proc = subprocess.run([sys.executable, "-c", NO_ACCELERATOR], capture_output=True, text=True)
+    # the child defines reference() from its source here, once json is imported
+    script = NO_ACCELERATOR.replace("# reference\n", inspect.getsource(reference))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -336,6 +437,6 @@ def test_deeply_nested_echo_is_echoed_or_input_error(tmp_path, depth, lists_only
     try:
         report = json.loads(text)
         assert report["inputs"]["spec"] == json.loads(spec.read_text(encoding="utf-8"))
-        assert text == dumped(report)
+        assert text == reference(report)
     finally:
         sys.setrecursionlimit(limit)

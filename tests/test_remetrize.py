@@ -223,6 +223,40 @@ def test_isolation_bound_reads_both_entries_of_a_pair(entry):
     assert (report.passed, report.witness, report.observed_eta) == (False, ("n4", "n5"), 1e-3)
 
 
+def boundary_result(entries: dict) -> RemetrizedSpace:
+    """The remetrized line 0, 2, 3 with D = {p0} at tol 2^-10, with the
+    given pairs' new distances set by hand, both entries of each."""
+    x = np.array([0.0, 2.0, 3.0])
+    space = FiniteSpace(["p0", "p1", "p2"], np.abs(x[:, None] - x[None, :]), tol=2**-10)
+    view = DerivedSetView("oracle", frozenset({"p0"}))
+    newdist = np.array(remetrize(space, view).newdist)
+    for (i, j), value in entries.items():
+        newdist[i, j] = newdist[j, i] = value
+    return RemetrizedSpace(base=space, derived=view, newdist=newdist)
+
+
+def test_an_isolation_bound_met_exactly_at_bound_minus_tol_passes():
+    # at eta = 1 the complement is {p1, p2} and the bound is 2^-1
+    met = verify_isolation_bound(boundary_result({(1, 2): 0.5 - 2**-10}), 1.0)
+    assert (met.passed, met.n, met.observed_eta) == (True, -1, 0.5 - 2**-10)
+    below = np.nextafter(0.5 - 2**-10, 0.0)
+    missed = verify_isolation_bound(boundary_result({(1, 2): below}), 1.0)
+    assert (missed.passed, missed.witness) == (False, ("p1", "p2"))
+
+
+@pytest.mark.parametrize(
+    "pair, at_tol, beyond, check",
+    # (p1, p2) had base distance 1; (p0, p1) touches D, with base distance 2
+    [((1, 2), 1 - 2**-10, np.nextafter(1 - 2**-10, 0.0), "domination"),
+     ((0, 1), 2 + 2**-10, np.nextafter(2 + 2**-10, 3.0), "derived_equality")],
+    ids=["domination", "derived-equality"],
+)
+def test_a_topology_difference_exactly_at_tol_passes(pair, at_tol, beyond, check):
+    assert verify_same_topology(boundary_result({pair: at_tol})).passed
+    report = verify_same_topology(boundary_result({pair: beyond}))
+    assert (report.passed, report.failed_check) == (False, check)
+
+
 def test_a_hand_built_result_can_pass_every_default_scale_and_fail_between_them():
     # README's example: the eleven default scales miss the fault at eta = 0.6
     ids = ["p0", "p1", "p2", "p3"]
