@@ -25,6 +25,8 @@ import math
 import os
 import re
 import sys
+from collections.abc import Callable, Iterator
+from itertools import repeat
 from pathlib import Path
 from typing import Any
 
@@ -232,7 +234,7 @@ def _compact(value: Any, field: str) -> str:
     """The spec's ``field`` as compact JSON.  JSON has no NaN or infinity, so
     one anywhere in it (say, in an entry's extra field) is an input error."""
     try:
-        return json.dumps(value, separators=(",", ":"), allow_nan=False)
+        return _one_line(value, _COMPACT)
     except (ValueError, RecursionError) as exc:
         raise SpecError(field, str(exc)) from None
 
@@ -355,30 +357,22 @@ def _verdict_obj(verdict: AtsujiVerdict) -> dict:
     }
 
 
-def _heads(keys: tuple[str, ...] | None, first: str, sep: str, count: int) -> list[str]:
-    """The text before each of ``count`` members of a container: ``first``
-    (the opening bracket and what follows it) or ``sep``, then the member's
-    key if any."""
-    if keys is None:
-        return [first] + [sep] * (count - 1)
-    keys = [json.encoder.encode_basestring_ascii(key) + ": " for key in keys]
-    return [first + keys[0]] + [sep + key for key in keys[1:]]
-
-
 def _out_of_range(value: float) -> ValueError:
     """json's error for a float that JSON cannot hold."""
     return ValueError(f"Out of range float values are not JSON compliant: {value!r}")
 
 
 _ONE_LINE = json.JSONEncoder(allow_nan=False).encode
+_COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
-def _one_line(value: Any) -> str:
-    """``json.dumps(value, allow_nan=False)``.  json's C encoder names no
-    value in its non-finite error, so on a ValueError the value is encoded
-    again by json.dumps(indent=2), which raises the error naming it."""
+def _one_line(value: Any, encode: Callable[[Any], str] = _ONE_LINE) -> str:
+    """``encode(value)``, by default ``json.dumps(value, allow_nan=False)``.
+    json's C encoder names no value in its non-finite error, so on a
+    ValueError the value is encoded again by json.dumps(indent=2), which
+    raises the error naming it."""
     try:
-        return _ONE_LINE(value)
+        return encode(value)
     except ValueError:
         json.dumps(value, indent=2, allow_nan=False)
         raise
@@ -397,62 +391,51 @@ def _key(key: Any) -> str:
     return json.encoder.encode_basestring_ascii(key if isinstance(key, str) else _one_line(key))
 
 
-# A report leaf is an object with a method ``text(indent) -> list[str]``: the
-# pieces of the JSON text that ``_report_text`` would write for the value it
-# stands for, whose members are indented by ``indent`` (a newline and spaces).
+# A report leaf stands for a list or object that is never built.  ``keys`` are
+# its members' keys (None for a list), and ``members(indent)`` gives each
+# member's finished text at ``indent`` (a newline and spaces).  No member is a
+# scalar; ``_report_text`` writes the brackets, keys and separators around them.
 
 
 class _Matrix:
     """A report leaf: an n x n float64 matrix (n >= 1), written as
     ``{ids[i]: {ids[j]: values[i, j]}}``, or ``values.tolist()`` when there
-    are no ids, without building either: one row a line."""
+    are no ids, without building either: one row a line.  Each distinct
+    entry is formatted here, once: a non-finite one raises json's error."""
 
-    __slots__ = ("values", "ids", "_entries")
+    __slots__ = ("values", "keys", "texts", "inverse")
 
-    def __init__(self, values: np.ndarray, ids: tuple[str, ...] | None = None):
+    def __init__(self, values: np.ndarray, keys: tuple[str, ...] | None = None):
         self.values = values
-        self.ids = ids
-        self._entries: list = []  # [(texts, inverse)] once formatted; shared by without_ids
+        self.keys = keys
+        # deduplicated by bit pattern, so -0.0 and 0.0 stay apart
+        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).ravel()
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        distinct = distinct.view(np.float64)
+        if not np.isfinite(distinct).all():  # the first non-finite entry in row order
+            raise _out_of_range(float(values.flat[np.argmin(np.isfinite(values))]))
+        self.texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+        self.inverse = inverse.reshape(values.shape)  # each entry's index into texts
 
     def without_ids(self) -> _Matrix:
-        """This matrix written as ``values.tolist()``.  The two leaves share
-        one formatting of the entries: whichever writes first formats them."""
-        twin = _Matrix(self.values)
-        twin._entries = self._entries
+        """This matrix written as ``values.tolist()``, from the same texts."""
+        twin = _Matrix.__new__(_Matrix)
+        twin.values, twin.texts, twin.inverse = self.values, self.texts, self.inverse
+        twin.keys = None
         return twin
 
-    def _formatted(self) -> tuple[np.ndarray, np.ndarray]:
-        """(texts, inverse): the text of each distinct entry, deduplicated by
-        bit pattern (so -0.0 and 0.0 stay apart) and formatted once, and each
-        entry's index into the texts, in the matrix's shape."""
-        if not self._entries:
-            values = self.values
-            bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).ravel()
-            distinct, inverse = np.unique(bits, return_inverse=True)
-            inverse = inverse.reshape(values.shape)
-            distinct = distinct.view(np.float64)
-            if not np.isfinite(distinct).all():  # the first non-finite entry in row order
-                raise _out_of_range(float(values.flat[np.argmin(np.isfinite(values))]))
-            texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
-            self._entries.append((texts, inverse))
-        return self._entries[0]
-
-    def text(self, indent: str) -> list[str]:
-        """A row is one join of the keys and separators, built once, with
-        that row's texts."""
-        texts, inverse = self._formatted()
-        opening, closing = "[]" if self.ids is None else "{}"
-        rows, columns = self.values.shape
-        parts: list[str] = [""] * (2 * columns + 1)  # heads and texts, interleaved
-        parts[0::2] = _heads(self.ids, opening, ", ", columns) + [closing]
-        first = parts[0]
-        pieces = []
-        for head, row in zip(_heads(self.ids, opening + indent, "," + indent, rows), inverse):
-            parts[0] = head + first
-            parts[1::2] = texts[row].tolist()
-            pieces.append("".join(parts))
-        pieces.append(indent[:-2] + closing)
-        return pieces
+    def members(self, indent: str) -> Iterator[str]:
+        """A row is one join of the column heads, built once, with that row's
+        texts."""
+        opening, closing = "[]" if self.keys is None else "{}"
+        heads = [opening] + [", "] * (self.inverse.shape[1] - 1)
+        if self.keys is not None:
+            heads = [head + _key(key) + ": " for head, key in zip(heads, self.keys)]
+        parts: list[str] = [""] * (2 * len(heads) + 1)  # heads and texts, interleaved
+        parts[0::2] = heads + [closing]
+        for row in self.inverse:
+            parts[1::2] = self.texts[row].tolist()
+            yield "".join(parts)
 
 
 class _Violations:
@@ -461,21 +444,19 @@ class _Violations:
     null (as ``_num`` writes it), without building the dicts."""
 
     __slots__ = ("ids", "violations")
+    keys = None
 
     def __init__(self, ids: tuple[str, ...], violations: list[Violation]):
         self.ids = ids
         self.violations = violations
 
-    def text(self, indent: str) -> list[str]:
+    def members(self, indent: str) -> Iterator[str]:
         """One string template per violation: each point id is encoded once,
         indices are written with ``str`` and magnitudes with
         ``float.__repr__``."""
-        if not self.violations:
-            return ["[]"]
         ids = list(map(json.encoder.encode_basestring_ascii, self.ids))
         field = indent + "  "
         templates: dict[int, str] = {}  # by the number of points of a violation
-        pieces, head = [], "[" + indent
         for kind, where, magnitude in self.violations:
             template = templates.get(len(where))
             if template is None:
@@ -490,10 +471,7 @@ class _Violations:
             if magnitude in ("inf", "-inf"):
                 magnitude = "null"
             kind = json.encoder.encode_basestring_ascii(kind)
-            pieces.append(head + template % (kind, *where, *map(ids.__getitem__, where), magnitude))
-            head = "," + indent
-        pieces.append(indent[:-2] + "]")
-        return pieces
+            yield template % (kind, *where, *map(ids.__getitem__, where), magnitude)
 
 
 def _report_text(report: Any) -> list[str]:
@@ -501,41 +479,42 @@ def _report_text(report: Any) -> list[str]:
     or object whose members are all JSON scalars (an empty one too) is one
     line, as ``json.dumps(value, allow_nan=False)`` writes it; every other
     one has a member a line, indented two spaces a level, as
-    ``json.dumps(indent=2)`` writes it.  A report leaf is written by its
-    ``text`` method.  json's errors are raised as json raises them."""
+    ``json.dumps(indent=2)`` writes it.  A report leaf's members are written
+    as its ``members`` method gives them.  json's errors are raised as json
+    raises them."""
     pieces: list[str] = []
     open_ids: set[int] = set()  # the containers being written, for json's cycle check
 
     def write(value: Any, indent: str) -> None:
-        if isinstance(value, (list, tuple)):
-            members, (opening, closing) = value, "[]"
-        elif isinstance(value, dict):
-            members, (opening, closing) = value.values(), "{}"
-        elif hasattr(value, "text"):
-            pieces.extend(value.text(indent + "  "))
-            return
+        inner = indent + "  "
+        leaf = False
+        if isinstance(value, dict):
+            keys, members = value.keys(), value.values()
+        elif isinstance(value, (list, tuple)):
+            keys, members = None, value
+        elif hasattr(value, "members"):
+            keys, members, leaf = value.keys, value.members(inner), True
         else:
             pieces.append(_one_line(value))
             return
-        if all(map(_is_scalar, members)):
+        if not leaf and all(map(_is_scalar, members)):
             pieces.append(_one_line(value))
             return
         if id(value) in open_ids:
             raise ValueError("Circular reference detected")
         open_ids.add(id(value))
-        inner = indent + "  "
+        opening, closing = "[]" if keys is None else "{}"
         head = opening + inner
-        if isinstance(value, dict):
-            for key, member in value.items():
-                pieces.append(head + _key(key) + ": ")
+        labels = repeat("") if keys is None else (_key(key) + ": " for key in keys)
+        for label, member in zip(labels, members):
+            pieces.append(head + label)
+            if leaf:
+                pieces.append(member)
+            else:
                 write(member, inner)
-                head = "," + inner
-        else:
-            for member in value:
-                pieces.append(head)
-                write(member, inner)
-                head = "," + inner
-        pieces.append(indent + closing)
+            head = "," + inner
+        # a leaf may have no members: json.dumps(indent=2) writes [] or {}
+        pieces.append(indent + closing if head[0] == "," else opening + closing)
         open_ids.remove(id(value))
 
     try:
@@ -666,7 +645,7 @@ def _cmd_witness(space, derived, args) -> tuple:
 
 def _cmd_separator(space, derived, args) -> tuple:
     f = _make_function(space, "separator", args.a, args.b)
-    result = {"label": f.label, "values": {p: f.values[p] for p in space.ids}}
+    result = {"label": f.label, "values": f.values}
     return {"a": args.a, "b": args.b, "tol": space.tol}, result, [], [], 0
 
 

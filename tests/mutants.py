@@ -77,6 +77,8 @@ MUTANTS = [
     # the greedy net skips a point at distance exactly eps from the net
     Mutant("analysis.py", "(_pair_distance(space.dist, k, net) < eps)",
            "(_pair_distance(space.dist, k, net) <= eps)", ("test_golden.py",)),
+    # a pair's distance keeps the sign of a zero entry
+    Mutant("space.py", "near += 0.0", "near = near", ("test_analysis.py",)),
 ]
 
 

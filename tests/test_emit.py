@@ -227,24 +227,38 @@ def test_emit_to_file_matches_stdout(tmp_path):
 MATRIX_FLOATS = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -2.5, 0.1]
 
 
+def plain_matrix(values, ids=None):
+    """The nested dicts, or lists when there are no ids, that ``_Matrix(values,
+    ids)`` stands for."""
+    rows = values.tolist()
+    if ids is None:
+        return rows
+    return {x: dict(zip(ids, row)) for x, row in zip(ids, rows)}
+
+
+def plain_violations(ids, violations):
+    """The list of dicts that ``_Violations(ids, violations)`` stands for."""
+    return [
+        {
+            "kind": v.kind,
+            "indices": v.where,
+            "ids": [ids[k] for k in v.where],
+            "magnitude": None if math.isinf(v.magnitude) else v.magnitude,
+        }
+        for v in violations
+    ]
+
+
+PLAIN_LEAF = {_Matrix: plain_matrix, _Violations: plain_violations}
+
+
 def plain(tree):
     """``tree`` with each report leaf replaced by the nested dicts or lists
     it stands for."""
     if isinstance(tree, _Matrix):
-        rows = tree.values.tolist()
-        if tree.ids is None:
-            return rows
-        return {x: dict(zip(tree.ids, row)) for x, row in zip(tree.ids, rows)}
+        return plain_matrix(tree.values, tree.keys)
     if isinstance(tree, _Violations):
-        return [
-            {
-                "kind": v.kind,
-                "indices": v.where,
-                "ids": [tree.ids[k] for k in v.where],
-                "magnitude": None if math.isinf(v.magnitude) else v.magnitude,
-            }
-            for v in tree.violations
-        ]
+        return plain_violations(tree.ids, tree.violations)
     if isinstance(tree, dict):
         return {key: plain(value) for key, value in tree.items()}
     if isinstance(tree, (list, tuple)):
@@ -310,23 +324,24 @@ def test_violations_are_written_as_json_dumps_writes_their_dicts(tree):
 
 
 @pytest.mark.parametrize(
-    "leaf",
+    "leaf, args",
     [
-        _Matrix(np.array([[1.0, float("nan")], [float("inf"), 0.0]])),
-        _Matrix(np.array([[1.0, float("-inf")], [float("nan"), 0.0]]), ("a", "b")),
-        _Matrix(np.array([[float("inf")]]), ("a",)),
-        _Violations(("a", "b"), [Violation("symmetry", (0, 1), math.inf),
-                                 Violation("triangle", (1, 0, 1), math.nan)]),
+        (_Matrix, (np.array([[1.0, float("nan")], [float("inf"), 0.0]]),)),
+        (_Matrix, (np.array([[1.0, float("-inf")], [float("nan"), 0.0]]), ("a", "b"))),
+        (_Matrix, (np.array([[float("inf")]]), ("a",))),
+        (_Violations, (("a", "b"), [Violation("symmetry", (0, 1), math.inf),
+                                    Violation("triangle", (1, 0, 1), math.nan)])),
     ],
     ids=["nan-first", "-inf-first", "1x1-inf", "violation-nan"],
 )
-def test_a_non_finite_matrix_raises_json_dumps_error_before_opening_out(tmp_path, leaf):
-    tree = {"before": [1.5], "m": leaf}
+def test_a_non_finite_matrix_raises_json_dumps_error_before_opening_out(tmp_path, leaf, args):
+    # a matrix raises as it is built, the violations as they are written:
+    # either way, before the report's file is opened
     with pytest.raises(ValueError) as expected:
-        dumped(plain(tree))
+        dumped({"before": [1.5], "m": PLAIN_LEAF[leaf](*args)})
     out = tmp_path / "report.json"
     with pytest.raises(ValueError) as raised:
-        _emit(tree, str(out))
+        _emit({"before": [1.5], "m": leaf(*args)}, str(out))
     assert str(raised.value) == str(expected.value)
     assert not out.exists()
 
@@ -402,6 +417,23 @@ def test_non_finite_echo_exits_2_and_leaves_no_report(tmp_path, capsys, extra, c
     assert main(argv) == 2
     assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        (builtin_with('"comment": [1, 1e400]'), "comment"),
+        ('{"space": {"kind": "points_l2", "points": '
+         '[{"id": "a", "coords": {"1": 0.5}, "note": 1e400}]}}', "space.points"),
+    ],
+    ids=["comment", "point-field"],
+)
+def test_a_non_finite_echo_error_names_the_value(tmp_path, capsys, text, field):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["net", str(spec), "--eps", "0.5"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {field}: Out of range float values are not JSON compliant: inf\n")
 
 
 def nested(depth: int, lists_only: bool) -> str:

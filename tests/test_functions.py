@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -222,6 +223,14 @@ def test_witness_rejects_bad_params():
         uc_witness_search(space, f, 0.0, 1e-3)
     with pytest.raises(ValueError):
         uc_witness_search(space, f, 0.5, 0.0)
+
+
+def test_witness_rejects_a_function_on_another_domain():
+    space = FiniteSpace(ids=("a", "b", "c"), dist=[[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    f = SampledFunction({"a": 0.0, "b": 1.0, "z": 2.0}, label="other")
+    message = "function 'other' domain does not match the space (missing ['c'], extra ['z'])"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        uc_witness_search(space, f, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])

@@ -132,7 +132,7 @@ def test_remetrize_rejects_zero_distance_oracle():
     # a degenerate matrix can put an outside point at distance 0 from the
     # declared derived set; the dyadic level would be undefined
     space = FiniteSpace(ids=("a", "b", "c"), dist=[[0, 0, 1], [0, 0, 1], [1, 1, 0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="point 'b' is outside the derived set but at distance 0"):
         remetrize(space, DerivedSetView("oracle", frozenset({"a"})))
 
 
