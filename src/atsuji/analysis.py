@@ -161,14 +161,21 @@ def greedy_epsilon_net(
     A point joins the net iff no existing net point is strictly within eps.
     The result is eps-separated (pairwise distances >= eps) and covers S
     (every point of S is < eps from some net point), in canonical order.
+    One step per net point: ``uncovered`` marks the members of S that no net
+    point is strictly within eps of, and the next net point is its least.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    idx = space.indices(S)
+    uncovered = np.zeros(space.n, dtype=bool)
+    uncovered[space.indices(S)] = True
     net: list[int] = []
-    for k in idx:
-        if not (_pair_distance(space.dist, k, net) < eps).any():
-            net.append(int(k))
+    while uncovered.any():
+        k = int(uncovered.argmax())
+        net.append(k)
+        # one row and one column read; k itself explicitly, as a diagonal
+        # entry is not a pair and one >= eps would leave k uncovered forever
+        uncovered &= _pair_distance(space.dist, k, slice(None)) >= eps
+        uncovered[k] = False
     return [space.ids[k] for k in net]
 
 

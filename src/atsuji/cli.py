@@ -8,7 +8,7 @@ optional ``tol``.  Reports serialize with a fixed field order and full
 round-trip float precision, so identical invocations are byte-identical.  A
 list or object whose members are all JSON scalars is written on one line, as
 ``json.dumps`` writes it; every other one is indented two spaces a level, as
-``json.dumps(indent=2)`` writes it.
+``json.dumps(indent=2)`` writes it.  Every object key in a report is a str.
 Exit codes: 0 success/PASS, 1 FAIL verdict (or witness found), 2 input error
 (a malformed spec, a bad flag value, or an output path that cannot be opened).
 Number flags are read by the parser, every occurrence, before the spec is.
@@ -363,6 +363,7 @@ def _out_of_range(value: float) -> ValueError:
 
 
 _ONE_LINE = json.JSONEncoder(allow_nan=False).encode
+_quote = json.encoder.encode_basestring_ascii  # every key of a report is a str
 _COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
@@ -380,15 +381,6 @@ def _one_line(value: Any, encode: Callable[[Any], str] = _ONE_LINE) -> str:
 
 def _is_scalar(value: Any) -> bool:
     return value is None or isinstance(value, (str, int, float))
-
-
-def _key(key: Any) -> str:
-    """A member's key as json writes it: a string, or a number, bool or None
-    as the string of its JSON text."""
-    if not _is_scalar(key):
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return json.encoder.encode_basestring_ascii(key if isinstance(key, str) else _one_line(key))
 
 
 # A report leaf stands for a list or object that is never built.  ``keys`` are
@@ -430,7 +422,7 @@ class _Matrix:
         opening, closing = "[]" if self.keys is None else "{}"
         heads = [opening] + [", "] * (self.inverse.shape[1] - 1)
         if self.keys is not None:
-            heads = [head + _key(key) + ": " for head, key in zip(heads, self.keys)]
+            heads = [head + _quote(key) + ": " for head, key in zip(heads, self.keys)]
         parts: list[str] = [""] * (2 * len(heads) + 1)  # heads and texts, interleaved
         parts[0::2] = heads + [closing]
         for row in self.inverse:
@@ -451,27 +443,20 @@ class _Violations:
         self.violations = violations
 
     def members(self, indent: str) -> Iterator[str]:
-        """One string template per violation: each point id is encoded once,
-        indices are written with ``str`` and magnitudes with
-        ``float.__repr__``."""
-        ids = list(map(json.encoder.encode_basestring_ascii, self.ids))
+        """One f-string per violation: each point id is encoded once, indices
+        are written with ``str`` and magnitudes with ``float.__repr__``."""
+        ids = list(map(_quote, self.ids))
         field = indent + "  "
-        templates: dict[int, str] = {}  # by the number of points of a violation
         for kind, where, magnitude in self.violations:
-            template = templates.get(len(where))
-            if template is None:
-                slots = ", ".join(["%s"] * len(where))
-                template = templates[len(where)] = (
-                    f'{{{field}"kind": %s,{field}"indices": [{slots}],'
-                    f'{field}"ids": [{slots}],{field}"magnitude": %s{indent}}}'
-                )
             magnitude = float.__repr__(magnitude)
             if magnitude == "nan":
                 raise _out_of_range(math.nan)
             if magnitude in ("inf", "-inf"):
                 magnitude = "null"
-            kind = json.encoder.encode_basestring_ascii(kind)
-            yield template % (kind, *where, *map(ids.__getitem__, where), magnitude)
+            yield (f'{{{field}"kind": {_quote(kind)},'
+                   f'{field}"indices": [{", ".join(map(str, where))}],'
+                   f'{field}"ids": [{", ".join(map(ids.__getitem__, where))}],'
+                   f'{field}"magnitude": {magnitude}{indent}}}')
 
 
 def _report_text(report: Any) -> list[str]:
@@ -480,8 +465,9 @@ def _report_text(report: Any) -> list[str]:
     line, as ``json.dumps(value, allow_nan=False)`` writes it; every other
     one has a member a line, indented two spaces a level, as
     ``json.dumps(indent=2)`` writes it.  A report leaf's members are written
-    as its ``members`` method gives them.  json's errors are raised as json
-    raises them."""
+    as its ``members`` method gives them.  Every key is a str, as every
+    report's is.  json's errors for a non-finite float or an unencodable
+    value are raised as json raises them."""
     pieces: list[str] = []
     open_ids: set[int] = set()  # the containers being written, for json's cycle check
 
@@ -505,7 +491,7 @@ def _report_text(report: Any) -> list[str]:
         open_ids.add(id(value))
         opening, closing = "[]" if keys is None else "{}"
         head = opening + inner
-        labels = repeat("") if keys is None else (_key(key) + ": " for key in keys)
+        labels = repeat("") if keys is None else (_quote(key) + ": " for key in keys)
         for label, member in zip(labels, members):
             pieces.append(head + label)
             if leaf:

@@ -4,15 +4,17 @@ one-token defects.
     python tests/mutants.py
 
 Each row of ``MUTANTS`` names a source file under ``src/atsuji``, a text
-that occurs in it exactly once, its replacement, and the test files that
-must fail once it is made.  The script copies ``src/``, ``tests/`` and
-``pyproject.toml`` to a temporary directory, runs the named test files there
-once unmutated (they must pass), and then applies one row at a time and runs
-``pytest -x -q`` on that row's files, with a fixed Hypothesis seed and no
-bytecode cache, so an edit of the same size within one second is never
-hidden by a stale ``.pyc``.  A row whose tests still pass is a survivor.  It
-exits 1 naming every survivor, and 2 when a row no longer matches its file
-or the unmutated copy fails.  Nothing is written into the checkout.
+that occurs in it exactly once, its replacement, and the test files (or
+pytest node ids) that must fail once it is made.  The script copies
+``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory, runs
+the named tests there once unmutated (they must pass), and then applies one
+row at a time and runs ``pytest -x -q`` on that row's tests, with a fixed
+Hypothesis seed and no bytecode cache, so an edit of the same size within
+one second is never hidden by a stale ``.pyc``.  A row whose tests still
+pass is a survivor; a run that outlasts ``TIMEOUT`` seconds is stopped and
+counts as killed, so a mutant that makes a loop run forever cannot stall the
+gate.  It exits 1 naming every survivor, and 2 when a row no longer matches
+its file or the unmutated copy fails.  Nothing is written into the checkout.
 Standard library only; it is not collected by pytest.
 """
 
@@ -28,13 +30,14 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 600  # seconds per pytest run
 
 
 class Mutant(NamedTuple):
     path: str  # under src/atsuji
     source: str  # occurs in the file exactly once
     replacement: str
-    tests: tuple[str, ...]  # under tests/
+    tests: tuple[str, ...]  # files or node ids under tests/
 
 
 MUTANTS = [
@@ -74,26 +77,36 @@ MUTANTS = [
     Mutant("functions.py", "out=g) >= eps0)", "out=g) > eps0)", ("test_functions.py",)),
     # the modulus of continuity misses a gap of exactly eta
     Mutant("functions.py", "out=g) >= eta)", "out=g) > eta)", ("test_functions.py",)),
-    # the greedy net skips a point at distance exactly eps from the net
-    Mutant("analysis.py", "(_pair_distance(space.dist, k, net) < eps)",
-           "(_pair_distance(space.dist, k, net) <= eps)", ("test_golden.py",)),
+    # the greedy net covers a point at distance exactly eps from a net point
+    Mutant("analysis.py", "_pair_distance(space.dist, k, slice(None)) >= eps",
+           "_pair_distance(space.dist, k, slice(None)) > eps",
+           ("test_analysis.py", "test_golden.py")),
     # a pair's distance keeps the sign of a zero entry
     Mutant("space.py", "near += 0.0", "near = near", ("test_analysis.py",)),
+    # a symmetric matrix whose excess bound is exactly tol takes the triangle scan
+    Mutant("space.py", "if not (symmetric and excess <= tol):",
+           "if not (symmetric and excess < tol):",
+           ("test_cli.py::test_remetrize_on_a_symmetric_matrix_scans_only_at_load",)),
 ]
 
 
-def pytest(tree: Path, tests: list[str]) -> tuple[int, float]:
-    """The exit code and seconds of ``pytest -x -q`` on ``tests`` in ``tree``."""
+def pytest(tree: Path, tests: list[str]) -> tuple[int | None, float]:
+    """The exit code and seconds of ``pytest -x -q`` on ``tests`` in ``tree``;
+    None for the code of a run stopped at ``TIMEOUT``."""
     for cache in tree.rglob(".hypothesis"):  # no example carried from one run to the next
         shutil.rmtree(cache)
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", *(f"tests/{name}" for name in tests)],
-        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-    return proc.returncode, time.perf_counter() - start
+    try:
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *(f"tests/{name}" for name in tests)],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        code = None
+    return code, time.perf_counter() - start
 
 
 def main() -> int:
@@ -114,7 +127,7 @@ def main() -> int:
         if code != 0:
             print(f"the unmutated tree fails {files} (pytest exit {code})")
             return 2
-        print(f"unmutated: {len(files)} test files pass in {seconds:.1f} s")
+        print(f"unmutated: {len(files)} test targets pass in {seconds:.1f} s")
 
         survivors = []
         for k, row in enumerate(MUTANTS, 1):
@@ -125,11 +138,11 @@ def main() -> int:
                 code, seconds = pytest(tree, list(row.tests))
             finally:
                 path.write_text(original, encoding="utf-8")
-            if code not in (0, 1):
+            if code not in (0, 1, None):
                 print(f"row {k}: pytest exit {code} on {row.path}: {row.replacement!r}")
                 return 2
-            verdict = "SURVIVED" if code == 0 else "killed"
-            print(f"row {k:2}: {verdict:8} {seconds:5.1f} s  {row.path}: {row.replacement!r}")
+            verdict = {0: "SURVIVED", 1: "killed", None: "timed out"}[code]
+            print(f"row {k:2}: {verdict:9} {seconds:5.1f} s  {row.path}: {row.replacement!r}")
             if code == 0:
                 survivors.append(k)
     if survivors:

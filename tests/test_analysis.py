@@ -177,6 +177,36 @@ def test_net_packing_and_covering(data):
         assert any(space.distance(p, q) < eps for q in net)
 
 
+def reference_net(d, S, eps):
+    """The greedy net in pure Python: each member of S, in canonical order,
+    joins unless a net point is strictly within eps of it by the pair rule."""
+    net = []
+    for k in sorted(set(S)):
+        if all(_reference_pair(d, k, q) >= eps for q in net):
+            net.append(k)
+    return net
+
+
+@st.composite
+def net_matrices(draw):
+    """1-8 points, each entry drawn on its own: asymmetric pairs, zero pairs
+    of either sign, and diagonal entries at, above and below the scales."""
+    n = draw(st.integers(1, 8))
+    entry = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    return FiniteSpace(ids=tuple(f"m{k}" for k in range(n)), dist=rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_net_is_the_pure_python_greedy_net(data):
+    space = data.draw(net_matrices())
+    S = data.draw(st.lists(st.integers(0, space.n - 1), max_size=2 * space.n))  # repeats kept
+    eps = data.draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]))
+    net = greedy_epsilon_net(space, [space.ids[k] for k in S], eps)
+    assert net == [space.ids[k] for k in reference_net(space.dist, S, eps)]
+
+
 # --- atsuji_check ----------------------------------------------------------------
 
 
@@ -309,6 +339,21 @@ def test_atsuji_inconclusive_when_every_complement_is_tiny():
     verdict = atsuji_check(space, everything, [5.0], 1e-3)
     assert verdict.status == "INCONCLUSIVE"
     assert verdict.isolation[5.0].eta == math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_detected_set_leaves_every_grid_complement_isolated_at_its_radius(data):
+    # every point with another strictly within r is in D, so any two points
+    # outside it are at least r apart: a radius at or above the threshold
+    # cannot FAIL (ROADMAP item 5)
+    space = data.draw(small_spaces(min_size=2))
+    r = data.draw(st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0, 2.0, 5.0]))
+    grid = data.draw(st.lists(st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0, 4.0]), min_size=1,
+                              max_size=6))
+    verdict = atsuji_check(space, detect_limit_points(space, r), grid)
+    for report in verdict.isolation.values():
+        assert report.eta >= r or math.isinf(report.eta)
 
 
 def test_atsuji_detected_view_adds_note():

@@ -380,6 +380,23 @@ def test_atsuji_derived_set_detect_arm(tmp_path):
     assert any("over-approximate" in note for note in report["notes"])
 
 
+def test_a_detect_radius_above_the_threshold_passes_a_space_its_oracle_fails(tmp_path):
+    # ROADMAP item 5's defect: a detected D holds every point with another
+    # strictly within the radius, so every grid complement is at least the
+    # radius apart, and a radius at or above the threshold cannot FAIL.  The
+    # decision that item takes flips the first run's verdict.
+    space = builtin("positive_integers", n_max=200, metric="d2")
+    detected = {**space, "derived_set": {"kind": "detect", "radius": 0.001}}
+    code, report = run_to_file(tmp_path, ["atsuji", write_spec(tmp_path, detected)])
+    assert (code, report["result"]["status"]) == (0, "PASS")
+    etas = [rep["eta"] for rep in report["result"]["isolation"].values()]
+    assert 0.001 < min(eta for eta in etas if eta is not None) < 0.0011
+    code, report = run_to_file(tmp_path, ["atsuji", write_spec(tmp_path, space, "oracle.json")])
+    assert (code, report["result"]["status"]) == (1, "FAIL")
+    witness = report["result"]["fail_witness"]
+    assert (witness["x"], witness["y"]) == ("n199", "n200")
+
+
 def test_atsuji_oracle_arm_rejects_unknown_ids(tmp_path, capsys):
     payload = builtin("convergent_sequence", n_max=10)
     payload["derived_set"] = {"kind": "oracle", "ids": ["ghost"]}
