@@ -9,8 +9,10 @@ round-trip float precision, so identical invocations are byte-identical.  A
 list or object whose members are all JSON scalars is written on one line, as
 ``json.dumps`` writes it; every other one is indented two spaces a level, as
 ``json.dumps(indent=2)`` writes it.  Every object key in a report is a str.
-Exit codes: 0 success/PASS, 1 FAIL verdict (or witness found), 2 input error
-(a malformed spec, a bad flag value, or an output path that cannot be opened).
+The writer checks the spec's echo at load, so a field no report can hold (a
+NaN, nesting too deep) is an input error, named before the run.  Exit codes:
+0 success/PASS, 1 FAIL verdict (or witness found), 2 input error (a malformed
+spec, a bad flag value, or an output path that cannot be opened).
 Number flags are read by the parser, every occurrence, before the spec is.
 Spec values are never coerced: numbers are JSON ints or floats (not bools),
 point ids are JSON strings, and coordinate slots are decimal digits.
@@ -231,8 +233,8 @@ def _parse(path: str) -> Any:
 
 
 def _compact(value: Any, field: str) -> str:
-    """The spec's ``field`` as compact JSON.  JSON has no NaN or infinity, so
-    one anywhere in it (say, in an entry's extra field) is an input error."""
+    """The points' compact JSON, for their digest.  JSON has no NaN or infinity,
+    so one anywhere in it (say, in an entry's extra field) is an input error."""
     try:
         return _one_line(value, _COMPACT)
     except (ValueError, RecursionError) as exc:
@@ -308,8 +310,11 @@ def load_spec(
             raise SpecError("derived_set.kind", f"unknown kind {dkind!r}; "
                             "expected 'oracle', 'detect', or 'empty'")
 
-    for key, value in echo.items():  # the report must encode, so fail here, not after the run
-        _compact(value, key)
+    for key, value in echo.items():  # where the report puts it: fail here, not after the run
+        try:
+            _report_text({"inputs": {"spec": {key: value}}})
+        except ValueError as exc:
+            raise SpecError(key, str(exc)) from None
 
     if gate and kind == "matrix":
         report = verify_metric_axioms(space, limit=1)
@@ -357,11 +362,6 @@ def _verdict_obj(verdict: AtsujiVerdict) -> dict:
     }
 
 
-def _out_of_range(value: float) -> ValueError:
-    """json's error for a float that JSON cannot hold."""
-    return ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-
-
 _ONE_LINE = json.JSONEncoder(allow_nan=False).encode
 _quote = json.encoder.encode_basestring_ascii  # every key of a report is a str
 _COMPACT = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
@@ -390,30 +390,25 @@ def _is_scalar(value: Any) -> bool:
 
 
 class _Matrix:
-    """A report leaf: an n x n float64 matrix (n >= 1), written as
-    ``{ids[i]: {ids[j]: values[i, j]}}``, or ``values.tolist()`` when there
-    are no ids, without building either: one row a line.  Each distinct
-    entry is formatted here, once: a non-finite one raises json's error."""
+    """A report leaf: the distance matrix of a FiniteSpace, written as
+    ``{ids[i]: {ids[j]: dist[i, j]}}``, or ``dist.tolist()`` for its
+    ``without_ids`` twin, without building either: one row a line.  Each
+    distinct entry is formatted here, once; a space's entries are finite."""
 
-    __slots__ = ("values", "keys", "texts", "inverse")
+    __slots__ = ("keys", "texts", "inverse")
 
-    def __init__(self, values: np.ndarray, keys: tuple[str, ...] | None = None):
-        self.values = values
-        self.keys = keys
+    def __init__(self, space: FiniteSpace):
+        self.keys = space.ids
         # deduplicated by bit pattern, so -0.0 and 0.0 stay apart
-        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).ravel()
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        distinct = distinct.view(np.float64)
-        if not np.isfinite(distinct).all():  # the first non-finite entry in row order
-            raise _out_of_range(float(values.flat[np.argmin(np.isfinite(values))]))
-        self.texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
-        self.inverse = inverse.reshape(values.shape)  # each entry's index into texts
+        distinct, inverse = np.unique(space.dist.view(np.uint64), return_inverse=True)
+        self.texts = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())),
+                              dtype=object)
+        self.inverse = inverse.reshape(space.dist.shape)  # each entry's index into texts
 
     def without_ids(self) -> _Matrix:
-        """This matrix written as ``values.tolist()``, from the same texts."""
+        """This matrix written as ``dist.tolist()``, from the same texts."""
         twin = _Matrix.__new__(_Matrix)
-        twin.values, twin.texts, twin.inverse = self.values, self.texts, self.inverse
-        twin.keys = None
+        twin.keys, twin.texts, twin.inverse = None, self.texts, self.inverse
         return twin
 
     def members(self, indent: str) -> Iterator[str]:
@@ -431,9 +426,10 @@ class _Matrix:
 
 
 class _Violations:
-    """A report leaf: the violations of an AxiomReport, written as
+    """A report leaf: the violations of a space's AxiomReport, written as
     ``[{"kind", "indices", "ids", "magnitude"}]``, an infinite magnitude as
-    null (as ``_num`` writes it), without building the dicts."""
+    null (as ``_num`` writes it), without building the dicts.  A scan of a
+    finite matrix lists no NaN magnitude: each is at least 0."""
 
     __slots__ = ("ids", "violations")
     keys = None
@@ -449,8 +445,6 @@ class _Violations:
         field = indent + "  "
         for kind, where, magnitude in self.violations:
             magnitude = float.__repr__(magnitude)
-            if magnitude == "nan":
-                raise _out_of_range(math.nan)
             if magnitude in ("inf", "-inf"):
                 magnitude = "null"
             yield (f'{{{field}"kind": {_quote(kind)},'
@@ -467,9 +461,9 @@ def _report_text(report: Any) -> list[str]:
     ``json.dumps(indent=2)`` writes it.  A report leaf's members are written
     as its ``members`` method gives them.  Every key is a str, as every
     report's is.  json's errors for a non-finite float or an unencodable
-    value are raised as json raises them."""
+    value are raised as json raises them; a cycle, which no report has, nests
+    too deeply.  ``load_spec`` writes each echo field, so a loaded spec writes."""
     pieces: list[str] = []
-    open_ids: set[int] = set()  # the containers being written, for json's cycle check
 
     def write(value: Any, indent: str) -> None:
         inner = indent + "  "
@@ -486,9 +480,6 @@ def _report_text(report: Any) -> list[str]:
         if not leaf and all(map(_is_scalar, members)):
             pieces.append(_one_line(value))
             return
-        if id(value) in open_ids:
-            raise ValueError("Circular reference detected")
-        open_ids.add(id(value))
         opening, closing = "[]" if keys is None else "{}"
         head = opening + inner
         labels = repeat("") if keys is None else (_quote(key) + ": " for key in keys)
@@ -501,12 +492,11 @@ def _report_text(report: Any) -> list[str]:
             head = "," + inner
         # a leaf may have no members: json.dumps(indent=2) writes [] or {}
         pieces.append(indent + closing if head[0] == "," else opening + closing)
-        open_ids.remove(id(value))
 
     try:
         write(report, "\n")
     except RecursionError:  # one Python frame, and json's, per nesting level
-        raise ValueError("report: nested too deeply to encode") from None
+        raise ValueError("nested too deeply to encode") from None
     pieces.append("\n")
     return pieces
 
@@ -576,7 +566,7 @@ def _cmd_remetrize(space, derived, args) -> tuple:
     topology = verify_same_topology(result_space)
     bounds = {eta: verify_isolation_bound(result_space, eta) for eta in DEFAULT_EPS_GRID}
 
-    newdist = _Matrix(result_space.newdist, space.ids)
+    newdist = _Matrix(new_space)
     result = {
         "empty_derived_fallback_used": result_space.empty_derived_fallback_used,
         "levels": result_space.levels,

@@ -87,6 +87,21 @@ MUTANTS = [
     Mutant("space.py", "if not (symmetric and excess <= tol):",
            "if not (symmetric and excess < tol):",
            ("test_cli.py::test_remetrize_on_a_symmetric_matrix_scans_only_at_load",)),
+    # a coordinate slot of exactly the digit limit is refused
+    Mutant("cli.py", "if len(slot) > _SLOT_DIGITS:", "if len(slot) >= _SLOT_DIGITS:",
+           ("test_cli.py::test_points_l2_overlong_slot_is_input_error",)),
+    # an entry of exactly -tol breaks nonnegativity
+    Mutant("space.py", "np.nonzero(rows < -tol)", "np.nonzero(rows <= -tol)",
+           ("test_space.py::test_space_rejects_a_tolerance_that_is_not_finite_and_nonnegative",)),
+    # a pair whose entries differ by exactly tol breaks symmetry
+    Mutant("space.py", "above = gap > tol", "above = gap >= tol",
+           ("test_space.py::test_tiled_scan_lists_exactly_the_per_j_violations",)),
+    # a diagonal entry of exactly tol breaks the identity axiom
+    Mutant("space.py", "np.flatnonzero(diag > tol)", "np.flatnonzero(diag >= tol)",
+           ("test_space.py::test_space_rejects_a_tolerance_that_is_not_finite_and_nonnegative",)),
+    # two distinct points exactly tol apart are taken as discernible
+    Mutant("space.py", "lambda i, j: d[i, j] <= tol)", "lambda i, j: d[i, j] < tol)",
+           ("test_space.py::test_tiled_scan_lists_exactly_the_per_j_violations",)),
 ]
 
 

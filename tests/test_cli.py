@@ -922,6 +922,25 @@ def test_points_l2_overlong_slot_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: space.points[0].coords: slot of 5000 characters is longer than 640 digits\n")
 
+    # the limit is inclusive: 640 characters name slot 1, and 641 are refused;
+    # b is within eps of a only when both coordinates are in one slot
+    def net(slot):
+        spec = write_spec(tmp_path, points_spec([
+            {"id": "a", "coords": {slot: 0.5}},
+            {"id": "b", "coords": {"1": 0.7}},
+        ]))
+        return main(["net", spec, "--eps", "0.5", "--out", str(tmp_path / "report.json")])
+
+    assert net("0" * 640 + "1") == 2
+    assert capsys.readouterr().err == (
+        "error: space.points[0].coords: slot of 641 characters is longer than 640 digits\n")
+    assert net("1") == 0
+    one = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["result"]
+    assert one == {"eps": 0.5, "size": 1, "net": ["a"]}
+    assert net("0" * 639 + "1") == 0
+    assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["result"] == one
+    assert capsys.readouterr().err == ""
+
 
 def test_points_l2_repeated_slot_is_input_error(tmp_path, capsys):
     # "1" and "01" both name slot 1: neither silently wins

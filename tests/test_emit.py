@@ -15,6 +15,7 @@ import struct
 import subprocess
 import sys
 import uuid
+from typing import Any, NamedTuple
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atsuji.cli import _emit, _Matrix, _report_text, _Violations, main
-from atsuji.space import Violation
+from atsuji.space import FiniteSpace, Violation
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
 TRICKY_CHARS = [", ", ",\x00", "\x00", "%", '"', "\\", "\n", "\x7f", "é", " ",
@@ -185,11 +186,15 @@ def test_emit_raises_json_dumps_type_errors():
         assert str(raised.value) == str(expected.value)
 
 
-def test_emit_rejects_a_circular_report():
+def test_emit_rejects_a_circular_report(tmp_path):
+    # no report is cyclic, so the writer makes no cycle check: a hand-built
+    # cycle recurses until it is nested too deeply, before the file is opened
     loop = {"rows": [[1, 2]]}
     loop["rows"].append(loop)
-    with pytest.raises(ValueError, match="Circular reference detected"):
-        emitted(loop)
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="nested too deeply"):
+        _emit(loop, str(out))
+    assert not out.exists()
 
 
 def test_emit_raises_an_input_error_on_a_report_too_deep_to_encode(tmp_path):
@@ -215,13 +220,13 @@ def test_emit_to_file_matches_stdout(tmp_path):
 MATRIX_FLOATS = [0.0, -0.0, 5e-324, 1.7976931348623157e308, -2.5, 0.1]
 
 
-def plain_matrix(values, ids=None):
-    """The nested dicts, or lists when there are no ids, that ``_Matrix(values,
-    ids)`` stands for."""
-    rows = values.tolist()
-    if ids is None:
+def plain_matrix(space, with_ids):
+    """The nested dicts, or lists without ids, that ``_Matrix(space)`` or its
+    ``without_ids`` twin stands for."""
+    rows = space.dist.tolist()
+    if not with_ids:
         return rows
-    return {x: dict(zip(ids, row)) for x, row in zip(ids, rows)}
+    return {x: dict(zip(space.ids, row)) for x, row in zip(space.ids, rows)}
 
 
 def plain_violations(ids, violations):
@@ -237,47 +242,50 @@ def plain_violations(ids, violations):
     ]
 
 
-PLAIN_LEAF = {_Matrix: plain_matrix, _Violations: plain_violations}
+class Leaf(NamedTuple):
+    """A report leaf, and the nested dicts or lists it stands for."""
+
+    leaf: Any
+    plain: Any
 
 
-def plain(tree):
-    """``tree`` with each report leaf replaced by the nested dicts or lists
-    it stands for."""
-    if isinstance(tree, _Matrix):
-        return plain_matrix(tree.values, tree.keys)
-    if isinstance(tree, _Violations):
-        return plain_violations(tree.ids, tree.violations)
+def unfold(tree, side: str):
+    """``tree`` with each Leaf replaced by its ``side``, "leaf" or "plain"."""
+    if isinstance(tree, Leaf):
+        return getattr(tree, side)
     if isinstance(tree, dict):
-        return {key: plain(value) for key, value in tree.items()}
+        return {key: unfold(value, side) for key, value in tree.items()}
     if isinstance(tree, (list, tuple)):
-        return [plain(value) for value in tree]
+        return [unfold(value, side) for value in tree]
     return tree
 
 
 @st.composite
 def matrices(draw):
-    """An n x n matrix, n in 1..5, not symmetric in general, whose entries
-    repeat and include both zeros and the extreme magnitudes; with or
-    without ids."""
+    """A Leaf of the ``_Matrix`` of a space of n points, n in 1..5, or of its
+    ``without_ids`` twin; the matrix is not symmetric in general, and its
+    entries repeat and include both zeros and the extreme magnitudes."""
     n = draw(st.integers(1, 5))
     entries = st.sampled_from(MATRIX_FLOATS) | finite_floats
     values = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
-    ids = draw(st.none() | st.lists(texts, min_size=n, max_size=n, unique=True).map(tuple))
-    return _Matrix(values, ids)
+    space = FiniteSpace(draw(st.lists(texts, min_size=n, max_size=n, unique=True)), values)
+    with_ids = draw(st.booleans())
+    leaf = _Matrix(space) if with_ids else _Matrix(space).without_ids()
+    return Leaf(leaf, plain_matrix(space, with_ids))
 
 
 @st.composite
 def violation_lists(draw):
-    """Violations on n points, n in 1..5, with pair and triple ``where``s, ids
-    with escapes, and magnitudes that include infinities and the extremes;
-    the list may be empty."""
+    """A Leaf of violations on n points, n in 1..5, with pair and triple
+    ``where``s, ids with escapes, and magnitudes that include infinities and
+    the extremes; the list may be empty."""
     n = draw(st.integers(1, 5))
     ids = draw(st.lists(texts, min_size=n, max_size=n, unique=True).map(tuple))
     kinds = st.sampled_from(["nonneg", "symmetry", "identity", "triangle"])
     where = st.lists(st.integers(0, n - 1), min_size=2, max_size=3).map(tuple)
     magnitudes = st.sampled_from([math.inf, -math.inf, *MATRIX_FLOATS]) | finite_floats
-    violations = st.builds(Violation, kinds, where, magnitudes)
-    return _Violations(ids, draw(st.lists(violations, max_size=6)))
+    violations = draw(st.lists(st.builds(Violation, kinds, where, magnitudes), max_size=6))
+    return Leaf(_Violations(ids, violations), plain_violations(ids, violations))
 
 
 @st.composite
@@ -298,40 +306,17 @@ def trees_with_a_leaf(draw, leaves):
 @settings(max_examples=400, deadline=None)
 @given(trees_with_a_leaf(matrices()))
 def test_a_matrix_is_written_as_json_dumps_writes_its_rows(tree):
-    text = "".join(_report_text(tree))
-    assert text == reference(plain(tree))
-    assert exact(parsed(text)) == exact(plain(tree))
+    text = "".join(_report_text(unfold(tree, "leaf")))
+    assert text == reference(unfold(tree, "plain"))
+    assert exact(parsed(text)) == exact(unfold(tree, "plain"))
 
 
 @settings(max_examples=400, deadline=None)
 @given(trees_with_a_leaf(violation_lists()))
 def test_violations_are_written_as_json_dumps_writes_their_dicts(tree):
-    text = "".join(_report_text(tree))
-    assert text == reference(plain(tree))
-    assert exact(parsed(text)) == exact(plain(tree))
-
-
-@pytest.mark.parametrize(
-    "leaf, args",
-    [
-        (_Matrix, (np.array([[1.0, float("nan")], [float("inf"), 0.0]]),)),
-        (_Matrix, (np.array([[1.0, float("-inf")], [float("nan"), 0.0]]), ("a", "b"))),
-        (_Matrix, (np.array([[float("inf")]]), ("a",))),
-        (_Violations, (("a", "b"), [Violation("symmetry", (0, 1), math.inf),
-                                    Violation("triangle", (1, 0, 1), math.nan)])),
-    ],
-    ids=["nan-first", "-inf-first", "1x1-inf", "violation-nan"],
-)
-def test_a_non_finite_matrix_raises_json_dumps_error_before_opening_out(tmp_path, leaf, args):
-    # a matrix raises as it is built, the violations as they are written:
-    # either way, before the report's file is opened
-    with pytest.raises(ValueError) as expected:
-        dumped({"before": [1.5], "m": PLAIN_LEAF[leaf](*args)})
-    out = tmp_path / "report.json"
-    with pytest.raises(ValueError) as raised:
-        _emit({"before": [1.5], "m": leaf(*args)}, str(out))
-    assert str(raised.value) == str(expected.value)
-    assert not out.exists()
+    text = "".join(_report_text(unfold(tree, "leaf")))
+    assert text == reference(unfold(tree, "plain"))
+    assert exact(parsed(text)) == exact(unfold(tree, "plain"))
 
 
 NO_ACCELERATOR = """
@@ -343,7 +328,7 @@ from json import encoder
 assert encoder.c_make_encoder is None
 import numpy as np
 from atsuji.cli import _Matrix, _report_text, _Violations
-from atsuji.space import Violation
+from atsuji.space import FiniteSpace, Violation
 # reference
 trees = [
     {"newdist": {"a": {"a": 0.0, "b": 0.1}, "b": {"a": 0.1, "b": 0.0}}, "ids": ["a", "\\ud800,\\x00"]},
@@ -354,9 +339,10 @@ for tree in trees:
 values = np.array([[0.0, -0.0], [0.1, 0.1]])
 ids = ("\\ud800,\\x00", "%\\u00e9")
 rows = values.tolist()
+space = FiniteSpace(ids, values)
 for tree, expected in [
-    ({"m": _Matrix(values, ids)}, {"m": {x: dict(zip(ids, row)) for x, row in zip(ids, rows)}}),
-    ([_Matrix(values)], [rows]),
+    ({"m": _Matrix(space)}, {"m": {x: dict(zip(ids, row)) for x, row in zip(ids, rows)}}),
+    ([_Matrix(space).without_ids()], [rows]),
 ]:
     assert "".join(_report_text(tree)) == reference(expected)
 violations = [Violation("triangle", (0, 1, 0), 2.5), Violation("nonneg", (1, 0), float("inf"))]
@@ -460,3 +446,39 @@ def test_deeply_nested_echo_is_echoed_or_input_error(tmp_path, depth, lists_only
         assert text == reference(report)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_every_echo_depth_that_parses_is_written_or_rejected_at_load(tmp_path, capsys):
+    # the depths json.loads reads but the writer cannot write back sit where
+    # the stack above main puts them, and shift with the Python version, so
+    # the scan starts below them and runs to the first depth json.loads
+    # rejects: a depth at a time while reports are written, then doubling
+    # its step, then bisecting for that depth
+    spec, out = tmp_path / "spec.json", tmp_path / "report.json"
+
+    def outcome(depth: int) -> str:
+        spec.write_text(builtin_with(f'"comment": {nested(depth, False)}'), encoding="utf-8")
+        code = main(["net", str(spec), "--eps", "0.5", "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+            out.unlink()
+            return "written"
+        assert code == 2 and not out.exists()
+        if err.startswith("error: spec: invalid JSON: nested too deeply"):
+            return "parse"
+        assert err == "error: comment: nested too deeply to encode\n", (depth, err)
+        return "load"
+
+    low = sys.getrecursionlimit() - len(inspect.stack()) - 50
+    assert outcome(low) == "written"
+    while (found := outcome(low + 1)) == "written":
+        low += 1
+    step = 1
+    while found != "parse":
+        low, step = low + step, 2 * step
+        found = outcome(low + step)
+    high = low + step  # low parses, high does not
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if outcome(mid) == "parse" else (mid, high)

@@ -507,6 +507,14 @@ def test_tiled_scan_lists_exactly_the_per_j_violations(case, pair_block):
     got = [(v.kind, v.where, float(v.magnitude).hex()) for v in report.violations]
     assert got == per_j_axiom_violations(space.dist, tol)
     assert report.passed == (not got)
+    assert_magnitudes_at_least_zero(report)
+
+
+def assert_magnitudes_at_least_zero(report):
+    """Off-diagonal identity lists tol minus a distance at most tol, and every
+    other kind lists more than tol: no magnitude is NaN or -inf, even where
+    sums overflow, so the report writer has none to reject."""
+    assert all(v.magnitude >= 0 for v in report.violations)
 
 
 def test_planted_triangle_at_tol_passes_and_one_ulp_above_fails():
@@ -602,6 +610,7 @@ def test_half_and_full_scans_list_exactly_the_per_j_violations(case, one_ulp_asy
     got = [(v.kind, v.where, float(v.magnitude).hex()) for v in report.violations]
     assert got == per_j_axiom_violations(space.dist, tol)
     assert report.passed == (not got)
+    assert_magnitudes_at_least_zero(report)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
