@@ -7,8 +7,12 @@ Spec files are JSON with a ``space`` arm (``builtin``, ``points_l2``, or
 optional ``tol``.  Reports serialize with a fixed field order and full
 round-trip float precision, so identical invocations are byte-identical.  A
 list or object whose members are all JSON scalars is written on one line, as
-``json.dumps`` writes it; every other one is indented two spaces a level, as
-``json.dumps(indent=2)`` writes it.  Every object key in a report is a str.
+``json.dumps`` writes it, and so is a record, an object whose members are each
+a JSON scalar or a list of them (a listed violation, an isolation entry, a
+witness pair: ``{"eta": 0.5, "witness": ["a", "b"]}``).  Every other list or
+object, a list of lists such as a matrix among them, is indented two spaces a
+level, as ``json.dumps(indent=2)`` writes it.  Every object key in a report
+is a str.
 The writer checks the spec's echo at load, so a field no report can hold (a
 NaN, nesting too deep) is an input error, named before the run.  Exit codes:
 0 success/PASS, 1 FAIL verdict (or witness found), 2 input error (a malformed
@@ -350,7 +354,8 @@ def _fields(report: Any) -> dict | None:
 
 
 def _axiom_obj(space: FiniteSpace, report: AxiomReport) -> dict:
-    return {"passed": report.passed, "violations": _Violations(space.ids, report.violations)}
+    violations = _Violations(space.ids, report.violations) if report.violations else []
+    return {"passed": report.passed, "violations": violations}
 
 
 def _verdict_obj(verdict: AtsujiVerdict) -> dict:
@@ -383,10 +388,19 @@ def _is_scalar(value: Any) -> bool:
     return value is None or isinstance(value, (str, int, float))
 
 
+def _is_field(value: Any) -> bool:
+    """Whether ``value`` may be a member of a record: a JSON scalar, or a list
+    or tuple whose members all are (an empty one too)."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_is_scalar, value))
+    return _is_scalar(value)
+
+
 # A report leaf stands for a list or object that is never built.  ``keys`` are
-# its members' keys (None for a list), and ``members(indent)`` gives each
-# member's finished text at ``indent`` (a newline and spaces).  No member is a
-# scalar; ``_report_text`` writes the brackets, keys and separators around them.
+# its members' keys (None for a list), and ``members()`` gives each member's
+# finished text, one line each.  A leaf has at least one member and none is a
+# scalar, so it is never written on one line nor is it a member of a record;
+# ``_report_text`` writes the brackets, keys and separators around them.
 
 
 class _Matrix:
@@ -411,7 +425,7 @@ class _Matrix:
         twin.keys, twin.texts, twin.inverse = None, self.texts, self.inverse
         return twin
 
-    def members(self, indent: str) -> Iterator[str]:
+    def members(self) -> Iterator[str]:
         """A row is one join of the column heads, built once, with that row's
         texts."""
         opening, closing = "[]" if self.keys is None else "{}"
@@ -426,10 +440,13 @@ class _Matrix:
 
 
 class _Violations:
-    """A report leaf: the violations of a space's AxiomReport, written as
-    ``[{"kind", "indices", "ids", "magnitude"}]``, an infinite magnitude as
-    null (as ``_num`` writes it), without building the dicts.  A scan of a
-    finite matrix lists no NaN magnitude: each is at least 0."""
+    """A report leaf: the violations of a space's AxiomReport, at least one,
+    written as ``[{"kind", "indices", "ids", "magnitude"}]``, an infinite
+    magnitude as null (as ``_num`` writes it), without building the dicts.
+    Each violation is a record, so it is one line, as ``json.dumps`` writes
+    its dict: ``{"kind": "triangle", "indices": [0, 1, 2], "ids": ["a", "b",
+    "c"], "magnitude": 0.5}``.  A scan of a finite matrix lists magnitudes in
+    [0, +inf]: no NaN and no -inf."""
 
     __slots__ = ("ids", "violations")
     keys = None
@@ -438,27 +455,27 @@ class _Violations:
         self.ids = ids
         self.violations = violations
 
-    def members(self, indent: str) -> Iterator[str]:
+    def members(self) -> Iterator[str]:
         """One f-string per violation: each point id is encoded once, indices
         are written with ``str`` and magnitudes with ``float.__repr__``."""
         ids = list(map(_quote, self.ids))
-        field = indent + "  "
         for kind, where, magnitude in self.violations:
             magnitude = float.__repr__(magnitude)
-            if magnitude in ("inf", "-inf"):
-                magnitude = "null"
-            yield (f'{{{field}"kind": {_quote(kind)},'
-                   f'{field}"indices": [{", ".join(map(str, where))}],'
-                   f'{field}"ids": [{", ".join(map(ids.__getitem__, where))}],'
-                   f'{field}"magnitude": {magnitude}{indent}}}')
+            yield (f'{{"kind": {_quote(kind)}, '
+                   f'"indices": [{", ".join(map(str, where))}], '
+                   f'"ids": [{", ".join(map(ids.__getitem__, where))}], '
+                   f'"magnitude": {"null" if magnitude == "inf" else magnitude}}}')
 
 
 def _report_text(report: Any) -> list[str]:
     """The pieces of the report's JSON text and a closing newline.  A list
     or object whose members are all JSON scalars (an empty one too) is one
-    line, as ``json.dumps(value, allow_nan=False)`` writes it; every other
-    one has a member a line, indented two spaces a level, as
-    ``json.dumps(indent=2)`` writes it.  A report leaf's members are written
+    line, as ``json.dumps(value, allow_nan=False)`` writes it, and so is a
+    record: an object whose members are each a JSON scalar or a list or
+    tuple of them, such as ``{"check": "same_topology", "pair": ["a", "b"]}``.
+    Every other one has a member a line, indented two spaces a level, as
+    ``json.dumps(indent=2)`` writes it: ``[[1, 2], [3]]`` has a row a line,
+    for a list of lists is not a record.  A report leaf's members are written
     as its ``members`` method gives them.  Every key is a str, as every
     report's is.  json's errors for a non-finite float or an unencodable
     value are raised as json raises them; a cycle, which no report has, nests
@@ -473,11 +490,11 @@ def _report_text(report: Any) -> list[str]:
         elif isinstance(value, (list, tuple)):
             keys, members = None, value
         elif hasattr(value, "members"):
-            keys, members, leaf = value.keys, value.members(inner), True
+            keys, members, leaf = value.keys, value.members(), True
         else:
             pieces.append(_one_line(value))
             return
-        if not leaf and all(map(_is_scalar, members)):
+        if not leaf and all(map(_is_scalar if keys is None else _is_field, members)):
             pieces.append(_one_line(value))
             return
         opening, closing = "[]" if keys is None else "{}"
@@ -490,8 +507,7 @@ def _report_text(report: Any) -> list[str]:
             else:
                 write(member, inner)
             head = "," + inner
-        # a leaf may have no members: json.dumps(indent=2) writes [] or {}
-        pieces.append(indent + closing if head[0] == "," else opening + closing)
+        pieces.append(indent + closing)  # never empty: an empty one is one line
 
     try:
         write(report, "\n")

@@ -102,6 +102,12 @@ MUTANTS = [
     # two distinct points exactly tol apart are taken as discernible
     Mutant("space.py", "lambda i, j: d[i, j] <= tol)", "lambda i, j: d[i, j] < tol)",
            ("test_space.py::test_tiled_scan_lists_exactly_the_per_j_violations",)),
+    # a list of all-scalar lists is written on one line, as a record is
+    Mutant("cli.py", "_is_scalar if keys is None else _is_field", "_is_field",
+           ("test_emit.py::test_emit_writes_the_layout_as_stated",)),
+    # a record's list member needs only one scalar member
+    Mutant("cli.py", "return all(map(_is_scalar, value))", "return any(map(_is_scalar, value))",
+           ("test_emit.py::test_emit_writes_the_layout_as_stated",)),
 ]
 
 

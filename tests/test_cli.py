@@ -71,6 +71,24 @@ def test_check_metric_reports_violations(tmp_path):
     assert first["ids"] == ["a", "b", "c"]
 
 
+def test_each_listed_violation_is_one_report_line(tmp_path):
+    # a reader can grep a report for a kind of violation and count the lines
+    d = np.ones((8, 8)) - np.eye(8)
+    for i, k in [(0, 1), (2, 5), (3, 7)]:
+        d[i, k] = d[k, i] = 2.5
+    # the ordered triples (i, j, k) with d[i, k] > d[i, j] + d[j, k] + tol
+    count = np.count_nonzero(d[:, None, :] - d[:, :, None] - d[None, :, :] > 1e-12)
+    ids = [f"p{k}" for k in range(len(d))]
+    spec = write_spec(tmp_path, {"space": {"kind": "matrix", "ids": ids, "matrix": d.tolist()}})
+    out = tmp_path / "report.json"
+    assert main(["check-metric", spec, "--out", str(out)]) == 1
+    text = out.read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines() if '"kind": "triangle"' in line]
+    assert count == 36 and len(lines) == count
+    listed = [json.loads(line.removesuffix(",")) for line in lines]
+    assert listed == json.loads(text)["result"]["violations"]
+
+
 def test_other_commands_reject_invalid_matrix(tmp_path, capsys):
     spec = write_spec(
         tmp_path,

@@ -1,6 +1,7 @@
 """The report emitter writes one layout, for any JSON tree whose object keys
 are strings (as every report's are), plus a newline: a list or object whose
-members are all JSON scalars (an empty one too) is one line, as
+members are all JSON scalars (an empty one too), and a record (an object
+whose members are each a JSON scalar or a list of them), is one line, as
 ``json.dumps(value, allow_nan=False)`` writes it, and every other one is
 indented two spaces a level, as ``json.dumps(indent=2)`` writes it.  It
 raises the errors ``json.dumps(report, indent=2, allow_nan=False)`` raises,
@@ -22,8 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atsuji.cli import _emit, _Matrix, _report_text, _Violations, main
-from atsuji.space import FiniteSpace, Violation
+from atsuji.cli import _axiom_obj, _emit, _Matrix, _report_text, main
+from atsuji.space import AxiomReport, FiniteSpace, Violation
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
 TRICKY_CHARS = [", ", ",\x00", "\x00", "%", '"', "\\", "\n", "\x7f", "é", " ",
@@ -67,16 +68,27 @@ def dumped(obj) -> str:
 
 def reference(tree) -> str:
     """The layout from json alone: ``json.dumps(indent=2)`` of the tree with
-    each all-scalar list or object swapped for a unique sentinel string, each
-    quoted sentinel then replaced by ``json.dumps`` of the container."""
+    each all-scalar list, all-scalar object and record swapped for a unique
+    sentinel string, each quoted sentinel then replaced by ``json.dumps`` of
+    the container."""
     token = uuid.uuid4().hex
     lines = {}
+
+    def scalar(value):
+        return value is None or isinstance(value, (str, int, float))
 
     def swap(value):
         if not isinstance(value, (list, tuple, dict)):
             return value
-        members = value.values() if isinstance(value, dict) else value
-        if all(m is None or isinstance(m, (str, int, float)) for m in members):
+        if isinstance(value, dict):
+            # a record: each member a scalar or a list of scalars
+            one_line = all(
+                scalar(m) or (isinstance(m, (list, tuple)) and all(scalar(x) for x in m))
+                for m in value.values()
+            )
+        else:
+            one_line = all(scalar(m) for m in value)
+        if one_line:
             sentinel = f"{token}:{len(lines)}"
             lines[json.dumps(sentinel)] = json.dumps(value, allow_nan=False)
             return sentinel
@@ -137,8 +149,13 @@ def test_emit_reads_back_as_the_tree_with_floats_bit_for_bit(tree):
         ([], "[]"),
         ({"a": [1, 2.5], "b": {}}, '{\n  "a": [1, 2.5],\n  "b": {}\n}'),
         ([{"x": None, "y": "s"}, [[]]], '[\n  {"x": null, "y": "s"},\n  [\n    []\n  ]\n]'),
+        ({"eta": 0.5, "witness": ["a", "b"], "n": []}, '{"eta": 0.5, "witness": ["a", "b"], "n": []}'),
+        ({"a": {"b": 1}, "c": [1]}, '{\n  "a": {"b": 1},\n  "c": [1]\n}'),
+        ([[1, 2], [3]], '[\n  [1, 2],\n  [3]\n]'),
+        ({"a": [1, [2]]}, '{\n  "a": [\n    1,\n    [2]\n  ]\n}'),
     ],
-    ids=["empty", "rows", "nested-empty"],
+    ids=["empty", "rows", "nested-empty", "record", "object-member", "list-of-lists",
+         "nested-list-member"],
 )
 def test_emit_writes_the_layout_as_stated(obj, text):
     assert emitted(obj) == text + "\n" == reference(obj)
@@ -148,7 +165,7 @@ def test_emit_writes_the_layout_as_stated(obj, text):
     "obj",
     [
         [], {}, [[]], [{}], {"a": []}, {"a": {"b": {}}}, ((), ([],)),
-        [[1, 2], [3, [4]], "x"],
+        [[1, 2], [3, [4]], "x"], [[1, 2], [3]], {"eta": 0.5, "witness": ["a", "b"]},
         {"row": {"b": 0.5, "a": 1e-300}, "ids": ["a", "b"], "n": 2},
         {"1": "int", "2.5": "float", "true": "bool", "null": "none", "s": [np.float64(-0.0)]},
     ],
@@ -276,16 +293,20 @@ def matrices(draw):
 
 @st.composite
 def violation_lists(draw):
-    """A Leaf of violations on n points, n in 1..5, with pair and triple
-    ``where``s, ids with escapes, and magnitudes that include infinities and
-    the extremes; the list may be empty."""
+    """A Leaf of the report object of an AxiomReport's violations on n
+    points, n in 1..5, with pair and triple ``where``s, ids with escapes, and
+    magnitudes that include +inf and the extremes (a scan of a finite matrix
+    lists none below 0, so no -inf); the list may be empty, and then the
+    object is a record."""
     n = draw(st.integers(1, 5))
     ids = draw(st.lists(texts, min_size=n, max_size=n, unique=True).map(tuple))
     kinds = st.sampled_from(["nonneg", "symmetry", "identity", "triangle"])
     where = st.lists(st.integers(0, n - 1), min_size=2, max_size=3).map(tuple)
-    magnitudes = st.sampled_from([math.inf, -math.inf, *MATRIX_FLOATS]) | finite_floats
+    magnitudes = st.sampled_from([math.inf, *MATRIX_FLOATS]) | finite_floats
     violations = draw(st.lists(st.builds(Violation, kinds, where, magnitudes), max_size=6))
-    return Leaf(_Violations(ids, violations), plain_violations(ids, violations))
+    report = AxiomReport(not violations, violations)
+    plain = {"passed": report.passed, "violations": plain_violations(ids, violations)}
+    return Leaf(_axiom_obj(FiniteSpace(ids, np.zeros((n, n))), report), plain)
 
 
 @st.composite
@@ -327,8 +348,8 @@ import uuid
 from json import encoder
 assert encoder.c_make_encoder is None
 import numpy as np
-from atsuji.cli import _Matrix, _report_text, _Violations
-from atsuji.space import FiniteSpace, Violation
+from atsuji.cli import _axiom_obj, _Matrix, _report_text
+from atsuji.space import AxiomReport, FiniteSpace, Violation
 # reference
 trees = [
     {"newdist": {"a": {"a": 0.0, "b": 0.1}, "b": {"a": 0.1, "b": 0.0}}, "ids": ["a", "\\ud800,\\x00"]},
@@ -349,10 +370,16 @@ violations = [Violation("triangle", (0, 1, 0), 2.5), Violation("nonneg", (1, 0),
 expected = {"result": {"passed": False, "violations": [
     {"kind": "triangle", "indices": [0, 1, 0], "ids": [ids[0], ids[1], ids[0]], "magnitude": 2.5},
     {"kind": "nonneg", "indices": [1, 0], "ids": [ids[1], ids[0]], "magnitude": None},
-]}, "empty": []}
-tree = {"result": {"passed": False, "violations": _Violations(ids, violations)},
-        "empty": _Violations(ids, [])}
-assert "".join(_report_text(tree)) == reference(expected)
+]}, "empty": {"passed": True, "violations": []}}
+tree = {"result": _axiom_obj(space, AxiomReport(False, violations)),
+        "empty": _axiom_obj(space, AxiomReport(True, []))}
+text = "".join(_report_text(tree))
+assert text == reference(expected)
+# each violation is one line, as json.dumps writes its dict, and so is the
+# axioms object that lists none, a record
+lines = [line.strip().rstrip(",") for line in text.splitlines() if '"kind"' in line]
+assert lines == [json.dumps(v) for v in expected["result"]["violations"]], lines
+assert '\\n  "empty": {"passed": true, "violations": []}\\n' in text, text
 for tree, value in [({"row": [1.0, float("nan")]}, "nan"), ({"rows": [[1]], "k": -float("inf")}, "-inf")]:
     try:
         _report_text(tree)
