@@ -1,5 +1,9 @@
 """Finite metric spaces: uniform-continuity (Atsuji) checking with witnesses,
-and remetrization to an equivalent-topology uniformly continuous metric."""
+and remetrization to a metric of the same topology whose neighborhood
+complements are uniformly isolated.  The characterization has two halves: the
+derived set is compact, and those complements are uniformly isolated.  The
+check decides the second, and the remetrized metric is Atsuji only when the
+derived set is compact."""
 
 __version__ = "0.1.0"
 

@@ -1,5 +1,5 @@
-"""Limit-point detection, isolation measurement, eps-nets, and the
-uniform-continuity (Atsuji) characterization checker.
+"""Isolation measurement, eps-nets, and the uniform-continuity (Atsuji)
+characterization checker.
 
 A space is Atsuji iff its derived set is compact and, for every eps > 0, the
 complement of the eps-neighborhood of the derived set is uniformly isolated.
@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .functions import WitnessPair
-from .space import _PAIR_BLOCK, FiniteSpace, PointId, _pair_distance
+from .space import FiniteSpace, PointId, _pair_distance
 # neighborhood is unused here; perfbench/trace_child.py wraps it by this name
 from .space import neighborhood  # noqa: F401
 
@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_EPS_GRID",
     "DEFAULT_THRESHOLD",
     "FINITE_EVIDENCE_NOTE",
-    "detect_limit_points",
     "min_pairwise_distance",
     "greedy_epsilon_net",
     "atsuji_check",
@@ -51,22 +50,13 @@ FINITE_EVIDENCE_NOTE = (
 
 @dataclass(frozen=True)
 class DerivedSetView:
-    """A stand-in for the set of limit points.
+    """A stand-in for the set of limit points, given by its ids: generators
+    ship the true derived set of the infinite space their truncation samples,
+    and a spec names one of its own."""
 
-    ``oracle`` views are declared authoritative (generators ship the true
-    derived set of the infinite space); ``detected`` views come from
-    :func:`detect_limit_points` at a finite resolution and over-approximate.
-    """
-
-    kind: str  # "oracle" | "detected"
     members: frozenset[PointId]
-    resolution: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("oracle", "detected"):
-            raise ValueError(f"kind must be 'oracle' or 'detected', got {self.kind!r}")
-        if (self.resolution is not None) != (self.kind == "detected"):
-            raise ValueError("resolution must be present exactly when kind='detected'")
         object.__setattr__(self, "members", frozenset(self.members))
 
 
@@ -89,24 +79,6 @@ class AtsujiVerdict:
     isolation: dict[float, IsolationReport]
     fail_witness: WitnessPair | None = None
     notes: list[str] = field(default_factory=list)
-
-
-def detect_limit_points(space: FiniteSpace, r: float) -> DerivedSetView:
-    """Points having another point strictly within r: a resolution-r surrogate
-    for the derived set.  Over-approximates near accumulation (whole tails get
-    flagged, not just the limit); oracle views are authoritative when known.  It holds
-    one row block's predicate: :func:`_pair_blocks` also holds the previous one and a
-    mirror, over 420 kB at 1001 points against the 400,800 B its test allows."""
-    if not r > 0:
-        raise ValueError(f"resolution must be positive, got {r!r}")
-    flagged = np.zeros(space.n, dtype=bool)
-    for start in range(0, space.n, _PAIR_BLOCK):
-        close = space.dist[start : start + _PAIR_BLOCK] < r  # (i, j) is (start + i, j)
-        np.fill_diagonal(close[:, start:], False)
-        flagged[start : start + _PAIR_BLOCK] |= close.any(1)  # the block's points, by row
-        flagged |= close.any(0)  # every point, by its column: the pair's other entry
-    members = frozenset(space.ids[k] for k in np.flatnonzero(flagged))
-    return DerivedSetView(kind="detected", members=members, resolution=float(r))
 
 
 def _prefix_sweep(space: FiniteSpace, order: np.ndarray) -> list[IsolationReport]:
@@ -185,14 +157,15 @@ def atsuji_check(
     eps_grid: Iterable[float] = DEFAULT_EPS_GRID,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> AtsujiVerdict:
-    """Evidence-grade check of the two-part characterization.
+    """Evidence-grade check of the characterization's isolation half.
 
     For each eps in the grid the complement of B(derived, eps) is measured for
-    uniform isolation; eps-net sizes of the derived set are recorded as
-    total-boundedness evidence.  FAIL carries the globally minimizing pair
-    (at the largest grid eps achieving it, whatever the grid's order) as a
-    witness; INCONCLUSIVE means every grid complement had at most one point,
-    so there was no pair to measure.
+    uniform isolation, and only that decides the verdict.  The eps-net sizes
+    of the derived set are recorded as evidence on the other half, its
+    compactness, but no verdict reads them.  FAIL carries the globally
+    minimizing pair (at the largest grid eps achieving it, whatever the grid's
+    order) as a witness; INCONCLUSIVE means every grid complement had at most
+    one point, so there was no pair to measure.
 
     The complement at eps is {x : dist(x, derived) >= eps}: a prefix of the
     points ordered by distance to the derived set, descending.  One sweep over
@@ -212,12 +185,6 @@ def atsuji_check(
     worst_eps = min(grid, key=lambda eps: (isolation[eps].eta, -eps))
 
     notes = [FINITE_EVIDENCE_NOTE]
-    if derived.kind == "detected":
-        notes.append(
-            f"derived set detected at resolution {derived.resolution!r} "
-            "over-approximates the true derived set"
-        )
-
     worst = isolation[worst_eps]
     status, witness = "PASS", None
     if worst.eta < threshold:

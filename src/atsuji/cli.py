@@ -2,17 +2,16 @@
 emit a deterministic JSON report.
 
 Spec files are JSON with a ``space`` arm (``builtin``, ``points_l2``, or
-``matrix``), an optional ``derived_set`` arm (``oracle``, ``detect``, or
-``empty``; defaults to the builtin's bundled oracle, else empty), and an
-optional ``tol``.  Reports serialize with a fixed field order and full
-round-trip float precision, so identical invocations are byte-identical.  A
-list or object whose members are all JSON scalars is written on one line, as
-``json.dumps`` writes it, and so is a record, an object whose members are each
-a JSON scalar or a list of them (a listed violation, an isolation entry, a
-witness pair: ``{"eta": 0.5, "witness": ["a", "b"]}``).  Every other list or
-object, a list of lists such as a matrix among them, is indented two spaces a
-level, as ``json.dumps(indent=2)`` writes it.  Every object key in a report
-is a str.
+``matrix``), an optional ``derived_set`` arm (``oracle`` or ``empty``;
+defaults to the builtin's bundled oracle, else empty), and an optional
+``tol``.  Reports serialize with a fixed field order and full round-trip float
+precision, so identical invocations are byte-identical.  A list or object
+whose members are all JSON scalars is written on one line, as ``json.dumps``
+writes it, and so is a record, an object whose members are each a JSON scalar
+or a list of them (a listed violation, an isolation entry, a witness pair:
+``{"eta": 0.5, "witness": ["a", "b"]}``).  Every other list or object, a list
+of lists such as a matrix among them, is indented two spaces a level, as
+``json.dumps(indent=2)`` writes it.  Every object key in a report is a str.
 The writer checks the spec's echo at load, so a field no report can hold (a
 NaN, nesting too deep) is an input error, named before the run.  Exit codes:
 0 success/PASS, 1 FAIL verdict (or witness found), 2 input error (a malformed
@@ -45,7 +44,6 @@ from .analysis import (
     AtsujiVerdict,
     DerivedSetView,
     atsuji_check,
-    detect_limit_points,
     greedy_epsilon_net,
 )
 from .functions import (
@@ -296,23 +294,18 @@ def load_spec(
         space = FiniteSpace._adopt(space.ids, space.dist, tol, space._excess)
 
     if "derived_set" not in data:
-        derived = oracle if oracle is not None else DerivedSetView("oracle", frozenset())
+        derived = oracle if oracle is not None else DerivedSetView(frozenset())
     else:
         derived_spec = _typed(data["derived_set"], "derived_set", dict)
         dkind = _get(derived_spec, "kind", "derived_set")
         if dkind == "oracle":
             ids = _id_list(_get(derived_spec, "ids", "derived_set", list), "derived_set.ids")
-            ids = _known_ids(space, ids, "derived_set.ids")
-            derived = DerivedSetView("oracle", frozenset(ids))
-        elif dkind == "detect":
-            radius = _get(derived_spec, "radius", "derived_set", int, float)
-            radius = _finite(radius, "derived_set.radius", positive=True)
-            derived = detect_limit_points(space, radius)
+            derived = DerivedSetView(frozenset(_known_ids(space, ids, "derived_set.ids")))
         elif dkind == "empty":
-            derived = DerivedSetView("oracle", frozenset())
+            derived = DerivedSetView(frozenset())
         else:
             raise SpecError("derived_set.kind", f"unknown kind {dkind!r}; "
-                            "expected 'oracle', 'detect', or 'empty'")
+                            "expected 'oracle' or 'empty'")
 
     for key, value in echo.items():  # where the report puts it: fail here, not after the run
         try:
@@ -687,8 +680,8 @@ def _scales(text: str) -> list[float]:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="atsuji",
-        description="Decide, with witnesses, whether a finite metric space "
-        "satisfies the uniform-continuity characterization, and remetrize it.",
+        description="Check, with witnesses, the isolation half of the uniform-continuity "
+        "characterization of a finite metric space, and remetrize it.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -708,8 +701,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=_positive("--threshold"), default=DEFAULT_THRESHOLD,
                    help="isolation below this fails the check (default %(default)s)")
 
-    p = sub.add_parser("remetrize", help="build the equivalent uniformly "
-                       "continuous metric and verify its guarantees")
+    about = ("build a metric of the same topology whose neighborhood complements are "
+             "uniformly isolated, and verify its guarantees; it is Atsuji (every continuous "
+             "function uniformly continuous) only when the derived set is compact")
+    p = sub.add_parser("remetrize", help=about, description=about)
     common(p)
     p.add_argument("--out-matrix", help="also write the new matrix as a "
                    "reloadable matrix-arm spec file")

@@ -42,7 +42,7 @@ def sequence_grid(
             specs.append(PointSpec(grid_point_id(i, j), {i: 1.0 / j}))
     space = build_space(specs)
     members = frozenset({"zero"}) if include_origin else frozenset()
-    return space, DerivedSetView(kind="oracle", members=members)
+    return space, DerivedSetView(members)
 
 
 def positive_integers(n_max: int, metric: str = "d1") -> tuple[FiniteSpace, DerivedSetView]:
@@ -59,7 +59,7 @@ def positive_integers(n_max: int, metric: str = "d1") -> tuple[FiniteSpace, Deri
     else:
         raise ValueError(f"metric must be 'd1' or 'd2', got {metric!r}")
     space = build_space(specs)
-    return space, DerivedSetView(kind="oracle", members=frozenset())
+    return space, DerivedSetView(frozenset())
 
 
 def convergent_sequence(n_max: int) -> tuple[FiniteSpace, DerivedSetView]:
@@ -72,4 +72,4 @@ def convergent_sequence(n_max: int) -> tuple[FiniteSpace, DerivedSetView]:
     specs = [PointSpec("zero", {})]
     specs += [PointSpec(f"n{k}", {1: 1.0 / k}) for k in range(1, n_max + 1)]
     space = build_space(specs)
-    return space, DerivedSetView(kind="oracle", members=frozenset({"zero"}))
+    return space, DerivedSetView(frozenset({"zero"}))

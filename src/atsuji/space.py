@@ -7,9 +7,9 @@ Conventions used throughout the package:
   picks the lexicographically least index pair, so results are deterministic
   regardless of how the caller orders its input sets.
 - A pair search takes a pair as close as its smaller entry, +0.0 at a zero pair
-  (:func:`_pair_distance`), and walks all pairs by :func:`_pair_blocks`, but for
-  ``detect_limit_points`` (see why there); only a point's distance to a set (its
-  row, ``dist[y, a]``) and the axiom scan's entry checks read one entry.
+  (:func:`_pair_distance`), and walks all pairs by :func:`_pair_blocks`; only a
+  point's distance to a set (its row, ``dist[y, a]``) and the axiom scan's
+  entry checks read one entry.
 - Balls are open: ``y`` belongs to ``B(A, eps)`` iff ``dist(y, a) < eps`` for
   some ``a`` in ``A``.
 - The distance to the empty set is ``math.inf``, which propagates correctly
@@ -226,11 +226,11 @@ class MaxTriple(NamedTuple):
     satisfies: bool
 
 
-# Rows per block of the pair searches, limit-point detection and build_space's slot pass,
-# chosen by measurement on a 2-core Xeon: at 3000 points a full
-# indiscernibility scan took 23 ms in blocks of 128 or 256 rows, 30 ms in
-# blocks of 32 or 64, and 29 ms as one n x n mask; the slot pass took the same
-# time in blocks of 32 to 512 rows.
+# Rows per block of the pair searches and build_space's slot pass, chosen by
+# measurement on a 2-core Xeon: at 3000 points a full indiscernibility scan
+# took 23 ms in blocks of 128 or 256 rows, 30 ms in blocks of 32 or 64, and
+# 29 ms as one n x n mask; the slot pass took the same time in blocks of 32 to
+# 512 rows.
 _PAIR_BLOCK = 128
 
 

@@ -14,7 +14,8 @@ and fails on any difference from the committed corpus.  Each case runs
 the reports echo the spec paths as written here, and an ``--out-matrix`` file
 named by a case is written there too.  Everything written there is copied
 here only when every case exits 0, 1 or 2 without a traceback: a crash is
-never pinned as a golden result.
+never pinned as a golden result.  Then every other file here but this script
+is removed, so the corpus is exactly what the last run wrote.
 """
 
 from __future__ import annotations
@@ -94,6 +95,9 @@ def _within_tol_closest() -> np.ndarray:
     d = _table(12, 6)
     d[4, 10] += 5e-13
     return d
+
+
+SIGNED_ZEROS_DERIVED = [0, 1, 2, 3, 8, 9, 13, 16, 17, 19, 22, 23, 25, 26, 31, 32, 33, 35, 37, 38]
 
 
 def _signed_zeros() -> np.ndarray:
@@ -207,10 +211,9 @@ SPECS = {
     "pair-blocks.spec.json": _matrix([f"q{k}" for k in range(_PAIR_BLOCK + 4)], _pair_blocks()),
     "sequence.spec.json": _builtin("convergent_sequence", n_max=30),
     "empty-derived.spec.json": _builtin("convergent_sequence", {"kind": "empty"}, n_max=40),
-    "detect.spec.json": _builtin("convergent_sequence", {"kind": "detect", "radius": 2}, n_max=20),
-    # the radius is below every gap of the truncation: nothing is detected
-    "detect-fail.spec.json": _builtin("positive_integers", {"kind": "detect", "radius": 1e-6},
-                                      n_max=200, metric="d2"),
+    # every point in D, so no grid complement holds a pair
+    "all-derived.spec.json": _builtin("convergent_sequence", {"kind": "oracle", "ids": [
+        "zero", *(f"n{k}" for k in range(1, 21))]}, n_max=20),
     "grid.spec.json": _builtin("sequence_grid_E", i_max=3, j_max=12, include_origin=False),
     "grid-wide.spec.json": _builtin("sequence_grid_E", i_max=12, j_max=3, include_origin=True),
     "many-slots.spec.json": MANY_SLOTS,
@@ -220,10 +223,10 @@ SPECS = {
     },
     "within-tol-closest.spec.json": _matrix([f"w{k}" for k in range(12)], _within_tol_closest()),
     "points.spec.json": {"space": {"kind": "points_l2", "points": POINTS}},
-    # radius 0.08 puts 20 of the 40 points in the detected derived set
+    # D is the 20 of the 40 points that have another closer than 0.08
     "signed-zeros.spec.json": {
         **_matrix([f"x{k}" for k in range(40)], _signed_zeros()),
-        "derived_set": {"kind": "detect", "radius": 0.08},
+        "derived_set": {"kind": "oracle", "ids": [f"x{k}" for k in SIGNED_ZEROS_DERIVED]},
     },
     "limit.spec.json": LIMIT,
     "unknown-kind.spec.json": {"space": {"kind": "hyperbolic", "n": 3}},
@@ -254,9 +257,7 @@ CASES = {
     "check-metric-pair-blocks": ["check-metric", "pair-blocks.spec.json"],
     "atsuji-pass": ["atsuji", "sequence.spec.json"],
     "atsuji-fail": ["atsuji", "empty-derived.spec.json", "--threshold", "1e-3"],
-    "atsuji-inconclusive": ["atsuji", "detect.spec.json"],
-    # a detected derived set still FAILs when its radius is below the failing gap
-    "atsuji-detect-fail": ["atsuji", "detect-fail.spec.json"],
+    "atsuji-inconclusive": ["atsuji", "all-derived.spec.json"],
     "remetrize-empty-derived": ["remetrize", "empty-derived.spec.json"],
     "witness-found": ["witness", "grid.spec.json", "--fn", "parity", "--eps0", "0.5",
                       "--delta", "0.1"],
@@ -294,7 +295,7 @@ CASES = {
     "atsuji-within-tol-closest": ["atsuji", "within-tol-closest.spec.json"],
     "witness-within-tol-closest": ["witness", "within-tol-closest.spec.json", "--fn", "identity",
                                    "--eps0", "0.5", "--delta", "0.0524542655819311"],
-    # set distances over a detected D of 20 points, with signed diagonal zeros
+    # set distances over a D of 20 points, with signed diagonal zeros
     "separator-signed-zeros": ["separator", "signed-zeros.spec.json", "--a", "x0,x3,x6,x9",
                                "--b", "x1,x2"],
     "atsuji-signed-zeros": ["atsuji", "signed-zeros.spec.json"],
@@ -339,10 +340,12 @@ def regenerate() -> None:
                 sys.exit(f"{name}: exit {code} is a crash, not a result; nothing written\n{stderr}")
             cases[name] = {"argv": argv, "exit": code, "stderr": stderr}
         (work / "cases.json").write_text(json.dumps(cases, indent=2) + "\n", encoding="ascii")
-        for name in CASES:  # a case that writes no report leaves none behind
-            (HERE / f"{name}.report.json").unlink(missing_ok=True)
-        for path in work.iterdir():
-            shutil.copyfile(path, HERE / path.name)
+        written = {path.name for path in work.iterdir()}
+        for path in HERE.iterdir():  # a deleted case or spec, a report no longer written
+            if path.is_file() and path.name not in written and path.name != "regen.py":
+                path.unlink()
+        for name in written:
+            shutil.copyfile(work / name, HERE / name)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from atsuji import (
     atsuji_check,
     build_space,
     convergent_sequence,
-    detect_limit_points,
     greedy_epsilon_net,
     min_pairwise_distance,
     modulus_of_continuity,
@@ -29,7 +27,7 @@ from atsuji import (
     verify_metric_axioms,
     verify_same_topology,
 )
-from atsuji.analysis import FINITE_EVIDENCE_NOTE
+from atsuji.analysis import DEFAULT_EPS_GRID, FINITE_EVIDENCE_NOTE, _IsolationProfile
 from atsuji.space import _require_discernible
 
 from test_space import small_spaces
@@ -44,63 +42,6 @@ def brute_min_pair(space, S):
             if d < best:
                 best, pair = d, (space.ids[idx[a]], space.ids[idx[b]])
     return best, pair
-
-
-# --- detect_limit_points -----------------------------------------------------
-
-
-def test_detect_isolated_integers():
-    space, _ = positive_integers(100, "d1")
-    view = detect_limit_points(space, 0.5)
-    assert view.kind == "detected"
-    assert view.resolution == 0.5
-    assert view.members == frozenset()
-
-
-def test_detect_convergent_frozen():
-    # At r = 0.01, the gap 1/(n(n+1)) < r exactly for n >= 10.  The point 0
-    # sits exactly on the open-ball boundary (its nearest point 1/100 is at
-    # distance 0.01), so strict balls exclude it; nudging r past the boundary
-    # brings it in.
-    space, _ = convergent_sequence(100)
-    members = detect_limit_points(space, 0.01).members
-    assert members == {f"n{k}" for k in range(10, 101)}
-    widened = detect_limit_points(space, 0.0101).members
-    assert widened == {"zero"} | {f"n{k}" for k in range(10, 101)}
-
-
-def test_detect_above_diameter_flags_everything():
-    space, _ = positive_integers(10, "d2")
-    assert detect_limit_points(space, 2.0).members == set(space.ids)
-
-
-def test_detect_rejects_bad_resolution():
-    space, _ = convergent_sequence(5)
-    with pytest.raises(ValueError):
-        detect_limit_points(space, 0.0)
-
-
-def test_detect_holds_one_row_block_of_its_predicate():
-    # row blocks of dist < r, rows and columns both read: no n x n bool
-    space, _ = convergent_sequence(1000)
-    n = space.n
-    tracemalloc.start()
-    try:
-        members = detect_limit_points(space, 1e-4).members
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert members == {f"n{k}" for k in range(100, n)}
-    assert peak < 0.05 * 8 * n * n
-
-
-def test_detect_monotone_in_resolution():
-    space, _ = convergent_sequence(50)
-    previous = frozenset()
-    for r in (0.001, 0.01, 0.05, 0.2, 1.5):
-        members = detect_limit_points(space, r).members
-        assert previous <= members
-        previous = members
 
 
 # --- min_pairwise_distance ----------------------------------------------------
@@ -282,7 +223,7 @@ def test_atsuji_isolation_matches_complement_reference(data):
     grid = data.draw(
         st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5]), min_size=1, max_size=6)
     )
-    verdict = atsuji_check(space, DerivedSetView("oracle", members), grid, 1.0)
+    verdict = atsuji_check(space, DerivedSetView(members), grid, 1.0)
     for eps in grid:
         complement = set(space.ids) - neighborhood(space, members, eps)
         assert verdict.isolation[eps] == min_pairwise_distance(space, complement)
@@ -300,7 +241,7 @@ TIED_SCALES = build_space([PointSpec("c", {1: 0.5}), PointSpec("d", {1: 0.625}),
 
 @pytest.mark.parametrize("grid", [[1.0, 0.5], [0.5, 1.0]], ids=["descending", "ascending"])
 def test_atsuji_fail_witness_is_taken_at_the_largest_least_isolated_scale(grid):
-    verdict = atsuji_check(TIED_SCALES, DerivedSetView("oracle", frozenset({"z"})), grid, 0.2)
+    verdict = atsuji_check(TIED_SCALES, DerivedSetView(frozenset({"z"})), grid, 0.2)
     assert verdict.status == "FAIL"
     assert verdict.fail_witness == WitnessPair("a", "b", distance=0.125, gap=0.0)
     assert verdict.notes[-1] == "isolation 0.125 at eps 1.0 fell below threshold 0.2"
@@ -316,7 +257,7 @@ def test_atsuji_verdict_does_not_depend_on_the_grid_order(data):
     )
     shuffled = data.draw(st.permutations(grid))
     threshold = data.draw(st.sampled_from([0.5, 1.0, 2.0, 5.0]))
-    derived = DerivedSetView("oracle", members)
+    derived = DerivedSetView(members)
     one, other = (atsuji_check(space, derived, g, threshold) for g in (grid, shuffled))
     assert (one.status, one.fail_witness, one.notes) == (
         other.status, other.fail_witness, other.notes)
@@ -327,7 +268,7 @@ def test_isolation_exactly_at_the_threshold_passes():
     # its closest pair exactly 2^-10 apart, outside B(D, eps) for D = {p0}
     x = np.array([0.0, 1 - 2**-10, 1.0])
     space = FiniteSpace(["p0", "p1", "p2"], np.abs(x[:, None] - x[None, :]))
-    derived = DerivedSetView("oracle", frozenset({"p0"}))
+    derived = DerivedSetView(frozenset({"p0"}))
     assert atsuji_check(space, derived, [0.5], 2**-10).status == "PASS"
     verdict = atsuji_check(space, derived, [0.5], np.nextafter(2**-10, 1.0))
     assert (verdict.status, verdict.fail_witness) == ("FAIL", WitnessPair("p1", "p2", 2**-10, 0.0))
@@ -335,32 +276,51 @@ def test_isolation_exactly_at_the_threshold_passes():
 
 def test_atsuji_inconclusive_when_every_complement_is_tiny():
     space, _ = convergent_sequence(10)
-    everything = DerivedSetView("oracle", frozenset(space.ids))
+    everything = DerivedSetView(frozenset(space.ids))
     verdict = atsuji_check(space, everything, [5.0], 1e-3)
     assert verdict.status == "INCONCLUSIVE"
     assert verdict.isolation[5.0].eta == math.inf
 
 
-@settings(max_examples=200, deadline=None)
+def _shortest_paths(space):
+    """A metric from a drawn matrix: its pairs' smaller entries plus one,
+    closed under shortest paths, so its entries stay small integers and ties
+    stay common (few drawn matrices are metrics: none in 2,000 at 7 points)."""
+    d = np.minimum(space.dist, space.dist.T) + 1.0
+    np.fill_diagonal(d, 0.0)
+    for k in range(space.n):
+        d = np.minimum(d, d[:, [k]] + d[[k], :])
+    return FiniteSpace(space.ids, d)
+
+
+def _isolation_index(space):
+    """Atsuji's isolation index of each point, I(x) = d(x, M - {x}), read from
+    both entries of each pair; inf when x is the only point."""
+    near = np.minimum(space.dist, space.dist.T)
+    np.fill_diagonal(near, math.inf)
+    return near.min(axis=1, initial=math.inf)
+
+
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_a_detected_set_leaves_every_grid_complement_isolated_at_its_radius(data):
-    # every point with another strictly within r is in D, so any two points
-    # outside it are at least r apart: a radius at or above the threshold
-    # cannot FAIL (ROADMAP item 5)
-    space = data.draw(small_spaces(min_size=2))
-    r = data.draw(st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0, 2.0, 5.0]))
-    grid = data.draw(st.lists(st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0, 4.0]), min_size=1,
-                              max_size=6))
-    verdict = atsuji_check(space, detect_limit_points(space, r), grid)
-    for report in verdict.isolation.values():
-        assert report.eta >= r or math.isinf(report.eta)
-
-
-def test_atsuji_detected_view_adds_note():
-    space, _ = convergent_sequence(50)
-    view = detect_limit_points(space, 0.05)
-    verdict = atsuji_check(space, view, [0.5], 1e-6)
-    assert any("over-approximate" in note for note in verdict.notes)
+def test_atsuji_isolation_agrees_with_the_isolation_index(data):
+    # the classical characterization reads I(eps), the least I(x) over the
+    # complement {x : dist(x, D) >= eps}.  Each pair there is at least
+    # I(eps) apart, and the nearest partner y of a point x is at least
+    # eps - I(x) from D by the triangle inequality, so
+    # eta(eps - I(eps)) <= I(eps) <= eta(eps)
+    metrics = small_matrices(st.integers(2, 7)).map(_shortest_paths)
+    space = data.draw(small_spaces(min_size=2) | metrics)
+    assert verify_metric_axioms(space).passed
+    members = data.draw(st.frozensets(st.sampled_from(space.ids)))
+    profile = _IsolationProfile(space, members)
+    reach, index = space.reach(members), _isolation_index(space)
+    for eps in {*DEFAULT_EPS_GRID, *reach[np.isfinite(reach)].tolist()}:
+        if not (far := index[reach >= eps]).size:
+            continue
+        least = float(far.min())
+        assert least <= profile.at(eps).eta
+        assert profile.at(eps - least).eta <= least + 1e-9 * max(1.0, eps)
 
 
 def test_atsuji_rejects_bad_inputs():
@@ -372,16 +332,7 @@ def test_atsuji_rejects_bad_inputs():
     with pytest.raises(ValueError):
         atsuji_check(space, oracle, [1.0], 0.0)
     with pytest.raises(KeyError):
-        atsuji_check(space, DerivedSetView("oracle", frozenset({"ghost"})), [1.0], 1e-3)
-
-
-def test_derived_set_view_validation():
-    with pytest.raises(ValueError):
-        DerivedSetView("magic", frozenset())
-    with pytest.raises(ValueError):
-        DerivedSetView("oracle", frozenset(), resolution=0.1)
-    with pytest.raises(ValueError):
-        DerivedSetView("detected", frozenset())
+        atsuji_check(space, DerivedSetView(frozenset({"ghost"})), [1.0], 1e-3)
 
 
 # --- one pair rule: a pair is as close as its smaller entry ------------------
@@ -393,7 +344,6 @@ ONE_SIDED = [[0.0, 1.0, 3.0], [0.25, 0.0, 3.0], [3.0, 3.0, 0.0]]
 @pytest.mark.parametrize("dist", [ONE_SIDED, np.transpose(ONE_SIDED)], ids=["lower", "upper"])
 def test_limit_points_and_nets_read_both_entries_of_a_pair(dist):
     space = FiniteSpace(ids=("a", "b", "c"), dist=dist)
-    assert detect_limit_points(space, 0.5).members == {"a", "b"}
     assert greedy_epsilon_net(space, space.ids, 0.5) == ["a", "c"]
     assert min_pairwise_distance(space, space.ids) == IsolationReport(0.25, ("a", "b"))
 
@@ -424,7 +374,6 @@ def test_every_pair_search_is_the_same_on_the_transposed_matrix(data):
         lambda s: uc_witness_search(s, f, 0.5, scale),
         lambda s: modulus_of_continuity(s, f, scale),
         lambda s: greedy_epsilon_net(s, subset, scale),
-        lambda s: detect_limit_points(s, scale),
         lambda s: _raised(_require_discernible, s, tol),
         lambda s: [v for v in verify_metric_axioms(FiniteSpace(s.ids, s.dist, tol)).violations
                    if v.kind in ("symmetry", "identity")],
@@ -432,7 +381,7 @@ def test_every_pair_search_is_the_same_on_the_transposed_matrix(data):
         assert call(space) == call(flipped)
 
     new = data.draw(small_matrices(st.just(space.n))).dist
-    derived = DerivedSetView("oracle", subset)
+    derived = DerivedSetView(subset)
     r = RemetrizedSpace(base=space, derived=derived, newdist=new)
     r_flipped = RemetrizedSpace(base=flipped, derived=derived, newdist=new.T)
     assert verify_same_topology(r) == verify_same_topology(r_flipped)

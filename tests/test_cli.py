@@ -390,29 +390,22 @@ def test_atsuji_fail_witness_does_not_depend_on_the_eps_grid_order(tmp_path, gri
     assert report["notes"][1:] == ["isolation 0.125 at eps 1.0 fell below threshold 0.2"]
 
 
-def test_atsuji_derived_set_detect_arm(tmp_path):
-    payload = builtin("convergent_sequence", n_max=100)
-    payload["derived_set"] = {"kind": "detect", "radius": 0.01}
-    spec = write_spec(tmp_path, payload)
-    code, report = run_to_file(tmp_path, ["atsuji", spec])
-    assert any("over-approximate" in note for note in report["notes"])
-
-
-def test_a_detect_radius_above_the_threshold_passes_a_space_its_oracle_fails(tmp_path):
-    # ROADMAP item 5's defect: a detected D holds every point with another
-    # strictly within the radius, so every grid complement is at least the
-    # radius apart, and a radius at or above the threshold cannot FAIL.  The
-    # decision that item takes flips the first run's verdict.
-    space = builtin("positive_integers", n_max=200, metric="d2")
+def test_atsuji_derived_set_detect_arm(tmp_path, capsys):
+    # a D of every point with another strictly within a radius leaves each
+    # complement at least that radius apart, so at or above the threshold it
+    # could not FAIL this non-Atsuji example, which its oracle FAILs: the
+    # detect kind is rejected
+    space = builtin("positive_integers", n_max=2000, metric="d2")
     detected = {**space, "derived_set": {"kind": "detect", "radius": 0.001}}
-    code, report = run_to_file(tmp_path, ["atsuji", write_spec(tmp_path, detected)])
-    assert (code, report["result"]["status"]) == (0, "PASS")
-    etas = [rep["eta"] for rep in report["result"]["isolation"].values()]
-    assert 0.001 < min(eta for eta in etas if eta is not None) < 0.0011
+    out = tmp_path / "report.json"
+    assert main(["atsuji", write_spec(tmp_path, detected), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: derived_set.kind: unknown kind 'detect'; expected 'oracle' or 'empty'\n")
+    assert not out.exists()
     code, report = run_to_file(tmp_path, ["atsuji", write_spec(tmp_path, space, "oracle.json")])
     assert (code, report["result"]["status"]) == (1, "FAIL")
     witness = report["result"]["fail_witness"]
-    assert (witness["x"], witness["y"]) == ("n199", "n200")
+    assert (witness["x"], witness["y"]) == ("n1999", "n2000")
 
 
 def test_atsuji_oracle_arm_rejects_unknown_ids(tmp_path, capsys):
@@ -726,10 +719,9 @@ def test_non_finite_flag_is_input_error(tmp_path, capsys, argv, flag):
     "extra, field",
     [
         ('"tol": 1e400', "tol"),
-        ('"derived_set": {"kind": "detect", "radius": 1e400}', "derived_set.radius"),
         ('"comment": 1e400', "Out of range float"),
     ],
-    ids=["tol", "radius", "echoed-field"],
+    ids=["tol", "echoed-field"],
 )
 def test_non_finite_spec_number_is_input_error(tmp_path, capsys, extra, field):
     path = tmp_path / "spec.json"
@@ -832,16 +824,14 @@ BIG = 10**400  # a JSON integer beyond the float range
          "space.points[0].id: must be a JSON string"),
         ({**builtin("convergent_sequence", n_max=5), "tol": "1e-9"}, "tol: must be a JSON number"),
         ({**builtin("convergent_sequence", n_max=5), "tol": BIG}, "tol: must be finite"),
-        ({**builtin("convergent_sequence", n_max=5),
-          "derived_set": {"kind": "detect", "radius": True}},
-         "derived_set.radius: must be a JSON number"),
+        ({**builtin("convergent_sequence", n_max=5), "tol": True}, "tol: must be a JSON number"),
         ({**builtin("convergent_sequence", n_max=5),
           "derived_set": {"kind": "oracle", "ids": [0]}},
          "derived_set.ids[0]: must be a JSON string"),
     ],
     ids=["matrix-string", "matrix-bool", "matrix-string-rows", "matrix-huge-int", "ids-ints",
          "ids-object", "coord-string", "slot-space", "coord-huge-int", "point-id-int",
-         "tol-string", "tol-huge-int", "radius-bool", "oracle-id-int"],
+         "tol-string", "tol-huge-int", "tol-bool", "oracle-id-int"],
 )
 def test_spec_values_are_not_coerced(tmp_path, capsys, payload, field):
     spec = write_spec(tmp_path, payload)

@@ -108,7 +108,7 @@ BASES = {
     ]}, "derived_set": {"kind": "oracle", "ids": ["c"]}}, "a", "b"),
     "matrix": ({"space": {"kind": "matrix", "ids": ["a", "b", "c"],
                           "matrix": [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]},
-                "derived_set": {"kind": "detect", "radius": 0.5}, "tol": 1e-9}, "a", "b"),
+                "derived_set": {"kind": "empty"}, "tol": 1e-9}, "a", "b"),
 }
 SIZE_FIELDS = {"n_max", "i_max", "j_max"}
 

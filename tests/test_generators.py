@@ -16,7 +16,6 @@ def test_grid_point_count_and_order():
     space, oracle = sequence_grid(2, 2, True)
     assert space.n == 5
     assert space.ids == ("zero", "p_1_1", "p_1_2", "p_2_1", "p_2_2")
-    assert oracle.kind == "oracle"
     assert oracle.members == {"zero"}
 
 

@@ -61,3 +61,14 @@ def test_regen_refuses_to_pin_a_crash(tmp_path, monkeypatch, crash):
 def test_the_corpus_stays_under_one_megabyte():
     size = sum(path.stat().st_size for path in GOLDEN.iterdir() if path.is_file())
     assert size < 1_000_000, f"the golden corpus holds {size} bytes"
+
+
+def test_the_corpus_holds_only_what_its_cases_read_and_write():
+    # regen.py removes every other file, so a deleted case leaves nothing behind
+    kept = {"regen.py", "cases.json"}
+    for name, case in CASES.items():
+        argv = case["argv"]
+        kept |= {argv[1], f"{name}.report.json"}
+        kept |= {argv[k + 1] for k, flag in enumerate(argv) if flag == "--out-matrix"}
+    files = sorted(path.name for path in GOLDEN.iterdir() if path.is_file())
+    assert [name for name in files if name not in kept] == []

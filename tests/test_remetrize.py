@@ -19,7 +19,6 @@ from atsuji import (
     atsuji_check,
     build_space,
     convergent_sequence,
-    detect_limit_points,
     dyadic_level,
     positive_integers,
     remetrize,
@@ -125,7 +124,7 @@ def test_remetrized_space_is_a_metric():
 def test_remetrize_rejects_unknown_members():
     space, _ = convergent_sequence(5)
     with pytest.raises(KeyError):
-        remetrize(space, DerivedSetView("oracle", frozenset({"ghost"})))
+        remetrize(space, DerivedSetView(frozenset({"ghost"})))
 
 
 def test_remetrize_rejects_zero_distance_oracle():
@@ -133,7 +132,7 @@ def test_remetrize_rejects_zero_distance_oracle():
     # declared derived set; the dyadic level would be undefined
     space = FiniteSpace(ids=("a", "b", "c"), dist=[[0, 0, 1], [0, 0, 1], [1, 1, 0]])
     with pytest.raises(ValueError, match="point 'b' is outside the derived set but at distance 0"):
-        remetrize(space, DerivedSetView("oracle", frozenset({"a"})))
+        remetrize(space, DerivedSetView(frozenset({"a"})))
 
 
 def test_remetrize_empty_derived_fallback():
@@ -228,7 +227,7 @@ def boundary_result(entries: dict) -> RemetrizedSpace:
     given pairs' new distances set by hand, both entries of each."""
     x = np.array([0.0, 2.0, 3.0])
     space = FiniteSpace(["p0", "p1", "p2"], np.abs(x[:, None] - x[None, :]), tol=2**-10)
-    view = DerivedSetView("oracle", frozenset({"p0"}))
+    view = DerivedSetView(frozenset({"p0"}))
     newdist = np.array(remetrize(space, view).newdist)
     for (i, j), value in entries.items():
         newdist[i, j] = newdist[j, i] = value
@@ -262,7 +261,7 @@ def test_a_hand_built_result_can_pass_every_default_scale_and_fail_between_them(
     ids = ["p0", "p1", "p2", "p3"]
     x = np.array([0.0, 0.7, 0.8, 2.0])
     space = FiniteSpace(ids, np.abs(x[:, None] - x[None, :]))
-    view = DerivedSetView("oracle", frozenset({"p0"}))
+    view = DerivedSetView(frozenset({"p0"}))
     newdist = np.array(remetrize(space, view).newdist)
     newdist[1, 2] = newdist[2, 1] = 0.3
     r = RemetrizedSpace(base=space, derived=view, newdist=newdist)
@@ -359,7 +358,7 @@ def test_remetrized_convergent_passes_atsuji():
 
 
 def assert_remetrization_guarantees(space, members):
-    r = remetrize(space, DerivedSetView("oracle", frozenset(members)))
+    r = remetrize(space, DerivedSetView(frozenset(members)))
     assert verify_metric_axioms(r.space).passed
     assert verify_same_topology(r).passed
     for eta in DEFAULT_EPS_GRID:
@@ -475,7 +474,7 @@ def test_one_construction_matches_the_two_branch_construction(n, metric, exponen
         except IndiscerniblePointsError:
             assume(False)
     members = data.draw(st.sets(st.sampled_from(space.ids), max_size=3))
-    r = remetrize(space, DerivedSetView("oracle", frozenset(members)))
+    r = remetrize(space, DerivedSetView(frozenset(members)))
     expected = remetrize_by_branches(space, members)
     assert [v.hex() for v in r.newdist.ravel().tolist()] == [
         v.hex() for v in expected.ravel().tolist()
@@ -488,7 +487,7 @@ def test_isolation_check_names_a_pair_at_base_distance_zero():
     # b and c sit outside D = {a} at base distance 0: the base metric does not
     # keep them isolated even though the remetrized one puts them 1/2 apart
     space = FiniteSpace(ids=("a", "b", "c"), dist=[[0, 1, 1], [1, 0, 0], [1, 0, 0]])
-    r = remetrize(space, DerivedSetView("oracle", frozenset({"a"})))
+    r = remetrize(space, DerivedSetView(frozenset({"a"})))
     assert r.space.distance("b", "c") == 0.5
     report = verify_same_topology(r)
     assert not report.passed
@@ -504,7 +503,7 @@ def test_isolation_check_reads_a_pair_from_both_entries(transposed):
     dist = np.array([[0.0, 0.0], [1.0, 0.0]])
     dist = dist.T if transposed else dist
     base = FiniteSpace(ids=("m0", "m1"), dist=dist)
-    r = RemetrizedSpace(base=base, derived=DerivedSetView("oracle", frozenset({"m0"})),
+    r = RemetrizedSpace(base=base, derived=DerivedSetView(frozenset({"m0"})),
                         newdist=dist)
     report = verify_same_topology(r)
     assert (report.passed, report.failed_check, report.witness) == (
@@ -516,7 +515,7 @@ def test_isolation_check_names_the_least_offending_pair():
     # (b, c), not b's nearest point d
     space = FiniteSpace(ids=("a", "b", "c", "d"),
                         dist=[[0, 1, 1, 1], [1, 0, 0, -1], [1, 0, 0, 1], [1, -1, 1, 0]])
-    report = verify_same_topology(remetrize(space, DerivedSetView("oracle", frozenset({"a"}))))
+    report = verify_same_topology(remetrize(space, DerivedSetView(frozenset({"a"}))))
     assert (report.passed, report.failed_check, report.witness) == (False, "isolation", ("b", "c"))
 
 
@@ -568,7 +567,7 @@ def test_same_topology_matches_the_full_mask_reference(n, nonpositive, tampered,
     for _ in range(tampered):
         d_new[rng.integers(quiet, n), rng.integers(quiet, n)] = rng.choice([-1.0, 0.0, 0.25, 3.0])
     base = FiniteSpace(ids=tuple(f"q{k}" for k in range(n)), dist=d_old)
-    derived = DerivedSetView("oracle", frozenset(np.array(base.ids)[member].tolist()))
+    derived = DerivedSetView(frozenset(np.array(base.ids)[member].tolist()))
     r = RemetrizedSpace(base=base, derived=derived, newdist=d_new)
     report = verify_same_topology(r)
     assert (report.failed_check, report.witness) == reference_topology(base, member, d_new)
@@ -587,11 +586,11 @@ def test_remetrized_space_rejects_a_matrix_that_is_not_a_finite_space(newdist):
 
 def test_remetrize_holds_one_n_squared_buffer():
     # the fresh newdist becomes the space's matrix without a copy, and D's rows
-    # and columns are restored in place: the oracle's one point, then a
-    # detected D of 900 points
+    # and columns are restored in place: the oracle's one point, then a D of
+    # the 901 points n100 to n1000, each with another within 1e-4
     space, oracle = convergent_sequence(1000)
     n = space.n
-    for view in (oracle, detect_limit_points(space, 1e-4)):
+    for view in (oracle, DerivedSetView(frozenset(space.ids[100:]))):
         tracemalloc.start()
         try:
             r = remetrize(space, view)
@@ -640,7 +639,7 @@ def test_a_certified_report_is_the_full_listing(specs, tol, data):
     built = build_or_skip(specs)
     base = FiniteSpace._adopt(built.ids, built.dist, tol, built._excess)
     members = data.draw(st.sets(st.sampled_from(base.ids)))  # empty included
-    r = remetrize(base, DerivedSetView("oracle", frozenset(members)))
+    r = remetrize(base, DerivedSetView(frozenset(members)))
     assert r.space._excess == max(base._excess, 0.0)
     for space in (base, r.space):
         assert verify_metric_axioms(space) == full_listing(space)
@@ -673,6 +672,6 @@ def test_a_space_or_result_built_by_hand_has_no_excess_bound(d, tol, specs):
     built = build_or_skip(specs)
     for copy in (FiniteSpace(built.ids, built.dist), dataclasses.replace(built, tol=tol)):
         assert copy._excess == math.inf
-    view = DerivedSetView("oracle", frozenset(built.ids[:1]))
+    view = DerivedSetView(frozenset(built.ids[:1]))
     for newdist in (remetrize(built, view).newdist, np.zeros((built.n, built.n))):
         assert RemetrizedSpace(base=built, derived=view, newdist=newdist).space._excess == math.inf
