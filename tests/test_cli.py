@@ -391,16 +391,24 @@ def test_atsuji_fail_witness_does_not_depend_on_the_eps_grid_order(tmp_path, gri
 
 
 def test_atsuji_derived_set_detect_arm(tmp_path, capsys):
+    payload = builtin("convergent_sequence", n_max=100)
+    payload["derived_set"] = {"kind": "detect", "radius": 0.01}
+    out = tmp_path / "report.json"
+    assert main(["atsuji", write_spec(tmp_path, payload), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: derived_set.kind: unknown kind 'detect'; expected 'oracle' or 'empty'\n")
+    assert not out.exists()
+
+
+def test_a_detect_radius_above_the_threshold_passes_a_space_its_oracle_fails(tmp_path):
     # a D of every point with another strictly within a radius leaves each
     # complement at least that radius apart, so at or above the threshold it
     # could not FAIL this non-Atsuji example, which its oracle FAILs: the
-    # detect kind is rejected
+    # detect kind is rejected, so no spec can make it PASS
     space = builtin("positive_integers", n_max=2000, metric="d2")
     detected = {**space, "derived_set": {"kind": "detect", "radius": 0.001}}
     out = tmp_path / "report.json"
     assert main(["atsuji", write_spec(tmp_path, detected), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: derived_set.kind: unknown kind 'detect'; expected 'oracle' or 'empty'\n")
     assert not out.exists()
     code, report = run_to_file(tmp_path, ["atsuji", write_spec(tmp_path, space, "oracle.json")])
     assert (code, report["result"]["status"]) == (1, "FAIL")
